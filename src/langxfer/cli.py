@@ -9,6 +9,7 @@ machine-readable code and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -219,16 +220,16 @@ def _training_config(args) -> TrainingConfig:
         cfg = load_flat_dataclass(args.config, TrainingConfig)
     else:
         cfg = TrainingConfig()
-    if args.updates is not None:
-        cfg.total_updates = args.updates
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    overrides = {"total_updates": args.updates, "seed": args.seed}
+    # replace() re-runs the config's validation on the overridden values
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def cmd_pretrain(args) -> int:
-    tok = _tokenizer(args.vocab, args.codes)
     cfg = _training_config(args)
+    tok = _tokenizer(args.vocab, args.codes)
     mcfg = ModelConfig(
         dim=args.dim, layers=args.layers, heads=args.heads,
         ffn_dim=args.ffn_dim, max_len=cfg.seq_len,
@@ -246,8 +247,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    model, _, _ = load_checkpoint(args.checkpoint)
     cfg = _training_config(args)
+    model, _, _ = load_checkpoint(args.checkpoint)
     emb_data, tokens = read_array(args.init_emb)
     if tokens is None:
         raise ValueError(f"{args.init_emb}: missing token list in header")

@@ -60,43 +60,71 @@ def _gaussian_row(seed: int, row: int, d: int) -> np.ndarray:
     return _row_rng(seed, row).normal(0.0, 1.0 / d, size=d).astype(np.float32)
 
 
+def _check_size(tm: TranslationMatrix, tgt_vocab: Vocabulary) -> None:
+    if len(tm) != len(tgt_vocab):
+        raise ValueError(
+            f"translation matrix has {len(tm)} rows for a vocabulary "
+            f"of {len(tgt_vocab)} tokens"
+        )
+
+
+def _row_sums(tm: TranslationMatrix, term) -> tuple[np.ndarray, np.ndarray]:
+    """(covered non-special rows, their sums of term(weights, indices)).
+
+    Each row's terms are added to a zero accumulator first to last, as a loop
+    over the row would (np.add.reduceat would not: it adds the first term to
+    the sum of the rest), so a one-hot row reproduces its term bit for bit.
+    The loop runs over entry ranks, longest rows first, so that step k
+    touches only the rows with more than k entries.
+    """
+    counts = np.diff(tm.indptr)
+    counts[:NUM_SPECIALS] = 0
+    rows = np.flatnonzero(counts)
+    rows = rows[np.argsort(-counts[rows], kind="stable")]
+    lengths, starts = counts[rows], tm.indptr[rows]
+    acc = None
+    for k in range(int(lengths[0]) if len(rows) else 0):
+        pos = starts[: np.count_nonzero(lengths > k)] + k
+        terms = term(tm.weights[pos], tm.indices[pos])
+        if acc is None:
+            acc = np.zeros((len(rows),) + terms.shape[1:], dtype=terms.dtype)
+        acc[: len(pos)] += terms
+    return rows, acc
+
+
 def init_foreign_embeddings(
     tm: TranslationMatrix,
     src_emb: EmbeddingMatrix,
     tgt_vocab: Vocabulary,
     seed: int,
 ) -> tuple[EmbeddingMatrix, InitReport]:
-    """Build the foreign embedding table row by row.
+    """Build the foreign embedding table from the translation matrix.
 
-    Covered row i becomes sum_j alpha_ij * src[j]; a one-hot row reproduces
-    the source vector bit-exactly. Uncovered rows fall back to N(0, 1/d^2).
+    Covered row i becomes sum_j alpha_ij * src[j], accumulated in float64; a
+    one-hot row reproduces the source vector bit-exactly. Uncovered rows fall
+    back to N(0, 1/d^2).
     """
-    if len(tm.rows) != len(tgt_vocab):
+    _check_size(tm, tgt_vocab)
+    first = tm.indptr[NUM_SPECIALS]
+    beyond = np.flatnonzero(tm.indices[first:] >= len(src_emb.vocab))
+    if len(beyond):
+        k = first + beyond[0]
+        row = int(np.searchsorted(tm.indptr, k, side="right")) - 1
         raise ValueError(
-            f"translation matrix has {len(tm.rows)} rows for a vocabulary "
-            f"of {len(tgt_vocab)} tokens"
+            f"row {row} references source index {tm.indices[k]} beyond "
+            f"the source vocabulary"
         )
     d = src_emb.dim
     out = np.zeros((len(tgt_vocab), d), dtype=np.float32)
     out[:NUM_SPECIALS] = src_emb.data[:NUM_SPECIALS]
-    covered = fallback = 0
-    for i in range(NUM_SPECIALS, len(tgt_vocab)):
-        row = tm.rows[i]
-        if row:
-            if row[-1][0] >= len(src_emb.vocab):
-                raise ValueError(
-                    f"row {i} references source index {row[-1][0]} beyond "
-                    f"the source vocabulary"
-                )
-            acc = np.zeros(d, dtype=np.float64)
-            for j, w in row:
-                acc += w * src_emb.data[j].astype(np.float64)
-            out[i] = acc.astype(np.float32)
-            covered += 1
-        else:
-            out[i] = _gaussian_row(seed, i, d)
-            fallback += 1
-    return EmbeddingMatrix(tgt_vocab, out), InitReport(covered, fallback)
+    # float64 weights times float32 source rows: products in float64
+    covered, sums = _row_sums(tm, lambda w, j: w[:, None] * src_emb.data[j])
+    if len(covered):
+        out[covered] = sums.astype(np.float32)
+    fallback = np.flatnonzero(np.diff(tm.indptr)[NUM_SPECIALS:] == 0) + NUM_SPECIALS
+    for i in fallback.tolist():
+        out[i] = _gaussian_row(seed, i, d)
+    return EmbeddingMatrix(tgt_vocab, out), InitReport(len(covered), len(fallback))
 
 
 def init_foreign_bias(
@@ -105,15 +133,15 @@ def init_foreign_bias(
     """Foreign output bias: same convex combination as the embeddings.
 
     Uncovered tokens get a zero bias; specials copy the source special biases.
+    Products and sums stay in the source bias dtype.
     """
-    if len(tm.rows) != len(tgt_vocab):
-        raise ValueError("translation matrix size does not match target vocabulary")
+    _check_size(tm, tgt_vocab)
     src_bias = np.asarray(src_bias)
     out = np.zeros(len(tgt_vocab), dtype=src_bias.dtype)
     out[:NUM_SPECIALS] = src_bias[:NUM_SPECIALS]
-    for i in range(NUM_SPECIALS, len(tgt_vocab)):
-        for j, w in tm.rows[i]:
-            out[i] += w * src_bias[j]
+    covered, sums = _row_sums(tm, lambda w, j: w.astype(src_bias.dtype) * src_bias[j])
+    if len(covered):
+        out[covered] = sums
     return out
 
 

@@ -46,6 +46,7 @@ from .trainer import TrainingConfig, pack_sequences, pretrain, run_transfer
 from .translation import (
     dictionary_translation_matrix,
     read_translation_matrix,
+    row_entropy_report,
     subword_vectors,
     translation_matrix_from_vectors,
     write_translation_matrix,
@@ -99,6 +100,13 @@ class PipelineConfig:
             raise ValueError(f"unknown route: {self.route!r}")
         if self.tokenization not in ("word", "bpe"):
             raise ValueError(f"unknown tokenization: {self.tokenization!r}")
+        # fail on a bad schedule now, before any output exists
+        for phase, make in (("pretrain", self.pretrain_config),
+                            ("transfer", self.training_config)):
+            try:
+                make()
+            except ValueError as exc:
+                raise ValueError(f"{phase} schedule: {exc}") from None
 
     def validate_paths(self) -> None:
         required = [self.en_train, self.en_heldout, self.fg_train, self.fg_heldout]
@@ -111,6 +119,20 @@ class PipelineConfig:
         for p in required:
             if not Path(p).exists():
                 raise FileNotFoundError(f"input file not found: {p}")
+
+    def pretrain_config(self) -> TrainingConfig:
+        return TrainingConfig(
+            total_updates=self.pretrain_updates,
+            warmup_updates=self.pretrain_warmup,
+            peak_lr=self.pretrain_peak_lr,
+            batch_size=self.batch_size,
+            seq_len=self.seq_len,
+            mask_prob=self.mask_prob,
+            freeze_phase_updates=0,
+            seed=self.seed,
+            checkpoint_every=self.pretrain_updates,
+            grad_clip=self.grad_clip if self.grad_clip > 0 else None,
+        )
 
     def training_config(self) -> TrainingConfig:
         return TrainingConfig(
@@ -234,6 +256,15 @@ class StageCache:
 
     def store(self, stage: str, key: str, outputs: list[Path]) -> None:
         self.entries[stage] = {"key": key, "outputs": [str(p) for p in outputs]}
+        self._save()
+
+    def drop(self, stage: str) -> None:
+        """Forget a stage about to run: if it fails, no entry points at its
+        partial outputs."""
+        if self.entries.pop(stage, None) is not None:
+            self._save()
+
+    def _save(self) -> None:
         self.path.write_text(
             json.dumps(self.entries, indent=1, sort_keys=True) + "\n",
             encoding="utf-8",
@@ -278,6 +309,7 @@ def run_all(cfg: PipelineConfig) -> dict:
         if cache.hit(name, key, outs):
             summary["stages"][name] = "cached"
             return
+        cache.drop(name)
         fn()
         cache.store(name, key, outs)
         summary["stages"][name] = "ran"
@@ -337,20 +369,8 @@ def run_all(cfg: PipelineConfig) -> dict:
         vocab_en = Vocabulary.load(work / "vocab_en.txt")
         placeholder_fg = Vocabulary.from_tokens([])
         model = init_model(cfg.model_config(), vocab_en, placeholder_fg, cfg.seed)
-        tcfg = TrainingConfig(
-            total_updates=cfg.pretrain_updates,
-            warmup_updates=cfg.pretrain_warmup,
-            peak_lr=cfg.pretrain_peak_lr,
-            batch_size=cfg.batch_size,
-            seq_len=cfg.seq_len,
-            mask_prob=cfg.mask_prob,
-            freeze_phase_updates=0,
-            seed=cfg.seed,
-            checkpoint_every=cfg.pretrain_updates,
-            grad_clip=cfg.grad_clip if cfg.grad_clip > 0 else None,
-        )
         pretrain(
-            tcfg,
+            cfg.pretrain_config(),
             model,
             np.load(work / "pack_en_train.npy"),
             np.load(work / "pack_en_heldout.npy"),
@@ -372,8 +392,11 @@ def run_all(cfg: PipelineConfig) -> dict:
 
     # 4. translation matrix, by route
     tm_path = work / "translation_matrix.txt"
+    report_path = work / "translation_report.json"
+    tm_outputs = [tm_path, report_path]
     route_inputs: list = [work / "vocab_en.txt", work / "vocab_fg.txt"]
     if cfg.route == "parallel":
+        tm_outputs.append(work / "alignment_info.json")
         route_inputs += [cfg.fg_train, cfg.en_train]
         if cfg.tokenization == "bpe":
             route_inputs += [work / "codes_en.txt", work / "codes_fg.txt"]
@@ -399,6 +422,7 @@ def run_all(cfg: PipelineConfig) -> dict:
                         "pairs": len(parallel),
                         "iterations": model.iterations_run,
                         "final_log_likelihood": model.final_log_likelihood,
+                        "log_likelihoods": model.log_likelihoods,
                     }
                 )
                 + "\n",
@@ -440,6 +464,10 @@ def run_all(cfg: PipelineConfig) -> dict:
                     _vocab_ref(fg_aligned, vocab_fg), _vocab_ref(en_vec, vocab_en)
                 )
         write_translation_matrix(tm, vocab_fg, vocab_en, tm_path)
+        report_path.write_text(
+            json.dumps(dataclasses.asdict(row_entropy_report(tm)), sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
 
     stage(
         "translation",
@@ -448,7 +476,7 @@ def run_all(cfg: PipelineConfig) -> dict:
             "ibm1_prune", "word_limit", "seed",
         ),
         route_inputs,
-        [tm_path],
+        tm_outputs,
         build_translation_matrix,
     )
 

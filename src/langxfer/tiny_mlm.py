@@ -73,15 +73,6 @@ class ModelState:
             {k: v.astype(dtype) for k, v in self.params.items()},
         )
 
-    def checksum(self, group: str | None = None) -> int:
-        """Order-stable hash of (a group of) the parameters, for freeze checks."""
-        acc = 0
-        for name in sorted(self.params):
-            if group is not None and param_group(name) != group:
-                continue
-            acc = hash((acc, name, self.params[name].tobytes()))
-        return acc
-
     def assert_finite(self) -> None:
         for name, p in self.params.items():
             if not np.all(np.isfinite(p)):

@@ -59,6 +59,10 @@ class TrainingConfig:
             raise ValueError("warmup_updates must not exceed total_updates")
         if self.warmup_updates < 1:
             raise ValueError("warmup_updates must be >= 1")
+        if self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
+        if not 0.0 < self.mask_prob <= 1.0:
+            raise ValueError("mask_prob must be in (0, 1]")
 
     @classmethod
     def paper_scale(cls) -> "TrainingConfig":

@@ -9,8 +9,7 @@ a row; they are handled separately at initialization time.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from .corpus import NUM_SPECIALS, BpeCodes, UnigramTable, Vocabulary, apply_bpe
 from .embeddings import EmbeddingMatrix
 
 UNIGRAM_FLOOR = 1e-9
+SPARSEMAX_TOP_K = 64  # width of the first partial sort in `sparsemax`
 
 
 def sparsemax(z: np.ndarray) -> np.ndarray:
@@ -28,6 +28,11 @@ def sparsemax(z: np.ndarray) -> np.ndarray:
     Sort-and-threshold: with z sorted descending, the support size is the
     largest k such that 1 + k*z_(k) > sum_{j<=k} z_(j); the threshold is
     tau = (sum_{j<=k} z_(j) - 1) / k and the output is max(z - tau, 0).
+
+    Only the k largest entries of each row are sorted (exact top-k, Peters,
+    Niculae & Martins 2019), k doubling up to n until every row's support
+    ends inside them. Because the running sum is sequential, the prefix
+    sums, the support count and tau are those of a full sort bit for bit.
     """
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
@@ -36,46 +41,97 @@ def sparsemax(z: np.ndarray) -> np.ndarray:
     if squeeze:
         z = z[None, :]
     n = z.shape[1]
-    u = -np.sort(-z, axis=1)
-    cssv = np.cumsum(u, axis=1) - 1.0
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    support = u * ks > cssv
-    k = np.count_nonzero(support, axis=1)
-    tau = cssv[np.arange(z.shape[0]), k - 1] / k
-    out = np.maximum(z - tau[:, None], 0.0)
+    # Past the k-th largest value u_k the support condition is false in
+    # exact arithmetic; it stays false in a full sort's rounded prefix sums
+    # only while tau - u_k exceeds their error bound. Values tied with tau
+    # past k (support condition at equality) need the full sort.
+    scale = np.maximum(np.max(z, axis=1), -np.min(z, axis=1)) + 1.0
+    margin = 2.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * scale
+    rows = np.arange(z.shape[0])
+    k = min(SPARSEMAX_TOP_K, n)
+    while True:
+        top = z if k == n else np.partition(z, n - k, axis=1)[:, n - k:]
+        u = -np.sort(-top, axis=1)
+        cssv = np.cumsum(u, axis=1) - 1.0
+        support = u * np.arange(1, k + 1, dtype=np.float64) > cssv
+        count = np.count_nonzero(support, axis=1)
+        tau = cssv[rows, count - 1] / count
+        inside = (count < k) & (count > 0) & (u[:, -1] < tau - margin)
+        if k == n or np.all(inside):
+            break
+        k = min(2 * k, n)
+    out = np.subtract(z, tau[:, None])
+    np.maximum(out, 0.0, out=out)
     return out[0] if squeeze else out
 
 
 @dataclass
 class TranslationMatrix:
-    """Row-sparse stochastic matrix: row i lists (source index, weight)."""
+    """Row-sparse stochastic matrix in CSR form.
 
-    rows: list[list[tuple[int, float]]]
+    Row i holds source indices `indices[indptr[i]:indptr[i+1]]`, strictly
+    increasing, with positive float64 `weights` that sum to 1; an empty row
+    is an uncovered token.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        for i, row in enumerate(self.rows):
-            if not row:
-                continue
-            idx = [j for j, _ in row]
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"row {i}: source indices must be strictly increasing")
-            total = math.fsum(w for _, w in row)
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"row {i}: weights sum to {total}, expected 1")
-            if any(w <= 0 for _, w in row):
-                raise ValueError(f"row {i}: weights must be positive")
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        ptr = self.indptr
+        if ptr.ndim != 1 or len(ptr) < 1 or ptr[0] != 0 or np.any(np.diff(ptr) < 0):
+            raise ValueError("indptr must start at 0 and be non-decreasing")
+        if not ptr[-1] == len(self.indices) == len(self.weights):
+            raise ValueError("indptr, indices and weights disagree on the entry count")
+        counts = np.diff(ptr)
+        row_of = np.repeat(np.arange(len(counts)), counts)
+        same_row = row_of[1:] == row_of[:-1]
+        bad = np.flatnonzero(same_row & (self.indices[1:] <= self.indices[:-1]))
+        if len(bad):
+            raise ValueError(
+                f"row {row_of[bad[0]]}: source indices must be strictly increasing"
+            )
+        covered = np.flatnonzero(counts)
+        if len(covered):
+            totals = np.add.reduceat(self.weights, ptr[covered])
+            bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-6)
+            if len(bad):
+                raise ValueError(
+                    f"row {covered[bad[0]]}: weights sum to {totals[bad[0]]}, expected 1"
+                )
+        bad = np.flatnonzero(self.weights <= 0)
+        if len(bad):
+            raise ValueError(f"row {row_of[bad[0]]}: weights must be positive")
+
+    @classmethod
+    def from_rows(cls, rows: list[list[tuple[int, float]]]) -> "TranslationMatrix":
+        """Build from one (source index, weight) list per row."""
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        entries = list(itertools.chain.from_iterable(rows))
+        return cls(
+            indptr,
+            np.array([j for j, _ in entries], dtype=np.int64),
+            np.array([w for _, w in entries], dtype=np.float64),
+        )
+
+    @property
+    def rows(self) -> list[list[tuple[int, float]]]:
+        """Read-only view: row i as a list of (source index, weight)."""
+        idx, w = self.indices.tolist(), self.weights.tolist()
+        bounds = self.indptr.tolist()
+        return [list(zip(idx[a:b], w[a:b])) for a, b in zip(bounds, bounds[1:])]
 
     @property
     def coverage(self) -> list[bool]:
-        return [bool(row) for row in self.rows]
+        return (np.diff(self.indptr) > 0).tolist()
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-
-def _sparse_row(indices: np.ndarray, weights: np.ndarray) -> list[tuple[int, float]]:
-    order = np.argsort(indices)
-    return [(int(indices[k]), float(weights[k])) for k in order]
+        return len(self.indptr) - 1
 
 
 def translation_matrix_from_vectors(
@@ -96,7 +152,9 @@ def translation_matrix_from_vectors(
         raise ValueError(f"unknown mode: {mode!r}")
     src_data = src.data[NUM_SPECIALS:].astype(np.float64)
     n_tgt = len(tgt_aligned.vocab)
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(n_tgt)]
+    counts = np.zeros(n_tgt, dtype=np.int64)
+    indices: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
     for start in range(NUM_SPECIALS, n_tgt, chunk):
         stop = min(start + chunk, n_tgt)
         block = tgt_aligned.data[start:stop].astype(np.float64)
@@ -108,12 +166,17 @@ def translation_matrix_from_vectors(
             shifted = scores - scores.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             probs = e / e.sum(axis=1, keepdims=True)
-        for r in range(stop - start):
-            if not nonzero[r]:
-                continue
-            nz = np.nonzero(probs[r])[0]
-            rows[start + r] = [(int(j) + NUM_SPECIALS, float(probs[r, j])) for j in nz]
-    return TranslationMatrix(rows)
+        probs[~nonzero] = 0.0
+        r, c = np.nonzero(probs)
+        counts[start:stop] = np.bincount(r, minlength=stop - start)
+        indices.append(c + NUM_SPECIALS)
+        weights.append(probs[r, c])
+    indptr = np.zeros(n_tgt + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    empty = np.zeros(0)
+    return TranslationMatrix(
+        indptr, np.concatenate(indices or [empty]), np.concatenate(weights or [empty])
+    )
 
 
 def dictionary_translation_matrix(
@@ -127,7 +190,7 @@ def dictionary_translation_matrix(
         if not (NUM_SPECIALS <= j < len(src_vocab)):
             raise ValueError(f"source index {j} out of range")
         rows[i] = [(j, 1.0)]
-    return TranslationMatrix(rows)
+    return TranslationMatrix.from_rows(rows)
 
 
 @dataclass
@@ -192,23 +255,21 @@ class EntropyReport:
 
 def row_entropy_report(tm: TranslationMatrix) -> EntropyReport:
     """Per-row nonzero counts and entropies, aggregated over covered rows."""
-    counts = []
-    entropies = []
-    for row in tm.rows:
-        if not row:
-            continue
-        counts.append(len(row))
-        entropies.append(-math.fsum(w * math.log(w) for _, w in row if w > 0))
-    if not counts:
-        return EntropyReport(len(tm.rows), 0, 0.0, 0.0, 0.0, 0.0, {})
+    counts = np.diff(tm.indptr)
+    covered = counts > 0
+    if not np.any(covered):
+        return EntropyReport(len(tm), 0, 0.0, 0.0, 0.0, 0.0, {})
+    counts = counts[covered]
+    entropies = -np.add.reduceat(tm.weights * np.log(tm.weights), tm.indptr[:-1][covered])
+    sizes, freq = np.unique(counts, return_counts=True)
     return EntropyReport(
-        n_rows=len(tm.rows),
+        n_rows=len(tm),
         n_covered=len(counts),
         mean_nonzeros=float(np.mean(counts)),
         median_nonzeros=float(np.median(counts)),
         mean_entropy=float(np.mean(entropies)),
         max_entropy=float(np.max(entropies)),
-        histogram=dict(sorted(Counter(counts).items())),
+        histogram=dict(zip(sizes.tolist(), freq.tolist())),
     )
 
 
@@ -219,34 +280,33 @@ def write_translation_matrix(
     path: str | Path,
 ) -> None:
     """Text format: 'tgt_token src1:w1 src2:w2 ...'; bare token if uncovered."""
-    if len(tm.rows) != len(tgt_vocab):
+    if len(tm) != len(tgt_vocab):
         raise ValueError("translation matrix size does not match target vocabulary")
+    tokens = src_vocab.tokens
+    entries = [
+        f" {tokens[j]}:{w:.9g}" for j, w in zip(tm.indices.tolist(), tm.weights.tolist())
+    ]
+    bounds = tm.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for i, row in enumerate(tm.rows):
-            entries = " ".join(f"{src_vocab.tokens[j]}:{w:.9g}" for j, w in row)
-            fh.write(tgt_vocab.tokens[i] + (" " + entries if entries else "") + "\n")
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            fh.write(tgt_vocab.tokens[i] + "".join(entries[a:b]) + "\n")
 
 
 def read_translation_matrix(
     path: str | Path, tgt_vocab: Vocabulary, src_vocab: Vocabulary
 ) -> TranslationMatrix:
     rows: list[list[tuple[int, float]]] = [[] for _ in range(len(tgt_vocab))]
+    src_index = src_vocab.index
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split(" ")
-            token = parts[0]
+            token, *parts = line.rstrip("\n").split(" ")
             i = tgt_vocab.index.get(token)
             if i is None:
                 raise ValueError(f"{path}: line {n}: unknown target token {token!r}")
-            entries = []
-            for part in parts[1:]:
-                src_token, _, weight = part.rpartition(":")
-                j = src_vocab.index.get(src_token)
-                if j is None:
-                    raise ValueError(
-                        f"{path}: line {n}: unknown source token {src_token!r}"
-                    )
-                entries.append((j, float(weight)))
-            entries.sort()
-            rows[i] = entries
-    return TranslationMatrix(rows)
+            entries = [part.rpartition(":") for part in parts]
+            idx = [src_index.get(src_token) for src_token, _, _ in entries]
+            if None in idx:
+                src_token = entries[idx.index(None)][0]
+                raise ValueError(f"{path}: line {n}: unknown source token {src_token!r}")
+            rows[i] = sorted(zip(idx, [float(weight) for _, _, weight in entries]))
+    return TranslationMatrix.from_rows(rows)

@@ -4,12 +4,15 @@ Two routes produce the same table shape: an internal IBM Model 1 EM aligner,
 and a parser for external fast-align output ("i-j" pairs, foreign side run
 as the source). A NULL english token absorbs unaligned foreign mass; it is
 dropped (and rows renormalized) when building a translation matrix.
+
+Tables are parallel index arrays (f, e, p) sorted by (f, e), NULL first in
+each row; the EM runs on flat gather / segment-sum / bincount passes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,18 +26,59 @@ NULL_ID = -1
 
 @dataclass
 class AlignmentModel:
-    """Sparse table: foreign token id -> {english token id (or NULL_ID): prob}."""
+    """Sparse table p(e | f): entries (f[k], e[k], p[k]), sorted by (f, e).
 
-    table: dict[int, dict[int, float]]
+    e == NULL_ID is the NULL english word.
+    """
+
+    f: np.ndarray
+    e: np.ndarray
+    p: np.ndarray
     iterations_run: int
     final_log_likelihood: float
     log_likelihoods: list[float] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self.f = np.asarray(self.f, dtype=np.int64)
+        self.e = np.asarray(self.e, dtype=np.int64)
+        self.p = np.asarray(self.p, dtype=np.float64)
+        if not (self.f.shape == self.e.shape == self.p.shape) or self.f.ndim != 1:
+            raise ValueError("f, e and p must be 1-D arrays of one length")
+        same_f = self.f[1:] == self.f[:-1]
+        if np.any(self.f[1:] < self.f[:-1]) or np.any(same_f & (self.e[1:] <= self.e[:-1])):
+            raise ValueError("entries must be sorted by (f, e) without duplicates")
+
+    @property
+    def table(self) -> dict[int, dict[int, float]]:
+        """Read-only view: foreign id -> {english id (or NULL_ID): prob}."""
+        out: dict[int, dict[int, float]] = {}
+        for f, e, p in zip(self.f.tolist(), self.e.tolist(), self.p.tolist()):
+            out.setdefault(f, {})[e] = p
+        return out
+
     def check_rows(self, tol: float = 1e-6) -> None:
-        for f, row in self.table.items():
-            total = math.fsum(row.values())
-            if abs(total - 1.0) > tol:
-                raise ValueError(f"row for foreign id {f} sums to {total}")
+        starts = np.flatnonzero(_run_starts(self.f))
+        totals = np.add.reduceat(self.p, starts) if len(starts) else self.p
+        bad = np.flatnonzero(np.abs(totals - 1.0) > tol)
+        if len(bad):
+            raise ValueError(
+                f"row for foreign id {self.f[starts[bad[0]]]} sums to {totals[bad[0]]}"
+            )
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+def _flat_ids(sentences) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ids and per-sentence lengths of a list of id lists."""
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64,
+                      count=int(lengths.sum()))
+    return ids, lengths
 
 
 def train_ibm1(
@@ -46,52 +90,86 @@ def train_ibm1(
     (NULL included) aligns to one foreign position. Initialization is uniform
     over co-occurring pairs only. After the final iteration, entries below
     `prune` are dropped and rows renormalized.
+
+    Every sentence pair is flattened once into its |f| x (|e|+1) grid of
+    links; a segment is one (sentence, english position) and holds |f|
+    links. An EM iteration is then a gather of t(e|f) over the links, a
+    segment sum, and a bincount of the posteriors onto the pair index.
     """
     if not corpus.pairs:
         raise ValueError("cannot train an aligner on an empty corpus")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    cooc: dict[int, set[int]] = defaultdict(set)
-    for fg, en in corpus.pairs:
-        for f in fg:
-            cooc[f].update(en)
-            cooc[f].add(NULL_ID)
-    table: dict[int, dict[int, float]] = {
-        f: {e: 1.0 / len(es) for e in es} for f, es in cooc.items()
-    }
+    fg_ids, fg_len = _flat_ids([fg for fg, _ in corpus.pairs])
+    en_ids, en_len = _flat_ids([en for _, en in corpus.pairs])
+    if np.any(fg_len == 0):
+        raise ValueError("cannot align a pair with an empty foreign side")
+    # english side with a NULL after every sentence: one entry per segment
+    seg_e = np.insert(en_ids, np.cumsum(en_len), NULL_ID)
+    seg_sent = np.repeat(np.arange(len(corpus.pairs)), en_len + 1)
+    seg_size = fg_len[seg_sent]
+    seg_start = np.cumsum(seg_size) - seg_size
+    # link k of a segment pairs its sentence's k-th foreign token with the
+    # segment's english token; its key f * width + e + 1 sorts by (f, e)
+    # with NULL (e + 1 == 0) first
+    width = int(seg_e.max()) + 2
+    fg_start = (np.cumsum(fg_len) - fg_len)[seg_sent]
+    link_key = fg_ids[np.arange(int(seg_size.sum())) + np.repeat(fg_start - seg_start, seg_size)]
+    link_key *= width
+    link_key += np.repeat(seg_e + 1, seg_size)
+    # pair index: distinct keys in order, and each link's position among them.
+    # np.unique(..., return_inverse=True) does the same with more memory;
+    # per-link arrays set the peak, so each is freed as soon as it is used.
+    order = np.argsort(link_key)
+    sorted_key = link_key[order]
+    del link_key
+    first = _run_starts(sorted_key)
+    keys = sorted_key[first]
+    del sorted_key
+    rank = np.cumsum(first)
+    rank -= 1
+    link_pair = np.empty(len(order), dtype=np.int64)
+    link_pair[order] = rank
+    del order, first, rank
+    pair_f, pair_e = keys // width, keys % width - 1
+    row_first = _run_starts(pair_f)
+    row_start = np.flatnonzero(row_first)
+    row_size = np.diff(np.append(row_start, len(pair_f)))
+    n_rows = len(row_start)
+    pair_row = np.cumsum(row_first) - 1
+    t = 1.0 / row_size[pair_row]  # uniform over co-occurring pairs plus NULL
 
+    log_len = np.log(seg_size.astype(np.float64))
     log_likelihoods: list[float] = []
     for _ in range(iterations):
-        counts: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
-        ll = 0.0
-        for fg, en in corpus.pairs:
-            log_len = math.log(len(fg))
-            for e in list(en) + [NULL_ID]:
-                probs = [table[f][e] for f in fg]
-                total = math.fsum(probs)
-                ll += math.log(total) - log_len
-                for f, p in zip(fg, probs):
-                    counts[f][e] += p / total
+        probs = t[link_pair]
+        totals = np.add.reduceat(probs, seg_start)
+        ll = math.fsum((np.log(totals) - log_len).tolist())
         if log_likelihoods and ll < log_likelihoods[-1] - 1e-9:
             raise AssertionError(
                 f"EM log-likelihood decreased: {log_likelihoods[-1]} -> {ll}"
             )
         log_likelihoods.append(ll)
-        for f, row in counts.items():
-            norm = math.fsum(row.values())
-            table[f] = {e: c / norm for e, c in row.items()}
+        probs /= np.repeat(totals, seg_size)
+        counts = np.bincount(link_pair, weights=probs, minlength=len(keys))
+        t = counts / np.bincount(pair_row, weights=counts)[pair_row]
 
-    for f, row in table.items():
-        kept = {e: p for e, p in row.items() if p >= prune}
-        if not kept:  # keep at least the strongest entry
-            best = max(row.items(), key=lambda kv: (kv[1], -kv[0]))
-            kept = {best[0]: best[1]}
-        norm = math.fsum(kept.values())
-        table[f] = {e: p / norm for e, p in kept.items()}
+    # prune, keeping at least the strongest entry of each row (NULL, then the
+    # smallest english id, wins a tie), then renormalize
+    kept = t >= prune
+    empty = np.bincount(pair_row, weights=kept, minlength=n_rows) == 0
+    if np.any(empty):
+        best = t == np.maximum.reduceat(t, row_start)[pair_row]
+        first_best = np.flatnonzero(best)[_run_starts(pair_row[best])]
+        kept[first_best[empty]] = True
+    f, e, p = pair_f[kept], pair_e[kept], t[kept]
+    p = p / np.bincount(pair_row[kept], weights=p, minlength=n_rows)[pair_row[kept]]
 
     model = AlignmentModel(
-        table=table,
+        f=f,
+        e=e,
+        p=p,
         iterations_run=iterations,
         final_log_likelihood=log_likelihoods[-1],
         log_likelihoods=log_likelihoods,
@@ -115,8 +193,8 @@ def parse_fastalign(
             f"{alignments_path}: {len(lines)} alignment lines for "
             f"{len(corpus.pairs)} sentence pairs"
         )
-    pair_counts: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
-    totals: dict[int, float] = defaultdict(float)
+    link_f: list[int] = []
+    link_e: list[int] = []
     for n, (line, (fg, en)) in enumerate(zip(lines, corpus.pairs), 1):
         for entry in line.split():
             left, sep, right = entry.partition("-")
@@ -130,14 +208,18 @@ def parse_fastalign(
                     f"{alignments_path}: line {n}: index {entry} out of range "
                     f"for lengths {len(fg)}/{len(en)}"
                 )
-            pair_counts[fg[i]][en[j]] += 1.0
-            totals[fg[i]] += 1.0
-    table = {
-        f: {e: c / totals[f] for e, c in row.items()}
-        for f, row in pair_counts.items()
-    }
+            link_f.append(fg[i])
+            link_e.append(en[j])
+    f_arr = np.array(link_f, dtype=np.int64)
+    e_arr = np.array(link_e, dtype=np.int64)
+    width = int(e_arr.max()) + 1 if len(e_arr) else 1
+    keys, counts = np.unique(f_arr * width + e_arr, return_counts=True)
+    f = keys // width
+    totals = np.bincount(f_arr)[f]
     model = AlignmentModel(
-        table=table,
+        f=f,
+        e=keys % width,
+        p=counts / totals,
         iterations_run=0,
         final_log_likelihood=float("nan"),
     )
@@ -149,21 +231,21 @@ def translation_matrix_from_alignment(
     model: AlignmentModel, tgt_vocab: Vocabulary, src_vocab: Vocabulary
 ) -> TranslationMatrix:
     """Alignment probabilities as translation-matrix rows, NULL mass dropped."""
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(len(tgt_vocab))]
-    for f, row in model.table.items():
-        if not (0 <= f < len(tgt_vocab)):
-            raise ValueError(f"foreign id {f} out of range for the target vocabulary")
-        entries = [(e, p) for e, p in row.items() if e != NULL_ID]
-        for e, _ in entries:
-            if not (0 <= e < len(src_vocab)):
-                raise ValueError(f"english id {e} out of range for the source vocabulary")
-        mass = math.fsum(p for _, p in entries)
-        if mass <= 0.0:
-            continue  # only NULL mass: leave the row uncovered
-        entries = [(e, p / mass) for e, p in entries]
-        entries.sort()
-        rows[f] = entries
-    return TranslationMatrix(rows)
+    n_tgt = len(tgt_vocab)
+    bad_f = model.f[(model.f < 0) | (model.f >= n_tgt)]
+    if len(bad_f):
+        raise ValueError(f"foreign id {bad_f[0]} out of range for the target vocabulary")
+    real = model.e != NULL_ID
+    bad_e = model.e[real & ((model.e < 0) | (model.e >= len(src_vocab)))]
+    if len(bad_e):
+        raise ValueError(f"english id {bad_e[0]} out of range for the source vocabulary")
+    f, e, p = model.f[real], model.e[real], model.p[real]
+    mass = np.bincount(f, weights=p, minlength=n_tgt)
+    covered = mass[f] > 0.0  # a row with only NULL mass stays uncovered
+    f, e, p = f[covered], e[covered], p[covered]
+    indptr = np.zeros(n_tgt + 1, dtype=np.int64)
+    np.cumsum(np.bincount(f, minlength=n_tgt), out=indptr[1:])
+    return TranslationMatrix(indptr, e, p / mass[f])
 
 
 def subsample(corpus: ParallelCorpus, n: int, seed: int) -> ParallelCorpus:

@@ -243,3 +243,48 @@ class TestRunAllCommand:
         assert code == 0
         assert out["stages"]["transfer"] == "ran"
         assert 0 <= out["init_coverage"]["coverage_ratio"] <= 1
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("key,value", [
+        ("checkpoint_every", "0"), ("mask_prob", "1.5"), ("mask_prob", "0.0"),
+    ])
+    def test_run_all_rejects_bad_schedule_before_any_output(self, capsys, tmp_path,
+                                                            key, value):
+        code, out = run_cli(capsys, "cipher-fixture", "--vocab-size", "20",
+                            "--sentences", "50", "--heldout", "10",
+                            "--out-dir", str(tmp_path / "fx"))
+        assert code == 0
+        config_path = out["config"]
+        lines = [f"{key} = {value}\n" if line.split("=")[0].strip() == key else line
+                 for line in open(config_path)]
+        with open(config_path, "w") as fh:
+            fh.writelines(lines)
+        code, out = run_cli(capsys, "run-all", "--config", config_path)
+        assert code == 1
+        assert out["status"] == "error"
+        assert out["code"] == "invalid_input"
+        assert key in out["message"]
+        assert not (tmp_path / "fx" / "pipeline").exists()
+
+    @pytest.mark.parametrize("command,config,updates,key", [
+        ("pretrain", "checkpoint_every = 0\n", [], "checkpoint_every"),
+        ("transfer", "checkpoint_every = 0\n", [], "checkpoint_every"),
+        ("pretrain", "warmup_updates = 3\n", ["--updates", "0"], "warmup_updates"),
+    ])
+    def test_training_commands_reject_bad_schedule(self, bundle, capsys, tmp_path,
+                                                   command, config, updates, key):
+        _, paths = bundle
+        (tmp_path / "train.cfg").write_text(config)
+        common = ["--config", str(tmp_path / "train.cfg"), *updates,
+                  "--out-dir", str(tmp_path / "run")]
+        if command == "pretrain":
+            args = ["--corpus", paths["en_train.txt"], "--vocab", str(tmp_path / "v.txt")]
+        else:
+            args = ["--checkpoint", str(tmp_path / "ck"), "--init-emb", str(tmp_path / "e.bin"),
+                    "--en-train", paths["en_train.txt"], "--fg-train", paths["fg_train.txt"]]
+        code, out = run_cli(capsys, command, *args, *common)
+        assert code == 1
+        assert out["code"] == "invalid_input"
+        assert key in out["message"]
+        assert not (tmp_path / "run").exists()

@@ -24,6 +24,51 @@ def empty_rows(n):
     return [[] for _ in range(n)]
 
 
+def loop_init_embeddings(rows, src_emb, n_tgt, seed):
+    """Oracle: the row-by-row initializer that the CSR version replaced."""
+    d = src_emb.dim
+    out = np.zeros((n_tgt, d), dtype=np.float32)
+    out[:NUM_SPECIALS] = src_emb.data[:NUM_SPECIALS]
+    for i in range(NUM_SPECIALS, n_tgt):
+        if rows[i]:
+            acc = np.zeros(d, dtype=np.float64)
+            for j, w in rows[i]:
+                acc += w * src_emb.data[j].astype(np.float64)
+            out[i] = acc.astype(np.float32)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
+            out[i] = rng.normal(0.0, 1.0 / d, size=d).astype(np.float32)
+    return out
+
+
+def loop_init_bias(rows, src_bias, n_tgt):
+    """Oracle: the row-by-row bias initializer that the CSR version replaced."""
+    out = np.zeros(n_tgt, dtype=src_bias.dtype)
+    out[:NUM_SPECIALS] = src_bias[:NUM_SPECIALS]
+    for i in range(NUM_SPECIALS, n_tgt):
+        for j, w in rows[i]:
+            out[i] += w * src_bias[j]
+    return out
+
+
+def random_rows(rng, n_tgt, n_src):
+    """Translation rows mixing empty, one-hot and dense convex rows; a
+    special row carries entries that initialization must ignore."""
+    rows = empty_rows(NUM_SPECIALS)
+    rows[0] = [(NUM_SPECIALS, 1.0)]
+    for _ in range(n_tgt):
+        kind = rng.integers(3)
+        if kind == 0:
+            rows.append([])
+            continue
+        k = 1 if kind == 1 else int(rng.integers(2, min(40, n_src)))
+        cols = np.sort(rng.choice(np.arange(NUM_SPECIALS, n_src + NUM_SPECIALS),
+                                  size=k, replace=False))
+        weights = rng.dirichlet(np.ones(k))
+        rows.append([(int(c), float(w)) for c, w in zip(cols, weights)])
+    return rows
+
+
 class TestInitForeignEmbeddings:
     def test_one_hot_row_copies_exactly(self):
         src = source_embeddings()
@@ -43,14 +88,14 @@ class TestInitForeignEmbeddings:
         )
         tgt_vocab = Vocabulary.from_tokens(["f0"])
         rows = empty_rows(NUM_SPECIALS) + [[(NUM_SPECIALS, 0.5), (NUM_SPECIALS + 1, 0.5)]]
-        emb, _ = init_foreign_embeddings(TranslationMatrix(rows), src, tgt_vocab, seed=0)
+        emb, _ = init_foreign_embeddings(TranslationMatrix.from_rows(rows), src, tgt_vocab, seed=0)
         np.testing.assert_allclose(emb.data[NUM_SPECIALS], [0.5, 0.5], atol=1e-7)
 
     def test_gaussian_fallback_variance(self):
         d = 768
         src = source_embeddings(n=4, d=d)
         tgt_vocab = Vocabulary.from_tokens(["uncovered"])
-        tm = TranslationMatrix(empty_rows(NUM_SPECIALS + 1))
+        tm = TranslationMatrix.from_rows(empty_rows(NUM_SPECIALS + 1))
         emb, report = init_foreign_embeddings(tm, src, tgt_vocab, seed=1)
         row = emb.data[NUM_SPECIALS].astype(np.float64)
         var = row.var()
@@ -62,7 +107,7 @@ class TestInitForeignEmbeddings:
     def test_specials_copied_from_source(self):
         src = source_embeddings()
         tgt_vocab = Vocabulary.from_tokens(["f0"])
-        tm = TranslationMatrix(empty_rows(NUM_SPECIALS + 1))
+        tm = TranslationMatrix.from_rows(empty_rows(NUM_SPECIALS + 1))
         emb, _ = init_foreign_embeddings(tm, src, tgt_vocab, seed=0)
         assert np.array_equal(emb.data[:NUM_SPECIALS], src.data[:NUM_SPECIALS])
 
@@ -80,7 +125,7 @@ class TestInitForeignEmbeddings:
             weights = rng.dirichlet(np.ones(k))
             rows.append([(int(c), float(w)) for c, w in zip(cols, weights)])
             dense[NUM_SPECIALS + i, cols] = weights
-        tm = TranslationMatrix(rows)
+        tm = TranslationMatrix.from_rows(rows)
         emb, report = init_foreign_embeddings(tm, src, tgt_vocab, seed=0)
         oracle = dense @ src.data.astype(np.float64)
         got = emb.data[NUM_SPECIALS:].astype(np.float64)
@@ -97,14 +142,14 @@ class TestInitForeignEmbeddings:
             cols = np.sort(rng.choice(np.arange(NUM_SPECIALS, 25), size=k, replace=False))
             weights = rng.dirichlet(np.ones(k))
             rows.append([(int(c), float(w)) for c, w in zip(cols, weights)])
-        emb, _ = init_foreign_embeddings(TranslationMatrix(rows), src, tgt_vocab, seed=0)
+        emb, _ = init_foreign_embeddings(TranslationMatrix.from_rows(rows), src, tgt_vocab, seed=0)
         max_src = np.linalg.norm(src.data, axis=1).max()
         assert np.linalg.norm(emb.data[NUM_SPECIALS:], axis=1).max() <= max_src + 1e-6
 
     def test_deterministic(self):
         src = source_embeddings()
         tgt_vocab = Vocabulary.from_tokens(["f0", "f1", "f2"])
-        tm = TranslationMatrix(empty_rows(NUM_SPECIALS + 3))
+        tm = TranslationMatrix.from_rows(empty_rows(NUM_SPECIALS + 3))
         a, _ = init_foreign_embeddings(tm, src, tgt_vocab, seed=9)
         b, _ = init_foreign_embeddings(tm, src, tgt_vocab, seed=9)
         assert np.array_equal(a.data, b.data)
@@ -114,11 +159,41 @@ class TestInitForeignEmbeddings:
         tgt_vocab = Vocabulary.from_tokens(["f0"])
         with pytest.raises(ValueError, match="rows"):
             init_foreign_embeddings(
-                TranslationMatrix(empty_rows(2)), src, tgt_vocab, seed=0
+                TranslationMatrix.from_rows(empty_rows(2)), src, tgt_vocab, seed=0
             )
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_csr_matches_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n_src, n_tgt, d = 60, 80, 7
+        src = source_embeddings(n=n_src, d=d, seed=seed)
+        tgt_vocab = Vocabulary.from_tokens([f"f{i}" for i in range(n_tgt)])
+        rows = random_rows(rng, n_tgt, n_src)
+        src.data[NUM_SPECIALS + 3] = -0.0  # the loop's zero start turns -0.0 into 0.0
+        rows[-1] = [(NUM_SPECIALS + 3, 1.0)]
+        emb, report = init_foreign_embeddings(
+            TranslationMatrix.from_rows(rows), src, tgt_vocab, seed=seed
+        )
+        oracle = loop_init_embeddings(rows, src, len(tgt_vocab), seed)
+        assert emb.data.tobytes() == oracle.tobytes()
+        covered = sum(bool(r) for r in rows[NUM_SPECIALS:])
+        assert (report.covered, report.fallback) == (covered, n_tgt - covered)
+
+
 class TestInitForeignBias:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_csr_matches_row_loop(self, dtype):
+        rng = np.random.default_rng(7)
+        n_src, n_tgt = 60, 80
+        bias = rng.normal(0, 1, n_src + NUM_SPECIALS).astype(dtype)
+        tgt_vocab = Vocabulary.from_tokens([f"f{i}" for i in range(n_tgt)])
+        rows = random_rows(rng, n_tgt, n_src)
+        out = init_foreign_bias(TranslationMatrix.from_rows(rows), bias, tgt_vocab)
+        oracle = loop_init_bias(rows, bias, len(tgt_vocab))
+        assert out.dtype == oracle.dtype
+        assert out.tobytes() == oracle.tobytes()
+
     def test_one_hot_copies_bias(self):
         src = source_embeddings()
         bias = np.arange(len(src.vocab), dtype=np.float32)
@@ -133,7 +208,7 @@ class TestInitForeignBias:
         bias = np.ones(len(src.vocab), dtype=np.float32)
         tgt_vocab = Vocabulary.from_tokens(["f0"])
         out = init_foreign_bias(
-            TranslationMatrix(empty_rows(NUM_SPECIALS + 1)), bias, tgt_vocab
+            TranslationMatrix.from_rows(empty_rows(NUM_SPECIALS + 1)), bias, tgt_vocab
         )
         assert out[NUM_SPECIALS] == 0.0
 

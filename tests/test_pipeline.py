@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,55 @@ class TestRunAll:
             assert (tmp_path / "a" / rel).read_bytes() == (
                 tmp_path / "b" / rel
             ).read_bytes(), rel
+
+    def test_failed_rerun_leaves_no_stale_cache_hit(self, fixture_paths, tmp_path,
+                                                   monkeypatch):
+        from langxfer import trainer
+
+        paths, _ = fixture_paths
+        cfg_a = small_config(paths, tmp_path / "out")
+        cfg_b = small_config(paths, tmp_path / "out", peak_lr=5e-4)
+        first = run_all(cfg_a)
+
+        real_adam_step = trainer.adam_step
+        calls = []
+
+        def failing_adam_step(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 3:
+                raise FloatingPointError("injected failure mid-transfer")
+            return real_adam_step(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "adam_step", failing_adam_step)
+            with pytest.raises(FloatingPointError, match="injected"):
+                run_all(cfg_b)
+        assert len(calls) == 4
+
+        again = run_all(cfg_a)
+        assert again["stages"]["transfer"] == "ran"
+        assert again["stages"]["init"] == "cached"
+        assert again["foreign_loss_final"] == first["foreign_loss_final"]
+
+    def test_translation_telemetry_files(self, fixture_paths, tmp_path):
+        paths, _ = fixture_paths
+        outputs = {}
+        for tag in ("a", "b"):
+            cfg = small_config(paths, tmp_path / tag, ibm1_iterations=4)
+            run_all(cfg)
+            outputs[tag] = {name: (tmp_path / tag / name).read_bytes()
+                            for name in ("alignment_info.json", "translation_report.json")}
+        assert outputs["a"] == outputs["b"]
+        info = json.loads(outputs["a"]["alignment_info.json"])
+        assert len(info["log_likelihoods"]) == 4
+        assert np.all(np.diff(info["log_likelihoods"]) >= -1e-9)
+        assert info["log_likelihoods"][-1] == info["final_log_likelihood"]
+        report = json.loads(outputs["a"]["translation_report.json"])
+        assert report["n_rows"] > report["n_covered"] > 0
+        assert sum(report["histogram"].values()) == report["n_covered"]
+        for name in ("metrics.csv", "evals.csv"):
+            text = (tmp_path / "a" / "transfer" / name).read_text()
+            assert "log_likelihood" not in text and "entropy" not in text
 
     def test_dictionary_route(self, fixture_paths, tmp_path):
         paths, _ = fixture_paths

@@ -43,6 +43,31 @@ def project_simplex_grid_2d(z, steps=20001):
     return candidates[np.argmin(dist)]
 
 
+def full_sort_sparsemax(z):
+    """Oracle: the sparsemax that sorts every row in full, which the exact
+    top-k version replaced; the two must agree bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    squeeze = z.ndim == 1
+    if squeeze:
+        z = z[None, :]
+    n = z.shape[1]
+    u = -np.sort(-z, axis=1)
+    cssv = np.cumsum(u, axis=1) - 1.0
+    ks = np.arange(1, n + 1, dtype=np.float64)
+    k = np.count_nonzero(u * ks > cssv, axis=1)
+    tau = cssv[np.arange(z.shape[0]), k - 1] / k
+    out = np.maximum(z - tau[:, None], 0.0)
+    return out[0] if squeeze else out
+
+
+def rows_writer(rows, tgt_vocab, src_vocab, path):
+    """Oracle: the list-of-rows writer that the CSR writer replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, row in enumerate(rows):
+            entries = " ".join(f"{src_vocab.tokens[j]}:{w:.9g}" for j, w in row)
+            fh.write(tgt_vocab.tokens[i] + (" " + entries if entries else "") + "\n")
+
+
 FINITE_VECTORS = arrays(
     np.float64,
     st.integers(min_value=1, max_value=5),
@@ -114,12 +139,58 @@ class TestSparsemax:
             counts.append(np.count_nonzero(out))
         assert np.median(counts) < 1000
 
+    @settings(max_examples=200, deadline=None)
+    @given(z=arrays(
+        np.float64,
+        st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=300)),
+        elements=st.floats(min_value=-50, max_value=50),
+    ))
+    def test_top_k_matches_full_sort(self, z):
+        assert np.array_equal(sparsemax(z), full_sort_sparsemax(z))
+
+    @pytest.mark.parametrize("z", [
+        np.array([0.3, -1.0, 2.5]),  # 1-D, n below the first top-k width
+        np.full((2, 500), 0.25),  # every row tied: the support is all n
+        np.array([[2.0] + [1.0] * 300, [1.0] * 150 + [0.0] * 151]),  # ties at tau
+        np.array([1.1] + [0.1] * 400),  # tau equals a tied value, non-dyadic
+        np.linspace(0.0, 0.05, 1000)[None, :],  # support far past the first width
+        np.random.default_rng(4).normal(0, 0.05, (3, 2000)),
+    ])
+    def test_top_k_matches_full_sort_edge_cases(self, z):
+        out = sparsemax(z)
+        assert out.shape == z.shape
+        assert np.array_equal(out, full_sort_sparsemax(z))
+
     def test_rowwise_matches_per_row(self):
         rng = np.random.default_rng(3)
         z = rng.normal(0, 1, (6, 9))
         batched = sparsemax(z)
         for i in range(6):
             np.testing.assert_allclose(batched[i], sparsemax(z[i]), atol=1e-12)
+
+
+class TestTranslationMatrixValidation:
+    @pytest.mark.parametrize("row,message", [
+        ([(NUM_SPECIALS + 2, 0.5), (NUM_SPECIALS + 1, 0.5)], "strictly increasing"),
+        ([(NUM_SPECIALS, 0.5), (NUM_SPECIALS, 0.5)], "strictly increasing"),
+        ([(NUM_SPECIALS, 0.5), (NUM_SPECIALS + 1, 0.4)], "sum to"),
+        ([(NUM_SPECIALS, 1.5), (NUM_SPECIALS + 1, -0.5)], "positive"),
+    ])
+    def test_bad_row_named(self, row, message):
+        rows = [[] for _ in range(NUM_SPECIALS + 1)] + [row, []]
+        with pytest.raises(ValueError, match=f"row {NUM_SPECIALS + 1}: .*{message}"):
+            TranslationMatrix.from_rows(rows)
+
+    def test_rows_view_round_trips(self):
+        rows = [[], [(NUM_SPECIALS, 0.25), (NUM_SPECIALS + 3, 0.75)], [], [(2, 1.0)]]
+        tm = TranslationMatrix.from_rows(rows)
+        assert tm.rows == rows
+        assert tm.coverage == [False, True, False, True]
+        assert len(tm) == 4
+
+    def test_inconsistent_arrays_rejected(self):
+        with pytest.raises(ValueError, match="entry count"):
+            TranslationMatrix(np.array([0, 2]), np.array([1]), np.array([1.0]))
 
 
 def emb_over(tokens, data):
@@ -256,7 +327,7 @@ class TestEntropyReport:
         rows = [[] for _ in range(NUM_SPECIALS)] + [
             [(NUM_SPECIALS + j, 1.0 / n) for j in range(n)]
         ]
-        tm = TranslationMatrix(rows)
+        tm = TranslationMatrix.from_rows(rows)
         report = row_entropy_report(tm)
         assert report.mean_entropy == pytest.approx(math.log(n), abs=1e-12)
 
@@ -291,6 +362,37 @@ class TestSerialization:
             np.testing.assert_allclose(
                 [w for _, w in a], [w for _, w in b], rtol=1e-7, atol=1e-9
             )
+
+    def test_writer_bytes_match_rows_writer(self, tmp_path):
+        tm, tgt_vocab, src_vocab = self._make_tm()
+        one_hot = dictionary_translation_matrix(
+            [(NUM_SPECIALS + 1, NUM_SPECIALS + 3)], tgt_vocab, src_vocab
+        )
+        for n, matrix in enumerate((tm, one_hot)):
+            write_translation_matrix(matrix, tgt_vocab, src_vocab, tmp_path / f"csr{n}.txt")
+            rows_writer(matrix.rows, tgt_vocab, src_vocab, tmp_path / f"rows{n}.txt")
+            assert (tmp_path / f"csr{n}.txt").read_bytes() == (
+                tmp_path / f"rows{n}.txt"
+            ).read_bytes()
+
+    def test_read_round_trip_lossless(self, tmp_path):
+        tm, tgt_vocab, src_vocab = self._make_tm()
+        write_translation_matrix(tm, tgt_vocab, src_vocab, tmp_path / "a.txt")
+        loaded = read_translation_matrix(tmp_path / "a.txt", tgt_vocab, src_vocab)
+        write_translation_matrix(loaded, tgt_vocab, src_vocab, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        again = read_translation_matrix(tmp_path / "b.txt", tgt_vocab, src_vocab)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(loaded, name), getattr(again, name)), name
+
+    def test_read_sorts_entries_and_keeps_last_line(self, tmp_path):
+        src_vocab = Vocabulary.from_tokens(["a", "b", "c"])
+        tgt_vocab = Vocabulary.from_tokens(["x", "y"])
+        (tmp_path / "tm.txt").write_text("x c:0.5 a:0.5\ny a:1\ny b:0.25 c:0.75\n")
+        tm = read_translation_matrix(tmp_path / "tm.txt", tgt_vocab, src_vocab)
+        a, b, c = (src_vocab.index[t] for t in "abc")
+        assert tm.rows[tgt_vocab.index["x"]] == [(a, 0.5), (c, 0.5)]
+        assert tm.rows[tgt_vocab.index["y"]] == [(b, 0.25), (c, 0.75)]
 
     def test_unknown_token_rejected(self, tmp_path):
         vocab = Vocabulary.from_tokens(["a"])

@@ -4,10 +4,13 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langxfer.corpus import NUM_SPECIALS, ParallelCorpus, Vocabulary
 from langxfer.word_alignment import (
     NULL_ID,
+    AlignmentModel,
     parse_fastalign,
     subsample,
     train_ibm1,
@@ -44,6 +47,73 @@ def brute_force_ibm1(pairs, iterations):
             norm = math.fsum(row.values())
             table[f] = {e: c / norm for e, c in row.items()}
     return table
+
+
+def dict_train_ibm1(pairs, iterations, prune):
+    """Oracle: the dict-of-dicts IBM-1 EM that the array implementation
+    replaced, step for step. Returns (table, log-likelihoods)."""
+    cooc = defaultdict(set)
+    for fg, en in pairs:
+        for f in fg:
+            cooc[f].update(en)
+            cooc[f].add(NULL_ID)
+    table = {f: {e: 1.0 / len(es) for e in es} for f, es in cooc.items()}
+    log_likelihoods = []
+    for _ in range(iterations):
+        counts = defaultdict(lambda: defaultdict(float))
+        ll = 0.0
+        for fg, en in pairs:
+            log_len = math.log(len(fg))
+            for e in list(en) + [NULL_ID]:
+                probs = [table[f][e] for f in fg]
+                total = math.fsum(probs)
+                ll += math.log(total) - log_len
+                for f, p in zip(fg, probs):
+                    counts[f][e] += p / total
+        log_likelihoods.append(ll)
+        for f, row in counts.items():
+            norm = math.fsum(row.values())
+            table[f] = {e: c / norm for e, c in row.items()}
+    for f, row in table.items():
+        kept = {e: p for e, p in row.items() if p >= prune}
+        if not kept:
+            best = max(row.items(), key=lambda kv: (kv[1], -kv[0]))
+            kept = {best[0]: best[1]}
+        norm = math.fsum(kept.values())
+        table[f] = {e: p / norm for e, p in kept.items()}
+    return table, log_likelihoods
+
+
+def assert_matches_dict_oracle(pairs, iterations, prune):
+    model = train_ibm1(ParallelCorpus(pairs), iterations=iterations, prune=prune)
+    table, log_likelihoods = dict_train_ibm1(pairs, iterations, prune)
+    got = model.table
+    assert got.keys() == table.keys()
+    for f, row in table.items():
+        assert got[f].keys() == row.keys(), f
+        for e, p in row.items():
+            assert got[f][e] == pytest.approx(p, rel=1e-9, abs=0.0), (f, e)
+    assert model.log_likelihoods == pytest.approx(log_likelihoods, rel=1e-9, abs=0.0)
+
+
+# small id ranges so that tokens repeat within and across sentences; an empty
+# english side leaves its foreign words aligned to NULL only
+SENTENCE_PAIRS = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5),
+        st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=5),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def model_from_table(table, iterations_run, final_log_likelihood):
+    """An AlignmentModel holding a {f: {e: p}} table."""
+    entries = sorted((f, e, p) for f, row in table.items() for e, p in row.items())
+    f, e, p = zip(*entries) if entries else ((), (), ())
+    return AlignmentModel(f=f, e=e, p=p, iterations_run=iterations_run,
+                          final_log_likelihood=final_log_likelihood)
 
 
 def ids(vocab, sentence):
@@ -111,6 +181,29 @@ class TestTrainIbm1:
         model = train_ibm1(ParallelCorpus(pairs), iterations=12, prune=0.0)
         diffs = np.diff(model.log_likelihoods)
         assert np.all(diffs >= -1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=SENTENCE_PAIRS, iterations=st.integers(min_value=1, max_value=6))
+    def test_matches_dict_oracle(self, pairs, iterations):
+        assert_matches_dict_oracle(pairs, iterations, prune=0.0)
+
+    def test_matches_dict_oracle_edge_corpora(self):
+        only_null = ([7], [])  # foreign 7 never sees an english word
+        repeated = ([1, 1, 2], [3, 3, 3])
+        single = ([4], [5])
+        assert_matches_dict_oracle([only_null, repeated, single, only_null], 5, prune=0.0)
+        assert_matches_dict_oracle([single], 1, prune=0.0)
+
+    def test_matches_dict_oracle_with_pruning(self):
+        rng = np.random.default_rng(3)
+        pairs = []
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            fg = [int(x) for x in rng.integers(0, 15, n)]
+            en = [int(x) for x in rng.integers(0, 15, int(rng.integers(0, 7)))]
+            pairs.append((fg, en))
+        for prune in (1e-4, 0.05, 0.6):
+            assert_matches_dict_oracle(pairs, 8, prune)
 
     def test_pruning_renormalizes(self):
         model = train_ibm1(self.corpus, iterations=3, prune=1e-2)
@@ -220,11 +313,9 @@ class TestParseFastalign:
 
 class TestTranslationMatrixFromAlignment:
     def test_passthrough(self):
-        from langxfer.word_alignment import AlignmentModel
-
         vf = Vocabulary.from_tokens(["le"])
         ve = Vocabulary.from_tokens(["the", "a"])
-        model = AlignmentModel(
+        model = model_from_table(
             table={vf.index["le"]: {ve.index["the"]: 0.9, ve.index["a"]: 0.1}},
             iterations_run=1,
             final_log_likelihood=0.0,
@@ -234,11 +325,9 @@ class TestTranslationMatrixFromAlignment:
         assert row[ve.index["the"]] == pytest.approx(0.9)
 
     def test_null_mass_dropped_and_renormalized(self):
-        from langxfer.word_alignment import AlignmentModel
-
         vf = Vocabulary.from_tokens(["le"])
         ve = Vocabulary.from_tokens(["the"])
-        model = AlignmentModel(
+        model = model_from_table(
             table={vf.index["le"]: {NULL_ID: 0.4, ve.index["the"]: 0.6}},
             iterations_run=1,
             final_log_likelihood=0.0,
@@ -247,11 +336,9 @@ class TestTranslationMatrixFromAlignment:
         assert tm.rows[vf.index["le"]] == [(ve.index["the"], 1.0)]
 
     def test_unseen_token_uncovered(self):
-        from langxfer.word_alignment import AlignmentModel
-
         vf = Vocabulary.from_tokens(["seen", "unseen"])
         ve = Vocabulary.from_tokens(["x"])
-        model = AlignmentModel(
+        model = model_from_table(
             table={vf.index["seen"]: {ve.index["x"]: 1.0}},
             iterations_run=1,
             final_log_likelihood=0.0,
