@@ -121,13 +121,18 @@ class TranslationMatrix:
 
     @property
     def rows(self) -> list[list[tuple[int, float]]]:
-        """Read-only view: row i as a list of (source index, weight)."""
+        """Row i as a list of (source index, weight).
+
+        Each access builds a fresh list from the CSR arrays in O(nnz); read
+        it once before a loop, and edits to it do not reach the matrix.
+        """
         idx, w = self.indices.tolist(), self.weights.tolist()
         bounds = self.indptr.tolist()
         return [list(zip(idx[a:b], w[a:b])) for a, b in zip(bounds, bounds[1:])]
 
     @property
     def coverage(self) -> list[bool]:
+        """Whether each row has entries; built per access in O(rows)."""
         return (np.diff(self.indptr) > 0).tolist()
 
     def __len__(self) -> int:

@@ -50,7 +50,11 @@ class AlignmentModel:
 
     @property
     def table(self) -> dict[int, dict[int, float]]:
-        """Read-only view: foreign id -> {english id (or NULL_ID): prob}."""
+        """Foreign id -> {english id (or NULL_ID): prob}.
+
+        Each access builds a fresh dict from the arrays in O(entries); read
+        it once before a loop, and edits to it do not reach the model.
+        """
         out: dict[int, dict[int, float]] = {}
         for f, e, p in zip(self.f.tolist(), self.e.tolist(), self.p.tolist()):
             out.setdefault(f, {})[e] = p
@@ -81,6 +85,127 @@ def _flat_ids(sentences) -> tuple[np.ndarray, np.ndarray]:
     return ids, lengths
 
 
+# links per block: every per-link array of train_ibm1 is at most one block long
+BLOCK_LINKS = 1 << 20
+# links whose index (4 bytes each) is kept between EM iterations; blocks past
+# this budget build it again in every iteration
+CACHED_LINKS = 1 << 25
+
+
+def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values, and the position of each value among them."""
+    order = np.argsort(values)
+    ordered = values[order]
+    first = _run_starts(ordered)
+    inverse = np.empty(len(values), dtype=np.int32 if len(values) < 2**31 else np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _union(arrays: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct values of arrays that are each sorted and distinct."""
+    arrays = [a for a in arrays if len(a)]
+    if len(arrays) == 1:
+        return arrays[0]
+    values = np.sort(np.concatenate(arrays))
+    return values[_run_starts(values)]
+
+
+class _Block:
+    """A run of sentence pairs, split into segments: one per (sentence,
+    english position), NULL last in each sentence. A segment holds |f| links,
+    one per foreign position of its sentence."""
+
+    def __init__(self, fg_ids, fg_len, en_ids, en_len) -> None:
+        self.fg_ids = fg_ids
+        self.seg_e = np.insert(en_ids, np.cumsum(en_len), NULL_ID)
+        seg_sent = np.repeat(np.arange(len(fg_len)), en_len + 1)
+        self.seg_size = fg_len[seg_sent]
+        self.seg_start = np.cumsum(self.seg_size) - self.seg_size
+        # link k of a segment takes its sentence's k-th foreign token
+        self.seg_shift = (np.cumsum(fg_len) - fg_len)[seg_sent] - self.seg_start
+        self.log_len = np.log(self.seg_size.astype(np.float64))
+        self.n_links = int(self.seg_size.sum())
+        self.index: tuple[np.ndarray, np.ndarray] | None = None
+
+    def link_keys(self, width: int) -> np.ndarray:
+        """Key f * width + e + 1 of each link: sorts by (f, e), NULL first."""
+        key = self.fg_ids[np.arange(self.n_links) + np.repeat(self.seg_shift, self.seg_size)]
+        key *= width
+        key += np.repeat(self.seg_e + 1, self.seg_size)
+        return key
+
+    def link_index(self, keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pair index of each distinct (f, e) in the block, and each link's
+        position among them."""
+        if self.index is not None:
+            return self.index
+        block_keys, inverse = _unique_inverse(self.link_keys(width))
+        return np.searchsorted(keys, block_keys), inverse
+
+    def expect(self, t: np.ndarray, keys: np.ndarray, width: int,
+               counts: np.ndarray) -> list[float]:
+        """E-step: adds the block's posteriors to counts and returns its
+        per-segment log-likelihood terms."""
+        pairs, inverse = self.link_index(keys, width)
+        probs = t[pairs][inverse]
+        totals = np.add.reduceat(probs, self.seg_start)
+        probs /= np.repeat(totals, self.seg_size)
+        counts[pairs] += np.bincount(inverse, weights=probs, minlength=len(pairs))
+        return (np.log(totals) - self.log_len).tolist()
+
+
+def _blocks(corpus: ParallelCorpus, block_links: int) -> list[_Block]:
+    """Consecutive runs of pairs of at most block_links links each (a longer
+    pair forms a block alone)."""
+    fg_ids, fg_len = _flat_ids([fg for fg, _ in corpus.pairs])
+    en_ids, en_len = _flat_ids([en for _, en in corpus.pairs])
+    if np.any(fg_len == 0):
+        raise ValueError("cannot align a pair with an empty foreign side")
+    fg_off = np.concatenate(([0], np.cumsum(fg_len)))
+    en_off = np.concatenate(([0], np.cumsum(en_len)))
+    link_end = np.cumsum(fg_len * (en_len + 1))
+    blocks = []
+    a = 0
+    while a < len(fg_len):
+        base = link_end[a - 1] if a else 0
+        b = max(int(np.searchsorted(link_end, base + block_links, "right")), a + 1)
+        blocks.append(_Block(fg_ids[fg_off[a]:fg_off[b]], fg_len[a:b],
+                             en_ids[en_off[a]:en_off[b]], en_len[a:b]))
+        a = b
+    return blocks
+
+
+def _pair_keys(blocks: list[_Block], width: int, cached_links: int) -> np.ndarray:
+    """Sorted distinct link keys of all blocks. Taken in order, the blocks
+    that still fit in the `cached_links` budget keep their link index.
+
+    A block's distinct keys wait until they outnumber the keys merged so
+    far, so a merge sorts at most about twice the final key count.
+    """
+    keys = np.empty(0, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    n_pending = 0
+    cached = []
+    for block in blocks:
+        block_keys, inverse = _unique_inverse(block.link_keys(width))
+        if block.n_links <= cached_links:
+            cached_links -= block.n_links
+            cached.append((block, block_keys, inverse))
+        pending.append(block_keys)
+        n_pending += len(block_keys)
+        if n_pending >= len(keys):
+            keys = _union([keys, *pending])
+            pending, n_pending = [], 0
+    keys = _union([keys, *pending])
+    for block, block_keys, inverse in cached:
+        # a block that holds every key needs no search
+        pairs = (np.arange(len(keys)) if len(block_keys) == len(keys)
+                 else np.searchsorted(keys, block_keys))
+        block.index = pairs, inverse
+    return keys
+
+
 def train_ibm1(
     corpus: ParallelCorpus, iterations: int = 10, prune: float = 1e-4
 ) -> AlignmentModel:
@@ -91,47 +216,23 @@ def train_ibm1(
     over co-occurring pairs only. After the final iteration, entries below
     `prune` are dropped and rows renormalized.
 
-    Every sentence pair is flattened once into its |f| x (|e|+1) grid of
-    links; a segment is one (sentence, english position) and holds |f|
-    links. An EM iteration is then a gather of t(e|f) over the links, a
-    segment sum, and a bincount of the posteriors onto the pair index.
+    Every sentence pair has |f| x (|e|+1) links. The links are built in
+    blocks of about BLOCK_LINKS, so per-link memory is bounded by the block
+    size, not by the corpus; the distinct (f, e) pairs form one sorted index.
+    A block's link index maps each link to the block's distinct pairs, and
+    those to the global index. An EM iteration gathers t(e|f) over each
+    block's links, sums them per segment, and bincounts the posteriors onto
+    the block's pairs. Blocks within the first CACHED_LINKS links keep
+    their index between iterations; later blocks build it again each time.
     """
     if not corpus.pairs:
         raise ValueError("cannot train an aligner on an empty corpus")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    fg_ids, fg_len = _flat_ids([fg for fg, _ in corpus.pairs])
-    en_ids, en_len = _flat_ids([en for _, en in corpus.pairs])
-    if np.any(fg_len == 0):
-        raise ValueError("cannot align a pair with an empty foreign side")
-    # english side with a NULL after every sentence: one entry per segment
-    seg_e = np.insert(en_ids, np.cumsum(en_len), NULL_ID)
-    seg_sent = np.repeat(np.arange(len(corpus.pairs)), en_len + 1)
-    seg_size = fg_len[seg_sent]
-    seg_start = np.cumsum(seg_size) - seg_size
-    # link k of a segment pairs its sentence's k-th foreign token with the
-    # segment's english token; its key f * width + e + 1 sorts by (f, e)
-    # with NULL (e + 1 == 0) first
-    width = int(seg_e.max()) + 2
-    fg_start = (np.cumsum(fg_len) - fg_len)[seg_sent]
-    link_key = fg_ids[np.arange(int(seg_size.sum())) + np.repeat(fg_start - seg_start, seg_size)]
-    link_key *= width
-    link_key += np.repeat(seg_e + 1, seg_size)
-    # pair index: distinct keys in order, and each link's position among them.
-    # np.unique(..., return_inverse=True) does the same with more memory;
-    # per-link arrays set the peak, so each is freed as soon as it is used.
-    order = np.argsort(link_key)
-    sorted_key = link_key[order]
-    del link_key
-    first = _run_starts(sorted_key)
-    keys = sorted_key[first]
-    del sorted_key
-    rank = np.cumsum(first)
-    rank -= 1
-    link_pair = np.empty(len(order), dtype=np.int64)
-    link_pair[order] = rank
-    del order, first, rank
+    blocks = _blocks(corpus, BLOCK_LINKS)
+    width = max(int(block.seg_e.max()) for block in blocks) + 2
+    keys = _pair_keys(blocks, width, CACHED_LINKS)
     pair_f, pair_e = keys // width, keys % width - 1
     row_first = _run_starts(pair_f)
     row_start = np.flatnonzero(row_first)
@@ -140,19 +241,17 @@ def train_ibm1(
     pair_row = np.cumsum(row_first) - 1
     t = 1.0 / row_size[pair_row]  # uniform over co-occurring pairs plus NULL
 
-    log_len = np.log(seg_size.astype(np.float64))
     log_likelihoods: list[float] = []
     for _ in range(iterations):
-        probs = t[link_pair]
-        totals = np.add.reduceat(probs, seg_start)
-        ll = math.fsum((np.log(totals) - log_len).tolist())
+        counts = np.zeros(len(keys))
+        # fsum takes the blocks' terms one block at a time
+        terms = (block.expect(t, keys, width, counts) for block in blocks)
+        ll = math.fsum(itertools.chain.from_iterable(terms))
         if log_likelihoods and ll < log_likelihoods[-1] - 1e-9:
             raise AssertionError(
                 f"EM log-likelihood decreased: {log_likelihoods[-1]} -> {ll}"
             )
         log_likelihoods.append(ll)
-        probs /= np.repeat(totals, seg_size)
-        counts = np.bincount(link_pair, weights=probs, minlength=len(keys))
         t = counts / np.bincount(pair_row, weights=counts)[pair_row]
 
     # prune, keeping at least the strongest entry of each row (NULL, then the

@@ -229,12 +229,13 @@ def test_criterion_3_ibm1_correctness():
         assert np.all(diffs >= -1e-9), "log-likelihood decreased"
 
         tm = translation_matrix_from_alignment(model, vf, ve)
+        rows = tm.rows
         checked = correct = 0
         for f, count in freq.items():
-            if count < 5 or not tm.rows[f]:
+            if count < 5 or not rows[f]:
                 continue
             checked += 1
-            best = max(tm.rows[f], key=lambda e: e[1])[0]
+            best = max(rows[f], key=lambda e: e[1])[0]
             correct += best == mapping[f]
         assert checked >= 50
         assert correct / checked >= 0.95

@@ -220,8 +220,9 @@ class TestTranslationMatrixFromVectors:
         src = emb_over([f"s{i}" for i in range(4)], eye)
         tgt = emb_over([f"t{i}" for i in range(4)], eye)
         tm = translation_matrix_from_vectors(tgt, src)
+        rows = tm.rows
         for i in range(4):
-            row = tm.rows[NUM_SPECIALS + i]
+            row = rows[NUM_SPECIALS + i]
             assert row[0][0] == NUM_SPECIALS + i
             assert max(row, key=lambda e: e[1])[0] == NUM_SPECIALS + i
 

@@ -1,5 +1,8 @@
+import contextlib
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 from collections import defaultdict
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langxfer import word_alignment
 from langxfer.corpus import NUM_SPECIALS, ParallelCorpus, Vocabulary
 from langxfer.word_alignment import (
     NULL_ID,
@@ -84,8 +88,9 @@ def dict_train_ibm1(pairs, iterations, prune):
     return table, log_likelihoods
 
 
-def assert_matches_dict_oracle(pairs, iterations, prune):
-    model = train_ibm1(ParallelCorpus(pairs), iterations=iterations, prune=prune)
+def assert_matches_dict_oracle(pairs, iterations, prune, **blocking):
+    with blocks_of(**blocking):
+        model = train_ibm1(ParallelCorpus(pairs), iterations=iterations, prune=prune)
     table, log_likelihoods = dict_train_ibm1(pairs, iterations, prune)
     got = model.table
     assert got.keys() == table.keys()
@@ -106,6 +111,15 @@ SENTENCE_PAIRS = st.lists(
     min_size=1,
     max_size=12,
 )
+
+
+@contextlib.contextmanager
+def blocks_of(block_links=word_alignment.BLOCK_LINKS,
+              cached_links=word_alignment.CACHED_LINKS):
+    """Runs train_ibm1 with other link block and index cache sizes."""
+    with mock.patch.object(word_alignment, "BLOCK_LINKS", block_links), \
+            mock.patch.object(word_alignment, "CACHED_LINKS", cached_links):
+        yield
 
 
 def model_from_table(table, iterations_run, final_log_likelihood):
@@ -150,9 +164,10 @@ class TestTrainIbm1:
     def test_matches_brute_force_enumeration_oracle(self):
         model = train_ibm1(self.corpus, iterations=10, prune=0.0)
         oracle = brute_force_ibm1(self.corpus.pairs, iterations=10)
+        table = model.table
         for f, row in oracle.items():
             for e, p in row.items():
-                assert model.table[f].get(e, 0.0) == pytest.approx(p, abs=1e-9)
+                assert table[f].get(e, 0.0) == pytest.approx(p, abs=1e-9)
 
     def test_single_pair_closed_form(self):
         vf = Vocabulary.from_tokens(["a"])
@@ -204,6 +219,47 @@ class TestTrainIbm1:
             pairs.append((fg, en))
         for prune in (1e-4, 0.05, 0.6):
             assert_matches_dict_oracle(pairs, 8, prune)
+            assert_matches_dict_oracle(pairs, 8, prune, block_links=20, cached_links=100)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=SENTENCE_PAIRS,
+        iterations=st.integers(min_value=1, max_value=6),
+        block_links=st.integers(min_value=1, max_value=40),
+        cached_links=st.integers(min_value=0, max_value=120),
+    )
+    def test_blocked_matches_dict_oracle(self, pairs, iterations, block_links, cached_links):
+        # several blocks, some keeping their link index and some rebuilding it
+        assert_matches_dict_oracle(pairs, iterations, prune=0.0,
+                                   block_links=block_links, cached_links=cached_links)
+
+    def test_block_memory_bounded_by_block_size(self):
+        # few distinct pairs and long sentences: memory is per link
+        rng = np.random.default_rng(8)
+        pairs = [([int(x) for x in rng.integers(0, 6, 60)],
+                  [int(x) for x in rng.integers(0, 6, 60)]) for _ in range(100)]
+        corpus = ParallelCorpus(pairs)
+        n_links = sum(len(fg) * (len(en) + 1) for fg, en in pairs)
+
+        def traced_peak(**blocking):
+            tracemalloc.start()
+            try:
+                with blocks_of(**blocking):
+                    model = train_ibm1(corpus, iterations=3, prune=0.0)
+                return model, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole, whole_peak = traced_peak()
+        blocked, blocked_peak = traced_peak(block_links=4000, cached_links=0)
+        # one block holds several 8-byte arrays per link; small blocks hold
+        # less than one 4-byte value per link
+        assert whole_peak > 16 * n_links
+        assert blocked_peak < 4 * n_links
+        np.testing.assert_array_equal(blocked.f, whole.f)
+        np.testing.assert_array_equal(blocked.e, whole.e)
+        np.testing.assert_allclose(blocked.p, whole.p, rtol=1e-12, atol=0)
+        assert blocked.log_likelihoods == pytest.approx(whole.log_likelihoods, rel=1e-12)
 
     def test_pruning_renormalizes(self):
         model = train_ibm1(self.corpus, iterations=3, prune=1e-2)
@@ -232,12 +288,13 @@ class TestTrainIbm1:
             pairs.append((fg, en))
         model = train_ibm1(ParallelCorpus(pairs), iterations=10)
         tm = translation_matrix_from_alignment(model, vf, ve)
+        rows = tm.rows
         checked = correct = 0
         for f, count in freq.items():
-            if count < 5 or not tm.rows[f]:
+            if count < 5 or not rows[f]:
                 continue
             checked += 1
-            best = max(tm.rows[f], key=lambda e: e[1])[0]
+            best = max(rows[f], key=lambda e: e[1])[0]
             correct += best == translation[f]
         assert checked > 0
         assert correct / checked >= 0.95
