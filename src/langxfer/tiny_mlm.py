@@ -6,14 +6,20 @@ The output projection for a language is the transpose of its embedding
 table (weight tying) plus that language's bias.
 
 Everything is plain numpy. Training arithmetic is float32; `astype` yields
-a float64 twin for finite-difference gradient checks. The softmax
-normalizer at masked positions sums exponentials in ascending sorted order,
-making the loss invariant, bit for bit, to a permutation of the vocabulary.
+a float64 twin for finite-difference gradient checks. The computation runs
+in the parameters' dtype, so every scalar constant in the forward and
+backward pass must be a Python float (or int), never a numpy scalar: under
+NumPy 2's promotion rules (NEP 50) a Python float adapts to a float32
+array, while an `np.float64` such as `1.0 / np.sqrt(n)` silently turns
+everything downstream into float64. The softmax normalizer at masked
+positions sums exponentials in ascending sorted order, making the loss
+invariant, bit for bit, to a permutation of the vocabulary.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -221,10 +227,13 @@ def _layer_norm(x, g, b, eps):
     return g * xhat + b, (xhat, inv, g)
 
 
-def _layer_norm_backward(dy, cache):
+def _layer_norm_backward(dy, cache, weights=True):
+    """(dx, dg, db); dg and db are None unless `weights`."""
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=(0, 1))
-    db = dy.sum(axis=(0, 1))
+    dg = db = None
+    if weights:
+        dg = (dy * xhat).sum(axis=(0, 1))
+        db = dy.sum(axis=(0, 1))
     dxhat = dy * g
     mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
     mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -244,7 +253,7 @@ def _merge_heads(x):
 
 def _attention(h, wq, wk, wv, wo, heads):
     d = h.shape[-1]
-    scale = 1.0 / np.sqrt(d // heads)
+    scale = 1.0 / math.sqrt(d // heads)  # a Python float: keeps float32 float32
     q = _split_heads(h @ wq, heads)
     k = _split_heads(h @ wk, heads)
     v = _split_heads(h @ wv, heads)
@@ -256,10 +265,10 @@ def _attention(h, wq, wk, wv, wo, heads):
     return ctx @ wo, (h, q, k, v, a, ctx, scale)
 
 
-def _attention_backward(dout, cache, wq, wk, wv, wo, heads):
+def _attention_backward(dout, cache, wq, wk, wv, wo, heads, weights=True):
+    """(dh, dwq, dwk, dwv, dwo); the weight gradients are None unless `weights`."""
     h, q, k, v, a, ctx, scale = cache
     d = h.shape[-1]
-    dwo = ctx.reshape(-1, d).T @ dout.reshape(-1, d)
     dctx = _split_heads(dout @ wo.T, heads)
     da = dctx @ v.transpose(0, 1, 3, 2)
     dv = a.transpose(0, 1, 3, 2) @ dctx
@@ -267,11 +276,14 @@ def _attention_backward(dout, cache, wq, wk, wv, wo, heads):
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
     dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+    dh = dq_m @ wq.T + dk_m @ wk.T + dv_m @ wv.T
+    if not weights:
+        return dh, None, None, None, None
     h2 = h.reshape(-1, d)
     dwq = h2.T @ dq_m.reshape(-1, d)
     dwk = h2.T @ dk_m.reshape(-1, d)
     dwv = h2.T @ dv_m.reshape(-1, d)
-    dh = dq_m @ wq.T + dk_m @ wk.T + dv_m @ wv.T
+    dwo = ctx.reshape(-1, d).T @ dout.reshape(-1, d)
     return dh, dwq, dwk, dwv, dwo
 
 
@@ -281,14 +293,17 @@ def _ffn(h, w1, w2):
     return r @ w2, (h, u, r)
 
 
-def _ffn_backward(dout, cache, w1, w2):
+def _ffn_backward(dout, cache, w1, w2, weights=True):
+    """(dh, dw1, dw2); dw1 and dw2 are None unless `weights`."""
     h, u, r = cache
     d_in, d_hidden = w1.shape
-    dw2 = r.reshape(-1, d_hidden).T @ dout.reshape(-1, w2.shape[1])
     dr = dout @ w2.T
     du = dr * (u > 0.0)
-    dw1 = h.reshape(-1, d_in).T @ du.reshape(-1, d_hidden)
     dh = du @ w1.T
+    if not weights:
+        return dh, None, None
+    dw2 = r.reshape(-1, d_hidden).T @ dout.reshape(-1, w2.shape[1])
+    dw1 = h.reshape(-1, d_in).T @ du.reshape(-1, d_hidden)
     return dh, dw1, dw2
 
 
@@ -342,15 +357,23 @@ def _masked_logits(state: ModelState, ctx: np.ndarray, batch: MaskedBatch):
     return cm @ emb.T + bias, cm
 
 
-def _loss_from_logits(logits: np.ndarray, labels: np.ndarray):
+def _loss_from_logits(logits: np.ndarray, labels: np.ndarray, probs: bool = False):
+    """Mean cross-entropy at the masked positions, and the exponentials.
+
+    With `probs`, `logits` is overwritten by the softmax probabilities
+    (normalised in place) and those are returned; otherwise the second
+    value is the unnormalised exponentials and `logits` is left as it is.
+    """
     m = logits.max(axis=1, keepdims=True)
-    ex = np.exp(logits - m)
+    picked = logits[np.arange(logits.shape[0]), labels]
+    ex = np.subtract(logits, m, out=logits if probs else None)
+    np.exp(ex, out=ex)
     # ascending-order summation: invariant to vocabulary permutation
     denom = np.sort(ex, axis=1).sum(axis=1)
-    idx = np.arange(logits.shape[0])
-    nll = -(logits[idx, labels] - m[:, 0] - np.log(denom))
-    probs = ex / denom[:, None]
-    return nll.mean(), probs
+    nll = -(picked - m[:, 0] - np.log(denom))
+    if probs:
+        ex /= denom[:, None]
+    return nll.mean(), ex
 
 
 def mlm_loss(state: ModelState, batch: MaskedBatch) -> tuple[float, np.ndarray]:
@@ -364,9 +387,24 @@ def mlm_loss(state: ModelState, batch: MaskedBatch) -> tuple[float, np.ndarray]:
 
 
 def backward(
-    state: ModelState, batch: MaskedBatch, freeze: frozenset[str] | set[str] = frozenset()
+    state: ModelState,
+    batch: MaskedBatch,
+    freeze: frozenset[str] | set[str] = frozenset(),
+    grads: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and exact gradients; frozen groups get zero gradients."""
+    """Loss and exact gradients of the parameters outside the `freeze` groups.
+
+    The dict holds one gradient per non-frozen parameter, in `state.params`
+    order, and nothing for a frozen group; it includes trainable parameters
+    this batch does not reach (the other language's table), as zeros. With
+    `grads=` (a dict from an earlier call with the same `freeze`), this
+    batch's gradients are added into it in place and it is returned: one
+    update's english and foreign batches share one dict this way.
+
+    Work for frozen groups is skipped: the weight and layer-norm gradients
+    of a frozen encoder, the scatter into a frozen table, and, when nothing
+    the batch reaches can train, the whole backward pass.
+    """
     if batch.n_masked == 0:
         raise ValueError("batch has no masked positions")
     cfg = state.cfg
@@ -375,66 +413,71 @@ def backward(
     lang = batch.language
     emb_name = "emb_en" if lang == "en" else "emb_fg"
     bias_name = "out_bias_en" if lang == "en" else "out_bias_fg"
+    if grads is None:
+        grads = {name: np.zeros_like(arr) for name, arr in p.items()
+                 if param_group(name) not in freeze}
+    train_emb = emb_name not in freeze
+    train_bias = bias_name not in freeze
+    train_pos = "pos_emb" not in freeze
+    train_enc = "encoder" not in freeze
+    need_dx = train_emb or train_pos or train_enc  # anything below the logits
 
-    ctx, caches = _forward(state, ids, lang, want_cache=True)
+    ctx, caches = _forward(state, ids, lang, want_cache=need_dx)
     logits, cm = _masked_logits(state, ctx, batch)
-    loss, probs = _loss_from_logits(logits, batch.labels)
+    if not (need_dx or train_bias):
+        loss, _ = _loss_from_logits(logits, batch.labels)
+        return float(loss), grads
+    loss, dlogits = _loss_from_logits(logits, batch.labels, probs=True)
 
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-
-    dlogits = probs.copy()
     dlogits[np.arange(len(batch.labels)), batch.labels] -= 1.0
     dlogits /= batch.n_masked
-    dcm = dlogits @ p[emb_name]
-    grads[emb_name] += dlogits.T @ cm
-    grads[bias_name] += dlogits.sum(axis=0)
+    if train_emb:
+        grads[emb_name] += dlogits.T @ cm
+    if train_bias:
+        grads[bias_name] += dlogits.sum(axis=0)
+    if not need_dx:
+        return float(loss), grads
 
     dx = np.zeros_like(ctx)
-    dx[batch.mask_rows, batch.mask_cols] = dcm
+    dx[batch.mask_rows, batch.mask_cols] = dlogits @ p[emb_name]
 
     for l in reversed(range(cfg.layers)):
         n = f"enc.{l}."
         ln1, attn, ln2, ffn = caches[l]
+        w = train_enc  # weight and layer-norm gradients
         if cfg.norm == "pre":
             # x_out = x_mid + FFN(LN2(x_mid));  x_mid = x_in + Attn(LN1(x_in))
-            dh2, dw1, dw2 = _ffn_backward(dx, ffn, p[n + "w1"], p[n + "w2"])
-            dx_mid_ln, dg2, db2 = _layer_norm_backward(dh2, ln2)
+            dh2, dw1, dw2 = _ffn_backward(dx, ffn, p[n + "w1"], p[n + "w2"], w)
+            dx_mid_ln, dg2, db2 = _layer_norm_backward(dh2, ln2, w)
             dx_mid = dx + dx_mid_ln
             dh1, dwq, dwk, dwv, dwo = _attention_backward(
                 dx_mid, attn, p[n + "wq"], p[n + "wk"], p[n + "wv"], p[n + "wo"],
-                cfg.heads,
+                cfg.heads, w,
             )
-            dx_in_ln, dg1, db1 = _layer_norm_backward(dh1, ln1)
+            dx_in_ln, dg1, db1 = _layer_norm_backward(dh1, ln1, w)
             dx = dx_mid + dx_in_ln
         else:
             # x_out = LN2(x_mid + FFN(x_mid));  x_mid = LN1(x_in + Attn(x_in))
-            dsum2, dg2, db2 = _layer_norm_backward(dx, ln2)
-            dffn_in, dw1, dw2 = _ffn_backward(dsum2, ffn, p[n + "w1"], p[n + "w2"])
+            dsum2, dg2, db2 = _layer_norm_backward(dx, ln2, w)
+            dffn_in, dw1, dw2 = _ffn_backward(dsum2, ffn, p[n + "w1"], p[n + "w2"], w)
             dx_mid = dsum2 + dffn_in
-            dsum1, dg1, db1 = _layer_norm_backward(dx_mid, ln1)
+            dsum1, dg1, db1 = _layer_norm_backward(dx_mid, ln1, w)
             dattn_in, dwq, dwk, dwv, dwo = _attention_backward(
                 dsum1, attn, p[n + "wq"], p[n + "wk"], p[n + "wv"], p[n + "wo"],
-                cfg.heads,
+                cfg.heads, w,
             )
             dx = dsum1 + dattn_in
-        grads[n + "ln1_g"] += dg1
-        grads[n + "ln1_b"] += db1
-        grads[n + "ln2_g"] += dg2
-        grads[n + "ln2_b"] += db2
-        grads[n + "wq"] += dwq
-        grads[n + "wk"] += dwk
-        grads[n + "wv"] += dwv
-        grads[n + "wo"] += dwo
-        grads[n + "w1"] += dw1
-        grads[n + "w2"] += dw2
+        if train_enc:
+            for name, g in (("ln1_g", dg1), ("ln1_b", db1), ("ln2_g", dg2),
+                            ("ln2_b", db2), ("wq", dwq), ("wk", dwk), ("wv", dwv),
+                            ("wo", dwo), ("w1", dw1), ("w2", dw2)):
+                grads[n + name] += g
 
-    np.add.at(grads[emb_name], ids, dx)
-    grads["pos_emb"][: ids.shape[1]] += dx.sum(axis=0)
-
-    for name in grads:
-        if param_group(name) in freeze:
-            grads[name] = np.zeros_like(p[name])
-    return loss, grads
+    if train_emb:
+        np.add.at(grads[emb_name], ids, dx)
+    if train_pos:
+        grads["pos_emb"][: ids.shape[1]] += dx.sum(axis=0)
+    return float(loss), grads
 
 
 # ---------------------------------------------------------------------------

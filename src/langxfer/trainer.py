@@ -9,6 +9,7 @@ the config seeds: metrics logs and checkpoints are byte-reproducible.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,7 +115,14 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update in place; frozen groups stay untouched."""
+    """One bias-corrected Adam update in place; frozen groups stay untouched.
+
+    `grads` needs an entry for every parameter outside `freeze`. Moments and
+    parameters are updated in place through two scratch buffers, with the
+    textbook expressions' operations in their order:
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+    """
     active = [k for k in state.params if param_group(k) not in freeze]
     for k in active:  # abort before mutating anything
         if not np.all(np.isfinite(grads[k])):
@@ -124,18 +132,31 @@ def adam_step(
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for k in active:
-        g = grads[k]
-        opt.m[k] = beta1 * opt.m[k] + (1.0 - beta1) * g
-        opt.v[k] = beta2 * opt.v[k] + (1.0 - beta2) * (g * g)
-        m_hat = opt.m[k] / bc1
-        v_hat = opt.v[k] / bc2
-        state.params[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        g, m, v, p = grads[k], opt.m[k], opt.v[k], state.params[k]
+        a, b = np.empty_like(p), np.empty_like(p)
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=a)
+        m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        v *= beta2
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float | None) -> float:
+    """Scale all gradients so their global L2 norm is at most max_norm.
+
+    Returns the norm before clipping; with `max_norm=None` it only measures.
+    """
     total = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
-    if total > max_norm and total > 0:
+    if max_norm is not None and total > max_norm and total > 0:
         scale = max_norm / total
         for k in grads:
             grads[k] = grads[k] * np.asarray(scale, dtype=grads[k].dtype)
@@ -246,21 +267,30 @@ class TransferResult:
 
 
 class _RunLogs:
-    """Append-only metrics.csv / evals.csv, written row by row as they occur."""
+    """Append-only metrics.csv / evals.csv / telemetry.csv, row by row.
+
+    metrics.csv and evals.csv are deterministic. telemetry.csv holds one row
+    per update: the phase, the global gradient norm before clipping, and the
+    update's wall time, which varies from run to run and so stays out of the
+    other two files and out of checkpoints.
+    """
 
     METRICS_HEADER = "step,lr,loss_en,loss_fg\n"
     EVALS_HEADER = "step,eval_loss_en,eval_acc_en,eval_loss_fg,eval_acc_fg\n"
+    TELEMETRY_HEADER = "step,phase,grad_norm,wall_ms\n"
 
     def __init__(self, out_path: Path | None, bilingual: bool) -> None:
         self.bilingual = bilingual
         self.metrics: list[tuple[int, float, float, float]] = []
         self.evals: list[tuple[int, float, float, float, float]] = []
-        self._metrics_fh = self._evals_fh = None
+        self._metrics_fh = self._evals_fh = self._telemetry_fh = None
         if out_path is not None:
             self._metrics_fh = open(out_path / "metrics.csv", "w", encoding="utf-8")
             self._metrics_fh.write(self.METRICS_HEADER)
             self._evals_fh = open(out_path / "evals.csv", "w", encoding="utf-8")
             self._evals_fh.write(self.EVALS_HEADER)
+            self._telemetry_fh = open(out_path / "telemetry.csv", "w", encoding="utf-8")
+            self._telemetry_fh.write(self.TELEMETRY_HEADER)
 
     def metric(self, step: int, lr: float, loss_en: float, loss_fg: float) -> None:
         self.metrics.append((step, lr, loss_en, loss_fg))
@@ -274,8 +304,14 @@ class _RunLogs:
             fg = f"{lf:.8f},{af:.6f}" if not math.isnan(lf) else ","
             self._evals_fh.write(f"{step},{le:.8f},{ae:.6f},{fg}\n")
 
+    def telemetry(self, step: int, phase: str, grad_norm: float, started: float) -> None:
+        """One update's row; `started` is its time.perf_counter() at the start."""
+        if self._telemetry_fh is not None:
+            ms = 1e3 * (time.perf_counter() - started)
+            self._telemetry_fh.write(f"{step},{phase},{grad_norm!r},{ms:.3f}\n")
+
     def close(self) -> None:
-        for fh in (self._metrics_fh, self._evals_fh):
+        for fh in (self._metrics_fh, self._evals_fh, self._telemetry_fh):
             if fh is not None:
                 fh.close()
 
@@ -334,22 +370,22 @@ def run_transfer(
     try:
         evaluate(0)
         for step in range(1, cfg.total_updates + 1):
-            freeze = (EMBEDDING_PHASE_FREEZE if step <= cfg.freeze_phase_updates
-                      else frozenset())
+            started = time.perf_counter()
+            frozen = step <= cfg.freeze_phase_updates
+            freeze = EMBEDDING_PHASE_FREEZE if frozen else frozenset()
             b_en, b_fg = balanced_batch(
                 en_stream, fg_stream, cfg, step,
                 len(state.vocab_en), len(state.vocab_fg),
             )
-            loss_en, g_en = backward(state, b_en, freeze)
-            loss_fg, g_fg = backward(state, b_fg, freeze)
-            grads = {k: g_en[k] + g_fg[k] for k in g_en}
-            if cfg.grad_clip is not None:
-                clip_gradients(grads, cfg.grad_clip)
+            loss_en, grads = backward(state, b_en, freeze)
+            loss_fg, grads = backward(state, b_fg, freeze, grads)
+            grad_norm = clip_gradients(grads, cfg.grad_clip)
             lr = lr_schedule(step, cfg)
             adam_step(state, grads, opt, lr, freeze,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             state.assert_finite()
             logs.metric(step, lr, loss_en, loss_fg)
+            logs.telemetry(step, "frozen" if frozen else "joint", grad_norm, started)
             if step % cfg.checkpoint_every == 0 or step == cfg.total_updates:
                 evaluate(step)
                 checkpoint(step)
@@ -387,17 +423,18 @@ def pretrain(
     try:
         evaluate(0)
         for step in range(1, cfg.total_updates + 1):
+            started = time.perf_counter()
             rows = en_stream.next(cfg.batch_size)
             batch = make_masked_batch(rows, cfg.mask_prob, (cfg.seed, step, 0),
                                       len(state.vocab_en), "en", cfg.eighty_ten_ten)
             loss, grads = backward(state, batch, freeze)
-            if cfg.grad_clip is not None:
-                clip_gradients(grads, cfg.grad_clip)
+            grad_norm = clip_gradients(grads, cfg.grad_clip)
             lr = lr_schedule(step, cfg)
             adam_step(state, grads, opt, lr, freeze,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             state.assert_finite()
             logs.metric(step, lr, loss, float("nan"))
+            logs.telemetry(step, "pretrain", grad_norm, started)
             if step % cfg.checkpoint_every == 0 or step == cfg.total_updates:
                 evaluate(step)
                 if out_path is not None:

@@ -303,3 +303,45 @@ class TestTrainingLoops:
                      random_rows(10, 8, 24, 17), out_dir=tmp_path)
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert len(lines) == 1 + 17  # header + one row per update
+
+
+class TestTelemetry:
+    def transfer(self, out):
+        state = tiny_setup(seed=3)
+        emb = EmbeddingMatrix(
+            vocab_of(24, "g"),
+            np.random.default_rng(4).normal(0, 0.05, (24, 16)).astype(np.float32),
+        )
+        cfg = TrainingConfig(total_updates=12, warmup_updates=3, batch_size=8,
+                             seq_len=8, freeze_phase_updates=5, checkpoint_every=6,
+                             seed=7)
+        run_transfer(cfg, state, emb, random_rows(20, 8, 24, 12),
+                     random_rows(20, 8, 24, 13), out_dir=out)
+        return [line.split(",") for line in (out / "telemetry.csv").read_text().splitlines()]
+
+    def test_one_row_per_update_with_phase_and_norm(self, tmp_path):
+        rows = self.transfer(tmp_path)
+        assert rows[0] == ["step", "phase", "grad_norm", "wall_ms"]
+        assert [int(r[0]) for r in rows[1:]] == list(range(1, 13))
+        assert [r[1] for r in rows[1:]] == ["frozen"] * 5 + ["joint"] * 7
+        assert all(float(r[2]) > 0 and float(r[3]) >= 0 for r in rows[1:])
+        assert "grad_norm" not in (tmp_path / "metrics.csv").read_text()
+        assert not any((tmp_path / "checkpoints").rglob("telemetry*"))
+
+    def test_grad_norm_column_repeats_exactly(self, tmp_path):
+        a = self.transfer(tmp_path / "a")
+        b = self.transfer(tmp_path / "b")
+        assert [r[2] for r in a] == [r[2] for r in b]
+
+    def test_pretrain_rows_and_no_file_without_out_dir(self, tmp_path, monkeypatch):
+        state = tiny_setup(seed=1)
+        cfg = TrainingConfig(total_updates=4, warmup_updates=1, batch_size=4,
+                             seq_len=8, grad_clip=None, seed=1)
+        pretrain(cfg, state, random_rows(8, 8, 24, 2), out_dir=tmp_path / "run")
+        rows = (tmp_path / "run" / "telemetry.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["pretrain"] * 4
+        assert all(float(r.split(",")[2]) > 0 for r in rows)  # measured, not clipped
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        pretrain(cfg, tiny_setup(seed=1), random_rows(8, 8, 24, 2))
+        assert not any((tmp_path / "cwd").iterdir())
