@@ -295,7 +295,11 @@ class Tokenizer:
         return [s for w in line.split() for s in self.tokenize_word(w)]
 
     def encode_line(self, line: str) -> list[int]:
-        return [self.vocab.id(t) for t in self.tokenize_line(line)]
+        """Token ids of a line, UNK for tokens outside the vocabulary."""
+        get = self.vocab.index.get
+        if self.codes is None:
+            return [get(w, UNK_ID) for w in line.split()]
+        return [get(t, UNK_ID) for t in self.tokenize_line(line)]
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:

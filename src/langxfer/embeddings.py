@@ -64,38 +64,76 @@ def load_vectors(path: str | Path, limit: int | None = None) -> EmbeddingMatrix:
 
     Duplicate tokens keep their first occurrence. Tokens equal to a special
     token string map onto the reserved special rows (which stay zero).
+    Errors name the first bad line in file order: a wrong value count, or a
+    value that does not parse or is not finite in a kept row.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     tokens: list[str] = []
-    rows: list[np.ndarray] = []
+    rests: list[str] = []  # every line read, after its token
+    kept: list[int] = []  # positions in `rests` of the rows kept
     seen = set(SPECIAL_TOKENS)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: expected 'row_count dim' header")
         _, dim = int(header[0]), int(header[1])
-        for n, line in enumerate(fh, 2):
-            if limit is not None and len(rows) >= limit:
+        for line in fh:
+            if limit is not None and len(tokens) >= limit:
                 break
-            parts = line.rstrip("\n").split(" ")
-            token, values = parts[0], parts[1:]
-            if values and values[-1] == "":  # fastText files end rows with a space
-                values = values[:-1]
-            if len(values) != dim:
-                raise ValueError(
-                    f"{path}: line {n}: expected {dim} values, got {len(values)}"
-                )
-            if token in seen:
-                continue
-            vec = np.asarray(values, dtype=np.float32)
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}: line {n}: non-finite value")
-            seen.add(token)
-            tokens.append(token)
-            rows.append(vec)
-    data = np.zeros((NUM_SPECIALS + len(rows), dim), dtype=np.float32)
-    if rows:
-        data[NUM_SPECIALS:] = np.stack(rows)
+            token, _, rest = line.rstrip("\n").partition(" ")
+            if token not in seen:
+                seen.add(token)
+                tokens.append(token)
+                kept.append(len(rests))
+            rests.append(rest)
+    values = _parse_rows(rests, kept, dim, path)
+    data = np.zeros((NUM_SPECIALS + len(tokens), dim), dtype=np.float32)
+    data[NUM_SPECIALS:] = values
     return EmbeddingMatrix(Vocabulary.from_tokens(tokens), data)
+
+
+def _parse_rows(rests: list[str], kept: list[int], dim: int, path: str | Path) -> np.ndarray:
+    """float32 values of the kept rows, checked as a line-by-line read checks them.
+
+    One np.loadtxt call parses every line read, a fastText trailing space
+    dropped; it requires equal column counts, so `dim` columns stand in for
+    a count per line. Anything it does not return whole and finite (a bad
+    count, a value that does not parse, one that only Python's float()
+    reads such as "1_0", a non-finite value, or an empty line, which it
+    skips) is read again line by line, which raises on the first bad line.
+    When no line has values, loadtxt is not called: it would only warn.
+    """
+    if dim > 0 and any(rests):
+        try:
+            values = np.loadtxt(
+                (rest[:-1] if rest.endswith(" ") else rest for rest in rests),
+                dtype=np.float32, delimiter=" ", comments=None, quotechar=None, ndmin=2,
+            )
+        except ValueError:
+            values = None
+        if values is not None and values.shape == (len(rests), dim):
+            values = values[kept]
+            if np.all(np.isfinite(values)):
+                return values
+    values = np.zeros((len(kept), max(dim, 0)), dtype=np.float32)  # dim < 0 fails below
+    row_of = {i: r for r, i in enumerate(kept)}
+    for i, rest in enumerate(rests):
+        n = i + 2  # line number, after the header
+        parts = rest.split(" ") if rest else []
+        if parts and parts[-1] == "":  # fastText files end rows with a space
+            parts.pop()
+        if len(parts) != dim:
+            raise ValueError(f"{path}: line {n}: expected {dim} values, got {len(parts)}")
+        if i not in row_of:
+            continue
+        try:
+            values[row_of[i]] = np.asarray(parts, dtype=np.float32)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
+        if not np.all(np.isfinite(values[row_of[i]])):
+            raise ValueError(f"{path}: line {n}: non-finite value")
+    return values
 
 
 def save_vectors(emb: EmbeddingMatrix, path: str | Path, format: str = "text") -> None:

@@ -100,13 +100,24 @@ class PipelineConfig:
             raise ValueError(f"unknown route: {self.route!r}")
         if self.tokenization not in ("word", "bpe"):
             raise ValueError(f"unknown tokenization: {self.tokenization!r}")
-        # fail on a bad schedule now, before any output exists
-        for phase, make in (("pretrain", self.pretrain_config),
-                            ("transfer", self.training_config)):
+        # fail on bad sizes, a bad schedule or model now, before any output exists
+        for name, low in (("word_limit", 1), ("align_pairs", 1), ("ibm1_iterations", 1),
+                          ("bpe_codes", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("vocab_size_en", "vocab_size_fg"):
+            if getattr(self, name) <= corpus_mod.NUM_SPECIALS:
+                raise ValueError(
+                    f"{name} must exceed the {corpus_mod.NUM_SPECIALS} special tokens, "
+                    f"got {getattr(self, name)}"
+                )
+        for part, make in (("pretrain schedule", self.pretrain_config),
+                           ("transfer schedule", self.training_config),
+                           ("model", self.model_config)):
             try:
                 make()
             except ValueError as exc:
-                raise ValueError(f"{phase} schedule: {exc}") from None
+                raise ValueError(f"{part}: {exc}") from None
 
     def validate_paths(self) -> None:
         required = [self.en_train, self.en_heldout, self.fg_train, self.fg_heldout]

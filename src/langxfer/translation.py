@@ -10,6 +10,7 @@ a row; they are handled separately at initialization time.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,22 +36,29 @@ def sparsemax(z: np.ndarray) -> np.ndarray:
     sums, the support count and tau are those of a full sort bit for bit.
     """
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("sparsemax requires finite input")
     squeeze = z.ndim == 1
     if squeeze:
         z = z[None, :]
     n = z.shape[1]
+    # a row's max is NaN or +inf, or its min -inf, if any entry is not finite
+    high, low = np.max(z, axis=1), np.min(z, axis=1)
+    if not (np.all(np.isfinite(high)) and np.all(np.isfinite(low))):
+        raise ValueError("sparsemax requires finite input")
     # Past the k-th largest value u_k the support condition is false in
     # exact arithmetic; it stays false in a full sort's rounded prefix sums
     # only while tau - u_k exceeds their error bound. Values tied with tau
     # past k (support condition at equality) need the full sort.
-    scale = np.maximum(np.max(z, axis=1), -np.min(z, axis=1)) + 1.0
+    scale = np.maximum(high, -low) + 1.0
     margin = 2.0 * (n + 2) ** 2 * np.finfo(np.float64).eps * scale
     rows = np.arange(z.shape[0])
     k = min(SPARSEMAX_TOP_K, n)
+    buffer = None  # the last partition's copy of z, reused for the output
     while True:
-        top = z if k == n else np.partition(z, n - k, axis=1)[:, n - k:]
+        if k == n:
+            top = z
+        else:
+            buffer = np.partition(z, n - k, axis=1)
+            top = buffer[:, n - k:]
         u = -np.sort(-top, axis=1)
         cssv = np.cumsum(u, axis=1) - 1.0
         support = u * np.arange(1, k + 1, dtype=np.float64) > cssv
@@ -60,7 +68,7 @@ def sparsemax(z: np.ndarray) -> np.ndarray:
         if k == n or np.all(inside):
             break
         k = min(2 * k, n)
-    out = np.subtract(z, tau[:, None])
+    out = np.subtract(z, tau[:, None], out=buffer)
     np.maximum(out, 0.0, out=out)
     return out[0] if squeeze else out
 
@@ -98,12 +106,12 @@ class TranslationMatrix:
         covered = np.flatnonzero(counts)
         if len(covered):
             totals = np.add.reduceat(self.weights, ptr[covered])
-            bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-6)
+            bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-6))  # NaN too
             if len(bad):
                 raise ValueError(
                     f"row {covered[bad[0]]}: weights sum to {totals[bad[0]]}, expected 1"
                 )
-        bad = np.flatnonzero(self.weights <= 0)
+        bad = np.flatnonzero(~(self.weights > 0))
         if len(bad):
             raise ValueError(f"row {row_of[bad[0]]}: weights must be positive")
 
@@ -172,10 +180,11 @@ def translation_matrix_from_vectors(
             e = np.exp(shifted)
             probs = e / e.sum(axis=1, keepdims=True)
         probs[~nonzero] = 0.0
-        r, c = np.nonzero(probs)
+        flat = np.flatnonzero(probs)
+        r, c = np.divmod(flat, probs.shape[1])
         counts[start:stop] = np.bincount(r, minlength=stop - start)
         indices.append(c + NUM_SPECIALS)
-        weights.append(probs[r, c])
+        weights.append(probs.ravel()[flat])
     indptr = np.zeros(n_tgt + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     empty = np.zeros(0)
@@ -284,7 +293,11 @@ def write_translation_matrix(
     src_vocab: Vocabulary,
     path: str | Path,
 ) -> None:
-    """Text format: 'tgt_token src1:w1 src2:w2 ...'; bare token if uncovered."""
+    """Text format: 'tgt_token src1:w1 src2:w2 ...'; bare token if uncovered.
+
+    The lines go to a temporary file beside `path`, which then replaces
+    `path`; a write that fails leaves the previous file as it was.
+    """
     if len(tm) != len(tgt_vocab):
         raise ValueError("translation matrix size does not match target vocabulary")
     tokens = src_vocab.tokens
@@ -292,26 +305,93 @@ def write_translation_matrix(
         f" {tokens[j]}:{w:.9g}" for j, w in zip(tm.indices.tolist(), tm.weights.tolist())
     ]
     bounds = tm.indptr.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            fh.write(tgt_vocab.tokens[i] + "".join(entries[a:b]) + "\n")
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                fh.write(tgt_vocab.tokens[i] + "".join(entries[a:b]) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_translation_matrix(
     path: str | Path, tgt_vocab: Vocabulary, src_vocab: Vocabulary
 ) -> TranslationMatrix:
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(len(tgt_vocab))]
-    src_index = src_vocab.index
+    """Read the text format of `write_translation_matrix`.
+
+    Each 'src:weight' entry splits at its last ':', so source tokens may
+    contain ':'. A row's entries are sorted by source index, and a later
+    line for a target token replaces an earlier one. Errors name the first
+    bad line: an unknown target token, an unknown source token or a weight
+    that float() does not read, in that order within a line.
+    """
     with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            token, *parts = line.rstrip("\n").split(" ")
-            i = tgt_vocab.index.get(token)
-            if i is None:
-                raise ValueError(f"{path}: line {n}: unknown target token {token!r}")
-            entries = [part.rpartition(":") for part in parts]
-            idx = [src_index.get(src_token) for src_token, _, _ in entries]
-            if None in idx:
-                src_token = entries[idx.index(None)][0]
-                raise ValueError(f"{path}: line {n}: unknown source token {src_token!r}")
-            rows[i] = sorted(zip(idx, [float(weight) for _, _, weight in entries]))
-    return TranslationMatrix.from_rows(rows)
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    heads = [line.partition(" ") for line in lines]
+    targets = np.fromiter(
+        map(tgt_vocab.index.get, [token for token, _, _ in heads], itertools.repeat(-1)),
+        dtype=np.int64, count=len(lines),
+    )
+    counts = np.array([rest.count(" ") + 1 if sep else 0 for _, sep, rest in heads],
+                      dtype=np.int64)
+    src, weight_text = _split_entries([rest for _, sep, rest in heads if sep])
+    indices = np.fromiter(map(src_vocab.index.get, src, itertools.repeat(-1)),
+                          dtype=np.int64, count=len(src))
+    line_of = np.repeat(np.arange(len(lines)), counts)
+    errors = []  # (line index, rank within a line, message)
+    bad = np.flatnonzero(targets < 0)
+    if len(bad):
+        errors.append((bad[0], 0, f"unknown target token {heads[bad[0]][0]!r}"))
+    bad = np.flatnonzero(indices < 0)
+    if len(bad):
+        errors.append((line_of[bad[0]], 1, f"unknown source token {src[bad[0]]!r}"))
+    try:
+        weights = np.fromiter(map(float, weight_text), dtype=np.float64, count=len(src))
+    except ValueError:
+        for k, text in enumerate(weight_text):
+            try:
+                float(text)
+            except ValueError as exc:
+                errors.append((line_of[k], 2, str(exc)))
+                break
+    if errors:
+        n, _, message = min(errors)
+        raise ValueError(f"{path}: line {n + 1}: {message}")
+    last_line = dict(zip(targets.tolist(), range(len(lines))))
+    keep_line = np.zeros(len(lines), dtype=bool)
+    keep_line[list(last_line.values())] = True
+    keep = np.repeat(keep_line, counts)
+    rows, indices, weights = np.repeat(targets, counts)[keep], indices[keep], weights[keep]
+    order = np.lexsort((indices, rows))
+    indptr = np.zeros(len(tgt_vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(tgt_vocab)), out=indptr[1:])
+    return TranslationMatrix(indptr, indices[order], weights[order])
+
+
+def _split_entries(rests: list[str]) -> tuple[list[str], list[str]]:
+    """(sources, weights) of the space-separated entries of every line.
+
+    Each entry splits at its last ':' as str.rpartition does. In the UTF-8
+    bytes of all entries joined by spaces, ' ' and ':' are single bytes:
+    each entry's last ':' becomes a space, and an entry without one gets a
+    space in front (an empty source), so one split yields source and weight
+    alternately.
+    """
+    if not rests:
+        return [], []
+    text = np.frombuffer(" ".join(rests).encode("utf-8"), dtype=np.uint8).copy()
+    spaces = np.flatnonzero(text == ord(" "))
+    starts = np.concatenate(([0], spaces + 1))
+    colons = np.concatenate(([-1], np.flatnonzero(text == ord(":"))))
+    cut = colons[np.searchsorted(colons, np.append(spaces, len(text))) - 1]
+    has_colon = cut >= starts
+    text[cut[has_colon]] = ord(" ")
+    if not np.all(has_colon):
+        text = np.insert(text, starts[~has_colon], ord(" "))
+    pieces = text.tobytes().decode("utf-8").split(" ")
+    return pieces[0::2], pieces[1::2]
+

@@ -267,6 +267,32 @@ class TestConfigValidation:
         assert key in out["message"]
         assert not (tmp_path / "fx" / "pipeline").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("word_limit", "0", "word_limit must be >= 1, got 0"),
+        ("word_limit", "-3", "word_limit must be >= 1, got -3"),
+        ("vocab_size_en", "5", "vocab_size_en must exceed the 5 special tokens, got 5"),
+        ("vocab_size_fg", "2", "vocab_size_fg must exceed the 5 special tokens, got 2"),
+        ("ibm1_iterations", "0", "ibm1_iterations must be >= 1, got 0"),
+        ("align_pairs", "0", "align_pairs must be >= 1, got 0"),
+        ("bpe_codes", "-1", "bpe_codes must be >= 0, got -1"),
+        ("heads", "5", "model: dim must be divisible by heads"),
+        ("norm", "mid", "model: unknown norm placement: 'mid'"),
+    ])
+    def test_run_all_rejects_bad_size_or_model_before_any_output(self, capsys, tmp_path,
+                                                                 key, value, message):
+        code, out = run_cli(capsys, "cipher-fixture", "--vocab-size", "20",
+                            "--sentences", "50", "--heldout", "10",
+                            "--out-dir", str(tmp_path / "fx"))
+        assert code == 0
+        config_path = out["config"]
+        with open(config_path, "a") as fh:
+            fh.write(f"{key} = {value}\n")
+        code, out = run_cli(capsys, "run-all", "--config", config_path)
+        assert code == 1
+        assert out == {"status": "error", "stage": "run-all", "code": "invalid_input",
+                       "message": message}
+        assert not (tmp_path / "fx" / "pipeline").exists()
+
     @pytest.mark.parametrize("command,config,updates,key", [
         ("pretrain", "checkpoint_every = 0\n", [], "checkpoint_every"),
         ("transfer", "checkpoint_every = 0\n", [], "checkpoint_every"),

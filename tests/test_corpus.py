@@ -218,3 +218,32 @@ class TestReadParallel:
         with pytest.raises(ValueError, match="tab"):
             read_parallel(tmp_path / "p.tsv", None,
                           _word_tokenizer("a"), _word_tokenizer("x"))
+
+
+class TestEncodeLine:
+    """encode_line against the per-token lookup it replaced."""
+
+    @staticmethod
+    def per_token_encode(tokenizer, line):
+        return [tokenizer.vocab.id(t) for t in tokenizer.tokenize_line(line)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vocab_words=st.lists(WORDS, max_size=8, unique=True),
+        lines=st.lists(st.lists(WORDS, max_size=6).map(" ".join), max_size=5),
+    )
+    def test_matches_per_token_lookup(self, vocab_words, lines):
+        codes = learn_bpe(["low lower newest widest"] + lines, 10)
+        words = [w for w in vocab_words if w not in SPECIAL_TOKENS]
+        for tokenizer in (
+            Tokenizer(Vocabulary.from_tokens(words)),
+            Tokenizer(Vocabulary.from_tokens(words + ["lo", "w</w>", "e"]), codes),
+        ):
+            for line in lines + ["", "  <unk> <pad>\tnever-seen "]:
+                assert tokenizer.encode_line(line) == self.per_token_encode(tokenizer, line)
+
+    def test_unknown_words_are_unk(self):
+        tokenizer = _word_tokenizer("un", "chien")
+        assert tokenizer.encode_line("un chat  chien\n") == [
+            NUM_SPECIALS, SPECIAL_TOKENS.index("<unk>"), NUM_SPECIALS + 1
+        ]

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from langxfer.corpus import NUM_SPECIALS, Vocabulary
+from langxfer.corpus import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary
 from langxfer.embeddings import (
     EmbeddingMatrix,
     align,
@@ -276,3 +278,138 @@ class TestAlign:
         before = emb.data[NUM_SPECIALS:].astype(np.float64)
         after = aligned.data[NUM_SPECIALS:].astype(np.float64)
         np.testing.assert_allclose(before @ before.T, after @ after.T, rtol=1e-6, atol=1e-6)
+
+
+def line_loop_load_vectors(path, limit=None):
+    """Oracle: the line-by-line reader that the bulk load_vectors replaced."""
+    tokens, rows = [], []
+    seen = set(SPECIAL_TOKENS)
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError(f"{path}: expected 'row_count dim' header")
+        _, dim = int(header[0]), int(header[1])
+        for n, line in enumerate(fh, 2):
+            if limit is not None and len(rows) >= limit:
+                break
+            parts = line.rstrip("\n").split(" ")
+            token, values = parts[0], parts[1:]
+            if values and values[-1] == "":
+                values = values[:-1]
+            if len(values) != dim:
+                raise ValueError(
+                    f"{path}: line {n}: expected {dim} values, got {len(values)}"
+                )
+            if token in seen:
+                continue
+            vec = np.asarray(values, dtype=np.float32)
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{path}: line {n}: non-finite value")
+            seen.add(token)
+            tokens.append(token)
+            rows.append(vec)
+    data = np.zeros((NUM_SPECIALS + len(rows), dim), dtype=np.float32)
+    if rows:
+        data[NUM_SPECIALS:] = np.stack(rows)
+    return EmbeddingMatrix(Vocabulary.from_tokens(tokens), data)
+
+
+VEC_TOKENS = st.sampled_from(["a", "b", "c", "é", "a:b", "<unk>", "<pad>", "</s>", ""])
+FINITE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+    st.floats(min_value=-10, max_value=10).map(lambda v: f"{v:.6f}"),
+    st.floats(min_value=-1e30, max_value=1e30).map(lambda v: f"{v:.7e}"),
+    st.floats(min_value=-1e30, max_value=1e30).map(lambda v: f"{v:.9E}"),
+    st.sampled_from(["-0", "0", "+1", ".5", "5.", "1e-45", "3.4028235e38", "1_0"]),
+)
+ODD_VALUES = st.sampled_from(["nan", "-inf", "inf", "1e39", "x", "", "0x1p3"])
+
+
+@st.composite
+def vec_files(draw):
+    """(file text, limit): a header, then rows built from a few tokens (with
+    duplicates and special-token names) and values in several spellings;
+    rarely a non-finite or unparseable value, a wrong count or a bad header."""
+    dim = draw(st.integers(min_value=0, max_value=4))
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        count = dim if draw(st.integers(0, 15)) else draw(st.integers(0, dim + 1))
+        values = [draw(ODD_VALUES) if not draw(st.integers(0, 20)) else draw(FINITE_VALUES)
+                  for _ in range(count)]
+        line = " ".join([draw(VEC_TOKENS)] + values)
+        lines.append(line + (" " if draw(st.booleans()) else ""))
+    header = f"{len(lines)} {dim}" if draw(st.integers(0, 15)) else draw(
+        st.sampled_from(["", "3", "3 4 5", "x 4", "2 -1"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join([header] + lines) + (newline if draw(st.booleans()) else "")
+    limit = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=9)))
+    return text, limit
+
+
+class TestLoadVectorsDifferential:
+    """The bulk reader against the line loop it replaced."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(case=vec_files())
+    def test_matches_line_loop(self, tmp_path_factory, case):
+        text, limit = case
+        path = tmp_path_factory.mktemp("vec") / "v.vec"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = line_loop_load_vectors(path, limit)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_vectors(path, limit)
+            if "line" in str(exc) or "header" in str(exc):
+                assert str(got.value) == str(exc)
+            else:  # a value that does not parse: now prefixed with its line
+                assert str(got.value).endswith(str(exc))
+            return
+        got = load_vectors(path, limit)
+        assert got.vocab.tokens == want.vocab.tokens
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_benchmark_sized_file_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = rng.normal(0, 0.06, (300, 50)).astype(np.float32)
+        lines = [f"w{i} " + " ".join(f"{v:.6f}" for v in row) for i, row in enumerate(data)]
+        (tmp_path / "e.vec").write_text("300 50\n" + "\n".join(lines) + "\n")
+        for limit in (None, 1, 120):
+            got = load_vectors(tmp_path / "e.vec", limit)
+            want = line_loop_load_vectors(tmp_path / "e.vec", limit)
+            assert got.vocab.tokens == want.vocab.tokens
+            assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("text", [
+        "1 0\n\n",  # a blank line is the empty token with no values
+        "2 0\na\n\n",
+        "2 1\na 1_0\nb \u0661\n",  # values only float() reads
+        "2 2\r\n 1 2\r\nb\t 3 4 \r\n",
+    ])
+    def test_odd_files_match_line_loop(self, tmp_path, text):
+        (tmp_path / "odd.vec").write_bytes(text.encode("utf-8"))
+        got = load_vectors(tmp_path / "odd.vec")
+        want = line_loop_load_vectors(tmp_path / "odd.vec")
+        assert got.vocab.tokens == want.vocab.tokens
+        assert got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("text,message", [
+        ("2 2\na 1 2\nb nan 1\n", "line 3: non-finite value"),
+        ("2 2\na inf 2\nb 1\n", "line 2: non-finite value"),
+        ("3 2\na 1 2\nb 1\nc nan 1\n", "line 3: expected 2 values, got 1"),
+        ("2 2\na 1 x\nb 1\n", "line 2: could not convert"),
+        ("2 2\na 1 2\nb 1 2 3 \n", "line 3: expected 2 values, got 3"),
+        ("2 2 2\na 1 2\n", "expected 'row_count dim' header"),
+    ])
+    def test_errors_name_the_first_bad_line(self, tmp_path, text, message):
+        (tmp_path / "bad.vec").write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_vectors(tmp_path / "bad.vec")
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, tmp_path, limit):
+        (tmp_path / "v.vec").write_text("1 2\na 1 2\n")
+        with pytest.raises(ValueError, match="limit"):
+            load_vectors(tmp_path / "v.vec", limit)

@@ -68,6 +68,84 @@ def rows_writer(rows, tgt_vocab, src_vocab, path):
             fh.write(tgt_vocab.tokens[i] + (" " + entries if entries else "") + "\n")
 
 
+def line_loop_read_translation_matrix(path, tgt_vocab, src_vocab):
+    """Oracle: the line-by-line reader that the bulk reader replaced."""
+    rows = [[] for _ in range(len(tgt_vocab))]
+    src_index = src_vocab.index
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            token, *parts = line.rstrip("\n").split(" ")
+            i = tgt_vocab.index.get(token)
+            if i is None:
+                raise ValueError(f"{path}: line {n}: unknown target token {token!r}")
+            entries = [part.rpartition(":") for part in parts]
+            idx = [src_index.get(src_token) for src_token, _, _ in entries]
+            if None in idx:
+                src_token = entries[idx.index(None)][0]
+                raise ValueError(f"{path}: line {n}: unknown source token {src_token!r}")
+            rows[i] = sorted(zip(idx, [float(weight) for _, _, weight in entries]))
+    return TranslationMatrix.from_rows(rows)
+
+
+def nonzero_translation_matrix_from_vectors(tgt_aligned, src, mode="sparsemax", chunk=512):
+    """Oracle: translation_matrix_from_vectors as it was before its entries
+    came from one np.flatnonzero per block: np.nonzero on each score block."""
+    src_data = src.data[NUM_SPECIALS:].astype(np.float64)
+    n_tgt = len(tgt_aligned.vocab)
+    counts = np.zeros(n_tgt, dtype=np.int64)
+    indices, weights = [], []
+    for start in range(NUM_SPECIALS, n_tgt, chunk):
+        stop = min(start + chunk, n_tgt)
+        block = tgt_aligned.data[start:stop].astype(np.float64)
+        nonzero = np.any(block != 0.0, axis=1)
+        scores = block @ src_data.T
+        if mode == "sparsemax":
+            probs = full_sort_sparsemax(scores)
+        else:
+            shifted = scores - scores.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            probs = e / e.sum(axis=1, keepdims=True)
+        probs[~nonzero] = 0.0
+        r, c = np.nonzero(probs)
+        counts[start:stop] = np.bincount(r, minlength=stop - start)
+        indices.append(c + NUM_SPECIALS)
+        weights.append(probs[r, c])
+    indptr = np.zeros(n_tgt + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    empty = np.zeros(0)
+    return TranslationMatrix(
+        indptr, np.concatenate(indices or [empty]), np.concatenate(weights or [empty])
+    )
+
+
+@st.composite
+def tm_files(draw):
+    """(text, target vocabulary, source vocabulary) of a translation-matrix
+    file: stochastic rows over source tokens (some holding ':'), repeated
+    target lines, and rarely an unknown token, an entry without ':', a
+    repeated source, a bad weight or a trailing space."""
+    src_tokens = ["a", "b", "c:d", "::", "e:", ":f", "0.5", "é"]
+    tgt_tokens = ["x", "y", "z:", "w"]
+    src_vocab = Vocabulary.from_tokens(src_tokens)
+    tgt_vocab = Vocabulary.from_tokens(tgt_tokens)
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        target = draw(st.sampled_from(tgt_tokens)) if draw(st.integers(0, 20)) else "v"
+        chosen = draw(st.lists(st.sampled_from(src_tokens), max_size=5, unique=True))
+        mass = draw(st.lists(st.integers(1, 9), min_size=len(chosen), max_size=len(chosen)))
+        weights = [m / sum(mass) for m in mass]
+        entries = [f"{t}:{w:.9g}" for t, w in zip(chosen, weights)]
+        if entries and not draw(st.integers(0, 10)):
+            k = draw(st.integers(0, len(entries) - 1))
+            entries[k] = draw(st.sampled_from(
+                ["ghost:1", "a", "a:x", "a:", entries[0], "b:1_0", "b:nan"]))
+        line = " ".join([target] + entries)
+        lines.append(line + (" " if not draw(st.integers(0, 10)) else ""))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+    return text, tgt_vocab, src_vocab
+
+
 FINITE_VECTORS = arrays(
     np.float64,
     st.integers(min_value=1, max_value=5),
@@ -168,6 +246,28 @@ class TestSparsemax:
         for i in range(6):
             np.testing.assert_allclose(batched[i], sparsemax(z[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [5, 200])
+    def test_one_non_finite_value_rejected(self, bad, n):
+        # n = 200 takes the partial-sort path; the bad value sits in one
+        # row of an otherwise finite block, at either end and in the middle
+        rng = np.random.default_rng(7)
+        for col in (0, n // 2, n - 1):
+            z = rng.normal(0, 1, (3, n))
+            z[1, col] = bad
+            with pytest.raises(ValueError, match="finite"):
+                sparsemax(z)
+            with pytest.raises(ValueError, match="finite"):
+                sparsemax(z[1])
+
+    def test_input_not_overwritten(self):
+        rng = np.random.default_rng(8)
+        for n in (5, 200):
+            z = rng.normal(0, 1, (4, n))
+            before = z.copy()
+            sparsemax(z)
+            assert np.array_equal(z, before)
+
 
 class TestTranslationMatrixValidation:
     @pytest.mark.parametrize("row,message", [
@@ -179,6 +279,17 @@ class TestTranslationMatrixValidation:
     def test_bad_row_named(self, row, message):
         rows = [[] for _ in range(NUM_SPECIALS + 1)] + [row, []]
         with pytest.raises(ValueError, match=f"row {NUM_SPECIALS + 1}: .*{message}"):
+            TranslationMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("row", [
+        [(NUM_SPECIALS, float("nan"))],
+        [(NUM_SPECIALS, 1.0), (NUM_SPECIALS + 1, float("nan"))],
+    ])
+    def test_nan_weight_rejected(self, row):
+        # NaN fails no ordered comparison, so the checks must ask for the
+        # good case rather than test for the bad one
+        rows = [[] for _ in range(NUM_SPECIALS + 1)] + [row, []]
+        with pytest.raises(ValueError, match=f"row {NUM_SPECIALS + 1}: weights sum to nan"):
             TranslationMatrix.from_rows(rows)
 
     def test_rows_view_round_trips(self):
@@ -259,6 +370,19 @@ class TestTranslationMatrixFromVectors:
         sparse = translation_matrix_from_vectors(tgt, src, mode="sparsemax")
         assert len(dense.rows[NUM_SPECIALS]) == 6
         assert len(sparse.rows[NUM_SPECIALS]) <= 6
+
+    @pytest.mark.parametrize("mode", ["sparsemax", "softmax"])
+    @pytest.mark.parametrize("chunk", [1, 4, 512])
+    def test_matches_nonzero_oracle(self, mode, chunk):
+        rng = np.random.default_rng(11)
+        src = emb_over([f"s{i}" for i in range(90)], rng.normal(0, 1, (90, 6)))
+        data = rng.normal(0, 2, (13, 6))
+        data[[2, 9]] = 0.0  # rows without vectors stay uncovered
+        tgt = emb_over([f"t{i}" for i in range(13)], data)
+        got = translation_matrix_from_vectors(tgt, src, mode=mode, chunk=chunk)
+        want = nonzero_translation_matrix_from_vectors(tgt, src, mode=mode, chunk=chunk)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestSubwordVectors:
@@ -400,3 +524,71 @@ class TestSerialization:
         (tmp_path / "tm.txt").write_text("mystery a:1.0\n")
         with pytest.raises(ValueError, match="unknown target token"):
             read_translation_matrix(tmp_path / "tm.txt", vocab, vocab)
+
+    def test_unknown_source_token_names_its_line(self, tmp_path):
+        src_vocab = Vocabulary.from_tokens(["a", "b"])
+        tgt_vocab = Vocabulary.from_tokens(["x", "y", "z"])
+        (tmp_path / "tm.txt").write_text("x a:1\ny b:0.5 mystery:0.5\nz ghost:1\n")
+        with pytest.raises(ValueError, match=r"line 2: unknown source token 'mystery'"):
+            read_translation_matrix(tmp_path / "tm.txt", tgt_vocab, src_vocab)
+
+    def test_source_token_with_colons_round_trips(self, tmp_path):
+        src_vocab = Vocabulary.from_tokens(["a:b", "::", ":x", "y:", "plain"])
+        tgt_vocab = Vocabulary.from_tokens(["t0", "t1:", "t2"])
+        rows = [[] for _ in range(len(tgt_vocab))]
+        weights = [0.125, 0.25, 0.5, 0.125]
+        rows[NUM_SPECIALS] = [(NUM_SPECIALS + j, w) for j, w in enumerate(weights)]
+        rows[NUM_SPECIALS + 1] = [(NUM_SPECIALS + 4, 1.0)]
+        tm = TranslationMatrix.from_rows(rows)
+        write_translation_matrix(tm, tgt_vocab, src_vocab, tmp_path / "tm.txt")
+        assert "a:b:0.125 :::0.25 :x:0.5 y::0.125" in (tmp_path / "tm.txt").read_text()
+        loaded = read_translation_matrix(tmp_path / "tm.txt", tgt_vocab, src_vocab)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(loaded, name), getattr(tm, name)), name
+
+    def test_benchmark_sized_matrix_matches_line_loop(self, tmp_path):
+        rng = np.random.default_rng(12)
+        src_vocab = Vocabulary.from_tokens([f"s{i}" for i in range(400)])
+        tgt_vocab = Vocabulary.from_tokens([f"t{i}" for i in range(300)])
+        src = EmbeddingMatrix(src_vocab, rng.normal(0, 1, (405, 8)).astype(np.float32))
+        tgt = EmbeddingMatrix(tgt_vocab, rng.normal(0, 1, (305, 8)).astype(np.float32))
+        tm = translation_matrix_from_vectors(tgt, src)
+        write_translation_matrix(tm, tgt_vocab, src_vocab, tmp_path / "tm.txt")
+        got = read_translation_matrix(tmp_path / "tm.txt", tgt_vocab, src_vocab)
+        want = line_loop_read_translation_matrix(tmp_path / "tm.txt", tgt_vocab, src_vocab)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tm_files())
+    def test_read_matches_line_loop(self, tmp_path_factory, case):
+        text, tgt_vocab, src_vocab = case
+        path = tmp_path_factory.mktemp("tm") / "tm.txt"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = line_loop_read_translation_matrix(path, tgt_vocab, src_vocab)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_translation_matrix(path, tgt_vocab, src_vocab)
+            if "line" in str(exc) or str(exc).startswith("row"):
+                assert str(got.value) == str(exc)
+            else:  # a weight that does not parse: now prefixed with its line
+                assert str(got.value).endswith(str(exc))
+            return
+        got = read_translation_matrix(path, tgt_vocab, src_vocab)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        tm, tgt_vocab, src_vocab = self._make_tm()
+        path = tmp_path / "tm.txt"
+        write_translation_matrix(tm, tgt_vocab, src_vocab, path)
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write raises on the
+        # last line, after the lines before it went out
+        bad_vocab = Vocabulary.from_tokens(tgt_vocab.tokens[NUM_SPECIALS:-1] + ["\ud800"])
+        with pytest.raises(UnicodeEncodeError):
+            write_translation_matrix(tm, bad_vocab, src_vocab, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["tm.txt"]
+
