@@ -10,7 +10,10 @@ set explicitly.
 from __future__ import annotations
 
 import json
+import os
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,7 +68,9 @@ def load_vectors(path: str | Path, limit: int | None = None) -> EmbeddingMatrix:
     Duplicate tokens keep their first occurrence. Tokens equal to a special
     token string map onto the reserved special rows (which stay zero).
     Errors name the first bad line in file order: a wrong value count, or a
-    value that does not parse or is not finite in a kept row.
+    value that does not parse or is not finite in a kept row. Then, if fewer
+    than `limit` rows were kept, the file must hold as many data lines as
+    its header says (a final newline may also end one more, empty line).
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -74,10 +79,11 @@ def load_vectors(path: str | Path, limit: int | None = None) -> EmbeddingMatrix:
     kept: list[int] = []  # positions in `rests` of the rows kept
     seen = set(SPECIAL_TOKENS)
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
+        line = fh.readline()
+        header = line.split()
         if len(header) != 2:
             raise ValueError(f"{path}: expected 'row_count dim' header")
-        _, dim = int(header[0]), int(header[1])
+        count, dim = int(header[0]), int(header[1])
         for line in fh:
             if limit is not None and len(tokens) >= limit:
                 break
@@ -90,7 +96,13 @@ def load_vectors(path: str | Path, limit: int | None = None) -> EmbeddingMatrix:
     values = _parse_rows(rests, kept, dim, path)
     data = np.zeros((NUM_SPECIALS + len(tokens), dim), dtype=np.float32)
     data[NUM_SPECIALS:] = values
-    return EmbeddingMatrix(Vocabulary.from_tokens(tokens), data)
+    emb = EmbeddingMatrix(Vocabulary.from_tokens(tokens), data)
+    read_all = limit is None or len(tokens) < limit  # so the loop reached the end
+    if read_all and count not in (len(rests), len(rests) + line.endswith("\n")):
+        raise ValueError(
+            f"{path}: header says {count} rows, but the file has {len(rests)} data lines"
+        )
+    return emb
 
 
 def _parse_rows(rests: list[str], kept: list[int], dim: int, path: str | Path) -> np.ndarray:
@@ -141,17 +153,34 @@ def save_vectors(emb: EmbeddingMatrix, path: str | Path, format: str = "text") -
 
     The text format stores the non-special rows only (it is a word-vector
     interchange format); binary stores everything, including specials.
+    Either replaces `path` only once the whole file is written.
     """
-    if format == "text":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{len(emb.vocab) - NUM_SPECIALS} {emb.dim}\n")
-            for i in range(NUM_SPECIALS, len(emb.vocab)):
-                values = " ".join(f"{v:.7e}" for v in emb.data[i])
-                fh.write(f"{emb.vocab.tokens[i]} {values}\n")
-    elif format == "binary":
-        write_array(path, emb.data, tokens=emb.vocab.tokens)
-    else:
+    if format not in ("text", "binary"):
         raise ValueError(f"unknown format: {format!r}")
+    with replacing(path) as tmp:
+        if format == "binary":
+            write_array(tmp, emb.data, tokens=emb.vocab.tokens)
+        else:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(f"{len(emb.vocab) - NUM_SPECIALS} {emb.dim}\n")
+                for i in range(NUM_SPECIALS, len(emb.vocab)):
+                    values = " ".join(f"{v:.7e}" for v in emb.data[i])
+                    fh.write(f"{emb.vocab.tokens[i]} {values}\n")
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """Yield a temporary path beside `path`; once the block completes, the
+    temporary file replaces `path`. If the block raises, `path` keeps its
+    previous content and the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_binary_vectors(path: str | Path) -> EmbeddingMatrix:

@@ -39,6 +39,7 @@ from .embeddings import (
     align,
     write_array,
     read_array,
+    replacing,
 )
 from .initializer import init_foreign_bias, init_foreign_embeddings
 from .tiny_mlm import ModelConfig, init_model, load_checkpoint
@@ -245,9 +246,11 @@ class StageCache:
 
     def __init__(self, work_dir: Path) -> None:
         self.path = work_dir / "cache.json"
-        self.entries: dict[str, dict] = {}
-        if self.path.exists():
-            self.entries = json.loads(self.path.read_text(encoding="utf-8"))
+        try:
+            entries = json.loads(self.path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):  # missing, unreadable or torn: rerun every stage
+            entries = {}
+        self.entries: dict[str, dict] = entries if isinstance(entries, dict) else {}
 
     def key(self, stage: str, params: dict, inputs: list[Path]) -> str:
         payload = {
@@ -276,10 +279,11 @@ class StageCache:
             self._save()
 
     def _save(self) -> None:
-        self.path.write_text(
-            json.dumps(self.entries, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        with replacing(self.path) as tmp:
+            tmp.write_text(
+                json.dumps(self.entries, indent=1, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
 
 
 def _params(cfg: PipelineConfig, *names: str) -> dict:

@@ -10,17 +10,18 @@ a row; they are handled separately at initialization time.
 from __future__ import annotations
 
 import itertools
-import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import NUM_SPECIALS, BpeCodes, UnigramTable, Vocabulary, apply_bpe
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, replacing
 
 UNIGRAM_FLOOR = 1e-9
 SPARSEMAX_TOP_K = 64  # width of the first partial sort in `sparsemax`
+SLICE_BYTES = 1 << 21  # float64 scores per row slice normalised at once (2 MB)
 
 
 def sparsemax(z: np.ndarray) -> np.ndarray:
@@ -158,6 +159,14 @@ def translation_matrix_from_vectors(
     Dot products accumulate in 64-bit. Target rows that are special tokens or
     exactly zero vectors (no upstream support) stay uncovered. `mode` may be
     "softmax" for the dense ablation variant.
+
+    Scores come in blocks of `chunk` target rows, one GEMM each. The last
+    bits of a GEMM result depend on its shape (BLAS picks kernels and
+    summation order by size), so the matrix's last bits depend on `chunk`.
+    sparsemax and softmax are exact per row, so they run on row slices of
+    about `SLICE_BYTES`, which stay in cache. One helper thread normalises
+    block b while this thread computes the GEMM of block b + 1; NumPy drops
+    the interpreter lock in both, and at most two score blocks exist at once.
     """
     if tgt_aligned.dim != src.dim:
         raise ValueError(f"dimension mismatch: {tgt_aligned.dim} vs {src.dim}")
@@ -165,32 +174,54 @@ def translation_matrix_from_vectors(
         raise ValueError(f"unknown mode: {mode!r}")
     src_data = src.data[NUM_SPECIALS:].astype(np.float64)
     n_tgt = len(tgt_aligned.vocab)
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = None
+        for start in range(NUM_SPECIALS, n_tgt, chunk):
+            block = tgt_aligned.data[start:start + chunk].astype(np.float64)
+            nonzero = np.any(block != 0.0, axis=1)
+            scores = block @ src_data.T
+            if pending is not None:
+                parts.append(pending.result())
+            pending = helper.submit(_block_entries, scores, nonzero, mode)
+        if pending is not None:
+            parts.append(pending.result())
     counts = np.zeros(n_tgt, dtype=np.int64)
-    indices: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for start in range(NUM_SPECIALS, n_tgt, chunk):
-        stop = min(start + chunk, n_tgt)
-        block = tgt_aligned.data[start:stop].astype(np.float64)
-        nonzero = np.any(block != 0.0, axis=1)
-        scores = block @ src_data.T
-        if mode == "sparsemax":
-            probs = sparsemax(scores)
-        else:
-            shifted = scores - scores.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=1, keepdims=True)
-        probs[~nonzero] = 0.0
-        flat = np.flatnonzero(probs)
-        r, c = np.divmod(flat, probs.shape[1])
-        counts[start:stop] = np.bincount(r, minlength=stop - start)
-        indices.append(c + NUM_SPECIALS)
-        weights.append(probs.ravel()[flat])
+    counts[NUM_SPECIALS:] = np.concatenate([c for c, _, _ in parts] or [counts[:0]])
     indptr = np.zeros(n_tgt + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     empty = np.zeros(0)
     return TranslationMatrix(
-        indptr, np.concatenate(indices or [empty]), np.concatenate(weights or [empty])
+        indptr,
+        np.concatenate([j for _, j, _ in parts] or [empty]),
+        np.concatenate([w for _, _, w in parts] or [empty]),
     )
+
+
+def _block_entries(
+    scores: np.ndarray, nonzero: np.ndarray, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row counts, source indices, weights) of one score block, in row order.
+
+    Rows of `scores` with `nonzero` false get no entries.
+    """
+    n = scores.shape[1]
+    step = max(1, SLICE_BYTES // (8 * max(n, 1)))
+    counts, indices, weights = [], [], []
+    for a in range(0, len(scores), step):
+        z = scores[a:a + step]
+        if mode == "sparsemax":
+            probs = sparsemax(z)
+        else:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            probs = e / e.sum(axis=1, keepdims=True)
+        probs[~nonzero[a:a + step]] = 0.0
+        flat = np.flatnonzero(probs)
+        r, c = np.divmod(flat, n)
+        counts.append(np.bincount(r, minlength=len(z)))
+        indices.append(c + NUM_SPECIALS)
+        weights.append(probs.ravel()[flat])
+    return np.concatenate(counts), np.concatenate(indices), np.concatenate(weights)
 
 
 def dictionary_translation_matrix(
@@ -305,15 +336,9 @@ def write_translation_matrix(
         f" {tokens[j]}:{w:.9g}" for j, w in zip(tm.indices.tolist(), tm.weights.tolist())
     ]
     bounds = tm.indptr.tolist()
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-                fh.write(tgt_vocab.tokens[i] + "".join(entries[a:b]) + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            fh.write(tgt_vocab.tokens[i] + "".join(entries[a:b]) + "\n")
 
 
 def read_translation_matrix(

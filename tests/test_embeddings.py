@@ -1,3 +1,4 @@
+import errno
 import math
 
 import numpy as np
@@ -413,3 +414,69 @@ class TestLoadVectorsDifferential:
         (tmp_path / "v.vec").write_text("1 2\na 1 2\n")
         with pytest.raises(ValueError, match="limit"):
             load_vectors(tmp_path / "v.vec", limit)
+
+
+class TestHeaderRowCount:
+    """A .vec file read to its end must hold the rows its header counts."""
+
+    @pytest.mark.parametrize("text,lines", [
+        ("8000 2\na 1 2\nb 3 4\n", 2),  # truncated
+        ("3 2\na 1 2\nb 3 4", 2),  # cut before the final newline
+        ("1 2\na 1 2\nb 3 4\n", 2),  # more rows than the header says
+        ("2 2\na 1 2\nb 3 4\nc 5 6\n", 3),
+    ])
+    def test_count_mismatch_rejected(self, tmp_path, text, lines):
+        path = tmp_path / "v.vec"
+        path.write_text(text)
+        header = text.split()[0]
+        with pytest.raises(ValueError) as exc:
+            load_vectors(path)
+        assert str(exc.value) == (
+            f"{path}: header says {header} rows, but the file has {lines} data lines")
+
+    def test_limit_below_the_count_reads_a_prefix(self, tmp_path):
+        (tmp_path / "v.vec").write_text("8000 2\na 1 2\nb 3 4\nc 5 6\n")
+        assert load_vectors(tmp_path / "v.vec", limit=2).vocab.tokens[NUM_SPECIALS:] == [
+            "a", "b"]
+
+    def test_limit_past_the_count_still_checks_it(self, tmp_path):
+        (tmp_path / "v.vec").write_text("8000 2\na 1 2\nb 3 4\n")
+        with pytest.raises(ValueError, match="header says 8000 rows"):
+            load_vectors(tmp_path / "v.vec", limit=50_000)
+        (tmp_path / "v.vec").write_text("2 2\na 1 2\nb 3 4\n")
+        assert len(load_vectors(tmp_path / "v.vec", limit=50_000).vocab) == NUM_SPECIALS + 2
+
+    def test_final_newline_may_end_an_empty_line(self, tmp_path):
+        # "2 0\na\n" also reads as the rows "a" and "" without a final newline
+        (tmp_path / "v.vec").write_text("2 0\na\n")
+        assert load_vectors(tmp_path / "v.vec").vocab.tokens[NUM_SPECIALS:] == ["a"]
+
+
+class TestSaveVectorsAtomic:
+    def test_failed_text_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "e.vec"
+        save_vectors(make_emb(["x", "y"], [[1.0], [2.0]]), path)
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded: the write fails on the last row
+        with pytest.raises(UnicodeEncodeError):
+            save_vectors(make_emb(["x", "y", "\ud800"], [[1.0], [2.0], [3.0]]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["e.vec"]
+
+    def test_failed_binary_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        from langxfer import embeddings
+
+        path = tmp_path / "e.bin"
+        save_vectors(make_emb(["x", "y"], [[1.0], [2.0]]), path, format="binary")
+        before = path.read_bytes()
+
+        def disk_full(target, arr, tokens=None):
+            with open(target, "wb") as fh:
+                fh.write(b'{"row_count": ')
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(embeddings, "write_array", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            save_vectors(make_emb(["z"], [[3.0]]), path, format="binary")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["e.bin"]

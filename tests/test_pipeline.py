@@ -1,4 +1,6 @@
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +251,34 @@ class TestRunAll:
 
 
 class TestStageCache:
+    @pytest.mark.parametrize("text", ['{"vocab": {"key": "ab', "[]", "\udcff"])
+    def test_unreadable_cache_reruns_every_stage(self, fixture_paths, tmp_path, text):
+        paths, _ = fixture_paths
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "cache.json").write_text(text, errors="surrogateescape")
+        summary = run_all(small_config(paths, out))
+        assert set(summary["stages"].values()) == {"ran"}
+        entries = json.loads((out / "cache.json").read_text())
+        assert set(entries) == set(summary["stages"])
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path, monkeypatch):
+        cache = StageCache(tmp_path)
+        cache.store("s", "k1", [])
+        before = cache.path.read_bytes()
+
+        def disk_full(self, text, encoding=None):
+            with open(self, "w", encoding=encoding) as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            cache.store("s", "k2", [])
+        assert cache.path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+        assert StageCache(tmp_path).entries == {"s": {"key": "k1", "outputs": []}}
+
     def test_key_changes_with_params_and_content(self, tmp_path):
         (tmp_path / "in.txt").write_text("alpha\n")
         cache = StageCache(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from langxfer.corpus import NUM_SPECIALS, BpeCodes, UnigramTable, Vocabulary
 from langxfer.embeddings import EmbeddingMatrix
 from langxfer.translation import (
+    SLICE_BYTES,
     TranslationMatrix,
     dictionary_translation_matrix,
     read_translation_matrix,
@@ -383,6 +385,52 @@ class TestTranslationMatrixFromVectors:
         want = nonzero_translation_matrix_from_vectors(tgt, src, mode=mode, chunk=chunk)
         for name in ("indptr", "indices", "weights"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestPipelinedTranslationMatrix:
+    """Blocks normalised on a helper thread in row slices, against the
+    serial block loop."""
+
+    # translate-v8k's source side: 32-row slices, and a GEMM whose last bits
+    # change when its rows are split
+    N_SRC, DIM = 7995, 300
+
+    @staticmethod
+    def vectors(n_src, n_tgt, dim=DIM, seed=12):
+        rng = np.random.default_rng(seed)
+        scale = 1 / np.sqrt(dim)
+        src = emb_over([f"s{i}" for i in range(n_src)], rng.normal(0, scale, (n_src, dim)))
+        data = rng.normal(0, scale, (n_tgt, dim))
+        data[::7] *= 1e-3  # near-uniform scores: wide supports past the first top-k
+        data[[3, 40, n_tgt - 1]] = 0.0  # rows without vectors stay uncovered
+        return emb_over([f"t{i}" for i in range(n_tgt)], data), src
+
+    @pytest.mark.parametrize("mode", ["sparsemax", "softmax"])
+    def test_matches_serial_loop_across_blocks_and_slices(self, mode):
+        rows_per_slice = SLICE_BYTES // (8 * self.N_SRC)
+        tgt, src = self.vectors(self.N_SRC, 2 * rows_per_slice + 90)
+        chunk = 3 * rows_per_slice - 5  # does not divide the target rows
+        assert (len(tgt.vocab) - NUM_SPECIALS) % chunk
+        got = translation_matrix_from_vectors(tgt, src, mode=mode, chunk=chunk)
+        want = nonzero_translation_matrix_from_vectors(tgt, src, mode=mode, chunk=chunk)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert not any(got.rows[NUM_SPECIALS + i] for i in (3, 40))
+
+    def test_non_finite_target_in_a_later_block_raises(self):
+        tgt, src = self.vectors(300, 60)
+        before = threading.active_count()
+        tgt.data[NUM_SPECIALS + 50] = np.nan  # past the checks of EmbeddingMatrix
+        with pytest.raises(ValueError) as exc:
+            translation_matrix_from_vectors(tgt, src, chunk=16)
+        assert str(exc.value) == "sparsemax requires finite input"
+        assert threading.active_count() == before
+
+    def test_helper_thread_ends_with_the_call(self):
+        tgt, src = self.vectors(300, 60)
+        before = threading.active_count()
+        translation_matrix_from_vectors(tgt, src, chunk=16)
+        assert threading.active_count() == before
 
 
 class TestSubwordVectors:
