@@ -26,42 +26,34 @@ from .corpus import (
     iter_tokens,
     learn_bpe,
     read_parallel,
-    unigram_probs,
 )
 from .embeddings import (
-    EmbeddingMatrix,
-    align,
-    identical_word_dictionary,
+    align_to,
+    load_binary_vectors,
     load_vectors,
-    procrustes,
     read_array,
-    read_dictionary,
     save_vectors,
-    write_array,
 )
-from .initializer import init_foreign_bias, init_foreign_embeddings
 from .pipeline import (
     PipelineConfig,
+    align_parallel,
+    corpus_subword_vectors,
+    init_foreign,
     load_config,
     load_flat_dataclass,
+    load_tokenizer,
+    pack_corpus,
     run_all,
     write_config,
 )
 from .tiny_mlm import ModelConfig, init_model, load_checkpoint
-from .trainer import TrainingConfig, evaluate_mlm, pack_sequences, pretrain, run_transfer
+from .trainer import TrainingConfig, evaluate_mlm, pretrain, run_transfer
 from .translation import (
-    read_translation_matrix,
     row_entropy_report,
-    subword_vectors,
     translation_matrix_from_vectors,
     write_translation_matrix,
 )
-from .word_alignment import (
-    parse_fastalign,
-    subsample,
-    train_ibm1,
-    translation_matrix_from_alignment,
-)
+from .word_alignment import parse_fastalign, translation_matrix_from_alignment
 
 
 def _log(message: str) -> None:
@@ -71,17 +63,6 @@ def _log(message: str) -> None:
 def _emit(payload: dict) -> int:
     print(json.dumps(payload, sort_keys=True))
     return 0
-
-
-def _tokenizer(vocab_path: str, codes_path: str | None) -> Tokenizer:
-    vocab = Vocabulary.load(vocab_path)
-    codes = BpeCodes.load(codes_path) if codes_path else None
-    return Tokenizer(vocab, codes)
-
-
-def _pack_corpus(path: str, tok: Tokenizer, seq_len: int) -> np.ndarray:
-    ids = [tok.encode_line(line) for line in iter_lines(path)]
-    return pack_sequences([s for s in ids if s], seq_len)
 
 
 def cmd_bpe(args) -> int:
@@ -102,16 +83,11 @@ def cmd_vocab(args) -> int:
 def cmd_align_vectors(args) -> int:
     fg = load_vectors(args.foreign_vectors, args.limit)
     en = load_vectors(args.english_vectors, args.limit)
-    if args.dictionary:
-        pairs = read_dictionary(args.dictionary, fg.vocab, en.vocab)
-    else:
-        pairs = identical_word_dictionary(fg.vocab, en.vocab)
-    mapping = procrustes(fg, en, pairs, normalize=args.normalize)
-    aligned = align(fg, mapping)
+    aligned, mapping, n_pairs = align_to(fg, en, args.dictionary, args.normalize)
     save_vectors(aligned, args.output, format="text")
     return _emit(
         {
-            "pairs": len(pairs),
+            "pairs": n_pairs,
             "residual": mapping.residual,
             "rank": mapping.rank,
             "output": args.output,
@@ -120,8 +96,8 @@ def cmd_align_vectors(args) -> int:
 
 
 def _read_aligned_parallel(args) -> tuple:
-    tok_fg = _tokenizer(args.foreign_vocab, args.foreign_codes)
-    tok_en = _tokenizer(args.english_vocab, args.english_codes)
+    tok_fg = load_tokenizer(args.foreign_vocab, args.foreign_codes)
+    tok_en = load_tokenizer(args.english_vocab, args.english_codes)
     if args.parallel:
         corpus = read_parallel(args.parallel, None, tok_fg, tok_en)
     else:
@@ -133,16 +109,14 @@ def _read_aligned_parallel(args) -> tuple:
 
 def cmd_ibm1(args) -> int:
     corpus, vocab_fg, vocab_en = _read_aligned_parallel(args)
-    if args.subsample:
-        corpus = subsample(corpus, args.subsample, args.seed)
-    model = train_ibm1(corpus, args.iterations, args.prune)
-    tm = translation_matrix_from_alignment(model, vocab_fg, vocab_en)
+    tm, info = align_parallel(corpus, vocab_fg, vocab_en, args.iterations, args.prune,
+                              args.subsample, args.seed)
     write_translation_matrix(tm, vocab_fg, vocab_en, args.output)
     return _emit(
         {
-            "pairs": len(corpus),
-            "iterations": model.iterations_run,
-            "final_log_likelihood": model.final_log_likelihood,
+            "pairs": info["pairs"],
+            "iterations": info["iterations"],
+            "final_log_likelihood": info["final_log_likelihood"],
             "covered_rows": sum(tm.coverage),
             "output": args.output,
         }
@@ -160,16 +134,12 @@ def cmd_parse_fastalign(args) -> int:
 
 
 def cmd_subword_vectors(args) -> int:
-    word_emb = load_vectors(args.vectors, args.limit)
-    vocab = Vocabulary.load(args.vocab)
-    codes = BpeCodes.load(args.codes)
-    words = build_vocab(iter_tokens(args.corpus), max_size=1 << 30)
-    unigrams = unigram_probs(iter_tokens(args.corpus), words)
-    table = subword_vectors(word_emb, unigrams, vocab, codes)
+    tok = load_tokenizer(args.vocab, args.codes)
+    table = corpus_subword_vectors(load_vectors(args.vectors, args.limit), args.corpus, tok)
     save_vectors(table.emb, args.output, format="text")
     return _emit(
         {
-            "subwords": len(vocab),
+            "subwords": len(tok.vocab),
             "covered": int(np.sum(table.support > 0)),
             "output": args.output,
         }
@@ -194,24 +164,11 @@ def cmd_translation_matrix(args) -> int:
 
 
 def cmd_init_embeddings(args) -> int:
-    model, _, _ = load_checkpoint(args.checkpoint)
-    vocab_fg = Vocabulary.load(args.foreign_vocab)
-    vocab_en = model.vocab_en
-    tm = read_translation_matrix(args.translation_matrix, vocab_fg, vocab_en)
-    src_emb = EmbeddingMatrix(vocab_en, model.params["emb_en"])
-    emb, report = init_foreign_embeddings(tm, src_emb, vocab_fg, args.seed)
-    bias = init_foreign_bias(tm, model.params["out_bias_en"], vocab_fg)
-    write_array(args.output_emb, emb.data, tokens=vocab_fg.tokens)
-    write_array(args.output_bias, bias)
+    report = init_foreign(args.translation_matrix, args.checkpoint, args.foreign_vocab,
+                          args.seed, args.output_emb, args.output_bias)
     _log(report.summary())
     return _emit(
-        {
-            "covered": report.covered,
-            "fallback": report.fallback,
-            "coverage_ratio": report.coverage_ratio,
-            "output_emb": args.output_emb,
-            "output_bias": args.output_bias,
-        }
+        {**report.as_dict(), "output_emb": args.output_emb, "output_bias": args.output_bias}
     )
 
 
@@ -229,14 +186,14 @@ def _training_config(args) -> TrainingConfig:
 
 def cmd_pretrain(args) -> int:
     cfg = _training_config(args)
-    tok = _tokenizer(args.vocab, args.codes)
+    tok = load_tokenizer(args.vocab, args.codes)
     mcfg = ModelConfig(
         dim=args.dim, layers=args.layers, heads=args.heads,
         ffn_dim=args.ffn_dim, max_len=cfg.seq_len,
     )
     model = init_model(mcfg, tok.vocab, Vocabulary.from_tokens([]), cfg.seed)
-    train = _pack_corpus(args.corpus, tok, cfg.seq_len)
-    heldout = _pack_corpus(args.heldout, tok, cfg.seq_len) if args.heldout else None
+    train = pack_corpus(args.corpus, tok, cfg.seq_len)
+    heldout = pack_corpus(args.heldout, tok, cfg.seq_len) if args.heldout else None
     result = pretrain(cfg, model, train, heldout, out_dir=args.out_dir)
     final = result.metrics[-1]
     payload = {"updates": cfg.total_updates, "final_loss_en": final[2],
@@ -249,21 +206,18 @@ def cmd_pretrain(args) -> int:
 def cmd_transfer(args) -> int:
     cfg = _training_config(args)
     model, _, _ = load_checkpoint(args.checkpoint)
-    emb_data, tokens = read_array(args.init_emb)
-    if tokens is None:
-        raise ValueError(f"{args.init_emb}: missing token list in header")
-    vocab_fg = Vocabulary(tokens)
+    emb = load_binary_vectors(args.init_emb)
     bias = read_array(args.init_bias)[0] if args.init_bias else None
     tok_en = Tokenizer(model.vocab_en, BpeCodes.load(args.codes_en) if args.codes_en else None)
-    tok_fg = Tokenizer(vocab_fg, BpeCodes.load(args.codes_fg) if args.codes_fg else None)
+    tok_fg = Tokenizer(emb.vocab, BpeCodes.load(args.codes_fg) if args.codes_fg else None)
     result = run_transfer(
         cfg,
         model,
-        EmbeddingMatrix(vocab_fg, emb_data),
-        _pack_corpus(args.en_train, tok_en, cfg.seq_len),
-        _pack_corpus(args.fg_train, tok_fg, cfg.seq_len),
-        _pack_corpus(args.en_heldout, tok_en, cfg.seq_len) if args.en_heldout else None,
-        _pack_corpus(args.fg_heldout, tok_fg, cfg.seq_len) if args.fg_heldout else None,
+        emb,
+        pack_corpus(args.en_train, tok_en, cfg.seq_len),
+        pack_corpus(args.fg_train, tok_fg, cfg.seq_len),
+        pack_corpus(args.en_heldout, tok_en, cfg.seq_len) if args.en_heldout else None,
+        pack_corpus(args.fg_heldout, tok_fg, cfg.seq_len) if args.fg_heldout else None,
         init_bias=bias,
         out_dir=args.out_dir,
     )
@@ -284,7 +238,7 @@ def cmd_eval(args) -> int:
     model, step, _ = load_checkpoint(args.checkpoint)
     vocab = model.vocab(args.language)
     tok = Tokenizer(vocab, BpeCodes.load(args.codes) if args.codes else None)
-    rows = _pack_corpus(args.corpus, tok, model.cfg.max_len)
+    rows = pack_corpus(args.corpus, tok, model.cfg.max_len)
     loss, acc = evaluate_mlm(model, rows, args.language, args.seed, args.mask_prob)
     return _emit(
         {"step": step, "language": args.language, "loss": loss, "accuracy": acc}

@@ -69,8 +69,8 @@ def load_vectors(path: str | Path, limit: int | None = None) -> EmbeddingMatrix:
     token string map onto the reserved special rows (which stay zero).
     Errors name the first bad line in file order: a wrong value count, or a
     value that does not parse or is not finite in a kept row. Then, if fewer
-    than `limit` rows were kept, the file must hold as many data lines as
-    its header says (a final newline may also end one more, empty line).
+    than `limit` rows were kept, the file must hold exactly as many data
+    lines as its header says.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -98,7 +98,7 @@ def load_vectors(path: str | Path, limit: int | None = None) -> EmbeddingMatrix:
     data[NUM_SPECIALS:] = values
     emb = EmbeddingMatrix(Vocabulary.from_tokens(tokens), data)
     read_all = limit is None or len(tokens) < limit  # so the loop reached the end
-    if read_all and count not in (len(rests), len(rests) + line.endswith("\n")):
+    if read_all and count != len(rests):
         raise ValueError(
             f"{path}: header says {count} rows, but the file has {len(rests)} data lines"
         )
@@ -306,3 +306,22 @@ def align(src: EmbeddingMatrix, mapping: OrthogonalMap) -> EmbeddingMatrix:
         )
     rotated = src.data.astype(np.float64) @ mapping.matrix
     return EmbeddingMatrix(src.vocab, rotated.astype(np.float32))
+
+
+def align_to(
+    src: EmbeddingMatrix,
+    tgt: EmbeddingMatrix,
+    dictionary: str | Path | None = None,
+    normalize: bool = False,
+) -> tuple[EmbeddingMatrix, OrthogonalMap, int]:
+    """Map `src` into `tgt`'s space by Procrustes, fitted on a seed dictionary
+    file (src<TAB>tgt) or, without one, on the tokens both spell alike.
+
+    Returns the aligned `src`, the map and the number of pairs it was fitted on.
+    """
+    if dictionary:
+        pairs = read_dictionary(dictionary, src.vocab, tgt.vocab)
+    else:
+        pairs = identical_word_dictionary(src.vocab, tgt.vocab)
+    mapping = procrustes(src, tgt, pairs, normalize=normalize)
+    return align(src, mapping), mapping, len(pairs)

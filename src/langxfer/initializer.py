@@ -39,17 +39,15 @@ class InitReport:
             f"(coverage {self.coverage_ratio:.1%})"
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "covered": self.covered,
-                "fallback": self.fallback,
-                "coverage_ratio": self.coverage_ratio,
-            }
-        )
+    def as_dict(self) -> dict:
+        return {
+            "covered": self.covered,
+            "fallback": self.fallback,
+            "coverage_ratio": self.coverage_ratio,
+        }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        Path(path).write_text(json.dumps(self.as_dict()) + "\n", encoding="utf-8")
 
 
 def _row_rng(seed: int, row: int) -> np.random.Generator:

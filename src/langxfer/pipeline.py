@@ -2,13 +2,16 @@
 initialization, transfer, summary — with content-addressed stage caching.
 
 A stage reruns only when the hash of its inputs (file contents) or its
-parameters changes; artifacts of completed stages are kept on failure of a
+parameters changes, or when one of its outputs no longer has the content it
+was stored with; artifacts of completed stages are kept on failure of a
 later stage. The work directory defaults to the output directory and can be
-overridden with the LANGXFER_CACHE_DIR environment variable.
+overridden with the LANGXFER_CACHE_DIR environment variable. Each stage is
+a plain function, files in and files out, that the CLI subcommands share.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -32,19 +35,20 @@ from .corpus import (
 )
 from .embeddings import (
     EmbeddingMatrix,
-    identical_word_dictionary,
+    align_to,
+    load_binary_vectors,
     load_vectors,
-    procrustes,
-    read_dictionary,
-    align,
-    write_array,
     read_array,
+    read_dictionary,
     replacing,
+    write_array,
 )
-from .initializer import init_foreign_bias, init_foreign_embeddings
+from .initializer import InitReport, init_foreign_bias, init_foreign_embeddings
 from .tiny_mlm import ModelConfig, init_model, load_checkpoint
 from .trainer import TrainingConfig, pack_sequences, pretrain, run_transfer
 from .translation import (
+    SubwordVectorTable,
+    TranslationMatrix,
     dictionary_translation_matrix,
     read_translation_matrix,
     row_entropy_report,
@@ -52,7 +56,12 @@ from .translation import (
     translation_matrix_from_vectors,
     write_translation_matrix,
 )
-from .word_alignment import subsample, train_ibm1, translation_matrix_from_alignment
+from .word_alignment import (
+    ParallelCorpus,
+    subsample,
+    train_ibm1,
+    translation_matrix_from_alignment,
+)
 
 CACHE_DIR_ENV = "LANGXFER_CACHE_DIR"
 
@@ -132,33 +141,28 @@ class PipelineConfig:
             if not Path(p).exists():
                 raise FileNotFoundError(f"input file not found: {p}")
 
-    def pretrain_config(self) -> TrainingConfig:
+    def _schedule(self, total: int, warmup: int, peak_lr: float, freeze: int,
+                  every: int) -> TrainingConfig:
         return TrainingConfig(
-            total_updates=self.pretrain_updates,
-            warmup_updates=self.pretrain_warmup,
-            peak_lr=self.pretrain_peak_lr,
+            total_updates=total,
+            warmup_updates=warmup,
+            peak_lr=peak_lr,
             batch_size=self.batch_size,
             seq_len=self.seq_len,
             mask_prob=self.mask_prob,
-            freeze_phase_updates=0,
+            freeze_phase_updates=freeze,
             seed=self.seed,
-            checkpoint_every=self.pretrain_updates,
+            checkpoint_every=every,
             grad_clip=self.grad_clip if self.grad_clip > 0 else None,
         )
 
+    def pretrain_config(self) -> TrainingConfig:
+        return self._schedule(self.pretrain_updates, self.pretrain_warmup,
+                              self.pretrain_peak_lr, 0, self.pretrain_updates)
+
     def training_config(self) -> TrainingConfig:
-        return TrainingConfig(
-            total_updates=self.total_updates,
-            warmup_updates=self.warmup_updates,
-            peak_lr=self.peak_lr,
-            batch_size=self.batch_size,
-            seq_len=self.seq_len,
-            mask_prob=self.mask_prob,
-            freeze_phase_updates=self.freeze_phase_updates,
-            seed=self.seed,
-            checkpoint_every=self.checkpoint_every,
-            grad_clip=self.grad_clip if self.grad_clip > 0 else None,
-        )
+        return self._schedule(self.total_updates, self.warmup_updates, self.peak_lr,
+                              self.freeze_phase_updates, self.checkpoint_every)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -216,9 +220,10 @@ def load_config(path: str | Path) -> PipelineConfig:
     return load_flat_dataclass(path, PipelineConfig)
 
 
-def write_config(cfg: PipelineConfig, path: str | Path) -> None:
+def write_config(cfg, path: str | Path) -> None:
+    """Write a config dataclass as the flat file `load_flat_dataclass` reads."""
     with open(path, "w", encoding="utf-8") as fh:
-        for f in dataclasses.fields(PipelineConfig):
+        for f in dataclasses.fields(cfg):
             fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
 
 
@@ -263,14 +268,22 @@ class StageCache:
         ).hexdigest()
 
     def hit(self, stage: str, key: str, outputs: list[Path]) -> bool:
+        """True when `stage` last stored `key` and every output still has the
+        content it was stored with. An entry that lists outputs without their
+        digests (the older format) never hits."""
         entry = self.entries.get(stage)
         if entry is None or entry.get("key") != key:
             return False
-        return all(Path(p).exists() for p in entry.get("outputs", []))
+        return (all(Path(p).exists() for p in outputs)
+                and entry.get("outputs") == self._digests(outputs))
 
     def store(self, stage: str, key: str, outputs: list[Path]) -> None:
-        self.entries[stage] = {"key": key, "outputs": [str(p) for p in outputs]}
+        self.entries[stage] = {"key": key, "outputs": self._digests(outputs)}
         self._save()
+
+    @staticmethod
+    def _digests(outputs: list[Path]) -> list[list[str]]:
+        return [[str(p), _hash_tree(Path(p))] for p in outputs]
 
     def drop(self, stage: str) -> None:
         """Forget a stage about to run: if it fails, no entry points at its
@@ -290,12 +303,55 @@ def _params(cfg: PipelineConfig, *names: str) -> dict:
     return {n: getattr(cfg, n) for n in names}
 
 
-def _load_tokenizer(work: Path, side: str, cfg: PipelineConfig) -> Tokenizer:
-    vocab = Vocabulary.load(work / f"vocab_{side}.txt")
-    codes = None
-    if cfg.tokenization == "bpe":
-        codes = BpeCodes.load(work / f"codes_{side}.txt")
-    return Tokenizer(vocab, codes)
+def load_tokenizer(vocab: str | Path, codes: str | Path | None = None) -> Tokenizer:
+    """A vocabulary file's tokenizer, with BPE codes when a codes file is given."""
+    return Tokenizer(Vocabulary.load(vocab), BpeCodes.load(codes) if codes else None)
+
+
+def pack_corpus(path: str | Path, tok: Tokenizer, seq_len: int) -> np.ndarray:
+    """A text file's non-empty lines, tokenized and packed into rows."""
+    ids = [tok.encode_line(line) for line in iter_lines(path)]
+    return pack_sequences([s for s in ids if s], seq_len)
+
+
+def align_parallel(corpus: ParallelCorpus, vocab_fg: Vocabulary, vocab_en: Vocabulary,
+                   iterations: int, prune: float, max_pairs: int | None = None,
+                   seed: int = 0) -> tuple[TranslationMatrix, dict]:
+    """IBM-1 translation matrix of a parallel corpus, first subsampled to
+    `max_pairs` pairs when given, and the alignment's log."""
+    if max_pairs:
+        corpus = subsample(corpus, max_pairs, seed)
+    model = train_ibm1(corpus, iterations, prune)
+    info = {
+        "pairs": len(corpus),
+        "iterations": model.iterations_run,
+        "final_log_likelihood": model.final_log_likelihood,
+        "log_likelihoods": model.log_likelihoods,
+    }
+    return translation_matrix_from_alignment(model, vocab_fg, vocab_en), info
+
+
+def corpus_subword_vectors(word_emb: EmbeddingMatrix, corpus: str | Path,
+                           tok: Tokenizer) -> SubwordVectorTable:
+    """Subword vectors of `tok`, weighted by the corpus's word unigram counts."""
+    words = build_vocab(iter_tokens(corpus), max_size=1 << 30)
+    unigrams = unigram_probs(iter_tokens(corpus), words)
+    return subword_vectors(word_emb, unigrams, tok.vocab, tok.codes)
+
+
+def init_foreign(tm_path: str | Path, checkpoint: str | Path, vocab_fg: str | Path,
+                 seed: int, emb_path: str | Path, bias_path: str | Path) -> InitReport:
+    """Foreign embeddings and output bias from a translation matrix over the
+    checkpoint's english vocabulary; writes both binary files."""
+    model, _, _ = load_checkpoint(checkpoint)
+    vocab_fg = Vocabulary.load(vocab_fg)
+    tm = read_translation_matrix(tm_path, vocab_fg, model.vocab_en)
+    src_emb = EmbeddingMatrix(model.vocab_en, model.params["emb_en"])
+    emb, report = init_foreign_embeddings(tm, src_emb, vocab_fg, seed)
+    bias = init_foreign_bias(tm, model.params["out_bias_en"], vocab_fg)
+    write_array(emb_path, emb.data, tokens=vocab_fg.tokens)
+    write_array(bias_path, bias)
+    return report
 
 
 def _vocab_ref(vec_emb: EmbeddingMatrix, vocab: Vocabulary) -> EmbeddingMatrix:
@@ -337,13 +393,11 @@ def run_all(cfg: PipelineConfig) -> dict:
     def build_vocabs() -> None:
         for side, train in (("en", cfg.en_train), ("fg", cfg.fg_train)):
             size = cfg.vocab_size_en if side == "en" else cfg.vocab_size_fg
+            codes = None
             if cfg.tokenization == "bpe":
                 codes = learn_bpe(iter_lines(train), cfg.bpe_codes)
                 codes.save(work / f"codes_{side}.txt")
-                vocab = build_vocab(iter_tokens(train, codes), size)
-            else:
-                vocab = build_vocab(iter_tokens(train), size)
-            vocab.save(work / f"vocab_{side}.txt")
+            build_vocab(iter_tokens(train, codes), size).save(work / f"vocab_{side}.txt")
 
     stage(
         "vocab",
@@ -353,20 +407,20 @@ def run_all(cfg: PipelineConfig) -> dict:
         build_vocabs,
     )
 
+    def tokenizer(side: str) -> Tokenizer:
+        codes = work / f"codes_{side}.txt" if cfg.tokenization == "bpe" else None
+        return load_tokenizer(work / f"vocab_{side}.txt", codes)
+
     # 2. tokenize + pack all corpora into fixed-length rows
     pack_names = ["en_train", "en_heldout", "fg_train", "fg_heldout"]
     pack_outputs = [work / f"pack_{n}.npy" for n in pack_names]
 
     def pack_all() -> None:
-        tok = {s: _load_tokenizer(work, s, cfg) for s in ("en", "fg")}
+        tok = {s: tokenizer(s) for s in ("en", "fg")}
         for name, path in zip(
             pack_names, (cfg.en_train, cfg.en_heldout, cfg.fg_train, cfg.fg_heldout)
         ):
-            t = tok[name[:2]]
-            ids = [t.encode_line(line) for line in iter_lines(path)]
-            ids = [s for s in ids if s]
-            rows = pack_sequences(ids, cfg.seq_len)
-            np.save(work / f"pack_{name}.npy", rows)
+            np.save(work / f"pack_{name}.npy", pack_corpus(path, tok[name[:2]], cfg.seq_len))
 
     stage(
         "pack",
@@ -423,56 +477,28 @@ def run_all(cfg: PipelineConfig) -> dict:
             route_inputs.append(cfg.seed_dictionary)
 
     def build_translation_matrix() -> None:
-        tok_en = _load_tokenizer(work, "en", cfg)
-        tok_fg = _load_tokenizer(work, "fg", cfg)
+        tok_en, tok_fg = tokenizer("en"), tokenizer("fg")
         vocab_en, vocab_fg = tok_en.vocab, tok_fg.vocab
         if cfg.route == "parallel":
             parallel = read_parallel(cfg.fg_train, cfg.en_train, tok_fg, tok_en)
-            parallel = subsample(parallel, cfg.align_pairs, cfg.seed)
-            model = train_ibm1(parallel, cfg.ibm1_iterations, cfg.ibm1_prune)
-            tm = translation_matrix_from_alignment(model, vocab_fg, vocab_en)
-            (work / "alignment_info.json").write_text(
-                json.dumps(
-                    {
-                        "pairs": len(parallel),
-                        "iterations": model.iterations_run,
-                        "final_log_likelihood": model.final_log_likelihood,
-                        "log_likelihoods": model.log_likelihoods,
-                    }
-                )
-                + "\n",
-                encoding="utf-8",
-            )
-        elif cfg.route == "dictionary":
-            pairs = []
-            for n, line in enumerate(iter_lines(cfg.dictionary), 1):
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{cfg.dictionary}: line {n}: expected two columns")
-                en_w, fg_w = parts
-                i = vocab_fg.index.get(fg_w)
-                j = vocab_en.index.get(en_w)
-                ns = corpus_mod.NUM_SPECIALS
-                if i is None or j is None or i < ns or j < ns:
-                    continue
-                pairs.append((i, j))
+            tm, info = align_parallel(parallel, vocab_fg, vocab_en, cfg.ibm1_iterations,
+                                      cfg.ibm1_prune, cfg.align_pairs, cfg.seed)
+            (work / "alignment_info.json").write_text(json.dumps(info) + "\n",
+                                                      encoding="utf-8")
+        elif cfg.route == "dictionary":  # english<TAB>foreign; specials never map
+            ns = corpus_mod.NUM_SPECIALS
+            pairs = [(i, j) for j, i in read_dictionary(cfg.dictionary, vocab_en, vocab_fg)
+                     if i >= ns and j >= ns]
+            if not pairs:  # only special tokens matched
+                raise ValueError(f"{cfg.dictionary}: no in-vocabulary dictionary pairs")
             tm = dictionary_translation_matrix(pairs, vocab_fg, vocab_en)
         else:
             en_vec = load_vectors(cfg.en_vectors, cfg.word_limit)
             fg_vec = load_vectors(cfg.fg_vectors, cfg.word_limit)
-            if cfg.seed_dictionary:
-                dict_pairs = read_dictionary(cfg.seed_dictionary, fg_vec.vocab, en_vec.vocab)
-            else:
-                dict_pairs = identical_word_dictionary(fg_vec.vocab, en_vec.vocab)
-            mapping = procrustes(fg_vec, en_vec, dict_pairs)
-            fg_aligned = align(fg_vec, mapping)
+            fg_aligned, _, _ = align_to(fg_vec, en_vec, cfg.seed_dictionary)
             if cfg.tokenization == "bpe":
-                tok_en_codes = tok_en.codes
-                tok_fg_codes = tok_fg.codes
-                uni_en = unigram_probs(iter_tokens(cfg.en_train), _word_vocab(cfg.en_train))
-                uni_fg = unigram_probs(iter_tokens(cfg.fg_train), _word_vocab(cfg.fg_train))
-                en_sub = subword_vectors(en_vec, uni_en, vocab_en, tok_en_codes)
-                fg_sub = subword_vectors(fg_aligned, uni_fg, vocab_fg, tok_fg_codes)
+                en_sub = corpus_subword_vectors(en_vec, cfg.en_train, tok_en)
+                fg_sub = corpus_subword_vectors(fg_aligned, cfg.fg_train, tok_fg)
                 tm = translation_matrix_from_vectors(fg_sub.emb, en_sub.emb)
             else:
                 tm = translation_matrix_from_vectors(
@@ -500,15 +526,8 @@ def run_all(cfg: PipelineConfig) -> dict:
                     work / "init_report.json"]
 
     def do_init() -> None:
-        vocab_en = Vocabulary.load(work / "vocab_en.txt")
-        vocab_fg = Vocabulary.load(work / "vocab_fg.txt")
-        tm = read_translation_matrix(tm_path, vocab_fg, vocab_en)
-        model, _, _ = load_checkpoint(pretrain_ck)
-        src_emb = EmbeddingMatrix(vocab_en, model.params["emb_en"])
-        emb, report = init_foreign_embeddings(tm, src_emb, vocab_fg, cfg.seed)
-        bias = init_foreign_bias(tm, model.params["out_bias_en"], vocab_fg)
-        write_array(work / "init_emb.bin", emb.data, tokens=vocab_fg.tokens)
-        write_array(work / "init_bias.bin", bias)
+        report = init_foreign(tm_path, pretrain_ck, work / "vocab_fg.txt", cfg.seed,
+                              work / "init_emb.bin", work / "init_bias.bin")
         report.save(work / "init_report.json")
 
     stage(
@@ -525,19 +544,16 @@ def run_all(cfg: PipelineConfig) -> dict:
                         transfer_dir / "checkpoints" / f"step_{cfg.total_updates:07d}"]
 
     def do_transfer() -> None:
-        vocab_fg = Vocabulary.load(work / "vocab_fg.txt")
         model, _, _ = load_checkpoint(pretrain_ck)
-        emb_data, _ = read_array(work / "init_emb.bin")
-        bias, _ = read_array(work / "init_bias.bin")
         run_transfer(
             cfg.training_config(),
             model,
-            EmbeddingMatrix(vocab_fg, emb_data),
+            load_binary_vectors(work / "init_emb.bin"),
             np.load(work / "pack_en_train.npy"),
             np.load(work / "pack_fg_train.npy"),
             np.load(work / "pack_en_heldout.npy"),
             np.load(work / "pack_fg_heldout.npy"),
-            init_bias=bias,
+            init_bias=read_array(work / "init_bias.bin")[0],
             out_dir=transfer_dir,
         )
 
@@ -576,18 +592,8 @@ def run_all(cfg: PipelineConfig) -> dict:
     return summary
 
 
-def _word_vocab(path: str | Path) -> Vocabulary:
-    return build_vocab(iter_tokens(path), max_size=1 << 30)
-
-
 def _read_evals(path: Path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            row = {}
-            for k, v in zip(header, parts):
-                row[k] = float(v) if v and k != "step" else (int(v) if v else float("nan"))
-            rows.append(row)
-    return rows
+    """evals.csv rows by column name; an empty field reads as NaN."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [{k: float(v) if v else float("nan") for k, v in row.items()}
+                for row in csv.DictReader(fh)]

@@ -67,12 +67,6 @@ class ModelState:
     def vocab(self, language: str) -> Vocabulary:
         return self.vocab_en if language == "en" else self.vocab_fg
 
-    def copy(self) -> "ModelState":
-        return ModelState(
-            self.cfg, self.vocab_en, self.vocab_fg,
-            {k: v.copy() for k, v in self.params.items()},
-        )
-
     def astype(self, dtype) -> "ModelState":
         return ModelState(
             self.cfg, self.vocab_en, self.vocab_fg,
@@ -83,12 +77,6 @@ class ModelState:
         for name, p in self.params.items():
             if not np.all(np.isfinite(p)):
                 raise FloatingPointError(f"non-finite values in parameter {name}")
-
-
-def layer_param_names(layer: int) -> list[str]:
-    base = f"enc.{layer}."
-    return [base + n for n in
-            ("ln1_g", "ln1_b", "wq", "wk", "wv", "wo", "ln2_g", "ln2_b", "w1", "w2")]
 
 
 def init_model(

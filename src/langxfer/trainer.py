@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 from .corpus import EOS_ID
 from .embeddings import EmbeddingMatrix
 from .tiny_mlm import (
+    PARAM_GROUPS,
     MaskedBatch,
     ModelState,
     backward,
@@ -28,10 +30,7 @@ from .tiny_mlm import (
     save_checkpoint,
 )
 
-ALL_GROUPS = frozenset(
-    {"emb_en", "emb_fg", "pos_emb", "encoder", "out_bias_en", "out_bias_fg"}
-)
-EMBEDDING_PHASE_FREEZE = frozenset(ALL_GROUPS - {"emb_fg", "out_bias_fg"})
+EMBEDDING_PHASE_FREEZE = frozenset(PARAM_GROUPS) - {"emb_fg", "out_bias_fg"}
 EVAL_SEED_OFFSET = 0x5EED
 
 
@@ -269,51 +268,107 @@ class TransferResult:
 class _RunLogs:
     """Append-only metrics.csv / evals.csv / telemetry.csv, row by row.
 
-    metrics.csv and evals.csv are deterministic. telemetry.csv holds one row
-    per update: the phase, the global gradient norm before clipping, and the
-    update's wall time, which varies from run to run and so stays out of the
-    other two files and out of checkpoints.
+    metrics.csv and evals.csv are deterministic; a NaN foreign loss (a run
+    without a foreign side) is written as an empty field. telemetry.csv
+    holds one row per update: the phase, the global gradient norm before
+    clipping, and the update's wall time, which varies from run to run and
+    so stays out of the other two files and out of checkpoints.
     """
 
-    METRICS_HEADER = "step,lr,loss_en,loss_fg\n"
-    EVALS_HEADER = "step,eval_loss_en,eval_acc_en,eval_loss_fg,eval_acc_fg\n"
-    TELEMETRY_HEADER = "step,phase,grad_norm,wall_ms\n"
+    HEADERS = {
+        "metrics": "step,lr,loss_en,loss_fg\n",
+        "evals": "step,eval_loss_en,eval_acc_en,eval_loss_fg,eval_acc_fg\n",
+        "telemetry": "step,phase,grad_norm,wall_ms\n",
+    }
 
-    def __init__(self, out_path: Path | None, bilingual: bool) -> None:
-        self.bilingual = bilingual
+    def __init__(self, out_path: Path | None) -> None:
         self.metrics: list[tuple[int, float, float, float]] = []
         self.evals: list[tuple[int, float, float, float, float]] = []
-        self._metrics_fh = self._evals_fh = self._telemetry_fh = None
+        self._files = {}  # one open file per log, none without an output directory
         if out_path is not None:
-            self._metrics_fh = open(out_path / "metrics.csv", "w", encoding="utf-8")
-            self._metrics_fh.write(self.METRICS_HEADER)
-            self._evals_fh = open(out_path / "evals.csv", "w", encoding="utf-8")
-            self._evals_fh.write(self.EVALS_HEADER)
-            self._telemetry_fh = open(out_path / "telemetry.csv", "w", encoding="utf-8")
-            self._telemetry_fh.write(self.TELEMETRY_HEADER)
+            for name, header in self.HEADERS.items():
+                self._files[name] = open(out_path / f"{name}.csv", "w", encoding="utf-8")
+                self._files[name].write(header)
 
     def metric(self, step: int, lr: float, loss_en: float, loss_fg: float) -> None:
         self.metrics.append((step, lr, loss_en, loss_fg))
-        if self._metrics_fh is not None:
-            fg = f"{loss_fg:.8f}" if self.bilingual else ""
-            self._metrics_fh.write(f"{step},{lr:.10e},{loss_en:.8f},{fg}\n")
+        if self._files:
+            fg = f"{loss_fg:.8f}" if not math.isnan(loss_fg) else ""
+            self._files["metrics"].write(f"{step},{lr:.10e},{loss_en:.8f},{fg}\n")
 
     def eval(self, step: int, le: float, ae: float, lf: float, af: float) -> None:
         self.evals.append((step, le, ae, lf, af))
-        if self._evals_fh is not None:
+        if self._files:
             fg = f"{lf:.8f},{af:.6f}" if not math.isnan(lf) else ","
-            self._evals_fh.write(f"{step},{le:.8f},{ae:.6f},{fg}\n")
+            self._files["evals"].write(f"{step},{le:.8f},{ae:.6f},{fg}\n")
 
     def telemetry(self, step: int, phase: str, grad_norm: float, started: float) -> None:
         """One update's row; `started` is its time.perf_counter() at the start."""
-        if self._telemetry_fh is not None:
+        if self._files:
             ms = 1e3 * (time.perf_counter() - started)
-            self._telemetry_fh.write(f"{step},{phase},{grad_norm!r},{ms:.3f}\n")
+            self._files["telemetry"].write(f"{step},{phase},{grad_norm!r},{ms:.3f}\n")
 
     def close(self) -> None:
-        for fh in (self._metrics_fh, self._evals_fh, self._telemetry_fh):
-            if fh is not None:
-                fh.close()
+        for fh in self._files.values():
+            fh.close()
+
+
+def _train(
+    cfg: TrainingConfig,
+    state: ModelState,
+    batches: Callable[[int], tuple[MaskedBatch, ...]],
+    schedule: Callable[[int], tuple[frozenset[str], str]],
+    heldout: dict[str, np.ndarray | None],
+    out_dir: str | Path | None,
+) -> TransferResult:
+    """The update loop of every training run, on `state` in place.
+
+    Step s sums the gradients of the masked batches `batches(s)` (english
+    first), clips them and takes one Adam step; `schedule(s)` gives its
+    freeze set and telemetry phase. Held-out evaluation of each language in
+    `heldout` runs at step 0, at every checkpoint and at the end, when every
+    language there has rows.
+    """
+    opt = OptimizerState.for_model(state)
+    out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:
+        out_path.mkdir(parents=True, exist_ok=True)
+    logs = _RunLogs(out_path)
+    checkpoints: list[Path] = []
+
+    def evaluate(step: int) -> None:
+        if any(rows is None for rows in heldout.values()):
+            return
+        scores = [evaluate_mlm(state, rows, language, cfg.seed + EVAL_SEED_OFFSET,
+                               cfg.mask_prob) for language, rows in heldout.items()]
+        (le, ae), (lf, af) = (scores + [(math.nan, math.nan)])[:2]
+        logs.eval(step, le, ae, lf, af)
+
+    try:
+        evaluate(0)
+        for step in range(1, cfg.total_updates + 1):
+            started = time.perf_counter()
+            freeze, phase = schedule(step)
+            losses, grads = [], None
+            for batch in batches(step):
+                loss, grads = backward(state, batch, freeze, grads)
+                losses.append(loss)
+            grad_norm = clip_gradients(grads, cfg.grad_clip)
+            lr = lr_schedule(step, cfg)
+            adam_step(state, grads, opt, lr, freeze,
+                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            state.assert_finite()
+            logs.metric(step, lr, *(losses + [math.nan])[:2])
+            logs.telemetry(step, phase, grad_norm, started)
+            if step % cfg.checkpoint_every == 0 or step == cfg.total_updates:
+                evaluate(step)
+                if out_path is not None:
+                    ck = out_path / "checkpoints" / f"step_{step:07d}"
+                    save_checkpoint(state, ck, step=step)
+                    checkpoints.append(ck)
+    finally:
+        logs.close()
+    return TransferResult(state, logs.metrics, logs.evals, checkpoints)
 
 
 def run_transfer(
@@ -330,8 +385,8 @@ def run_transfer(
     """Adapt a pretrained english model to the foreign language.
 
     Steps 1..freeze_phase_updates train only emb_fg / out_bias_fg; the rest
-    of the run fine-tunes everything. Held-out evaluation happens at step 0,
-    at every checkpoint, and at the end.
+    of the run fine-tunes everything on half-english, half-foreign batches.
+    Held-out evaluation needs both held-out sets.
     """
     if init_emb.dim != pretrained.cfg.dim:
         raise ValueError(
@@ -340,58 +395,20 @@ def run_transfer(
     if cfg.seq_len > pretrained.cfg.max_len:
         raise ValueError("seq_len exceeds the model's max_len")
     state = plug_foreign(pretrained, init_emb.vocab, init_emb.data, init_bias)
-
     en_stream = CyclingStream(train_en, (cfg.seed, 0xE))
     fg_stream = CyclingStream(train_fg, (cfg.seed, 0xF))
-    opt = OptimizerState.for_model(state)
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-    logs = _RunLogs(out_path, bilingual=True)
-    checkpoints: list[Path] = []
+    def schedule(step: int) -> tuple[frozenset[str], str]:
+        if step <= cfg.freeze_phase_updates:
+            return EMBEDDING_PHASE_FREEZE, "frozen"
+        return frozenset(), "joint"
 
-    def evaluate(step: int) -> None:
-        if heldout_en is None or heldout_fg is None:
-            return
-        le, ae = evaluate_mlm(state, heldout_en, "en", cfg.seed + EVAL_SEED_OFFSET,
-                              cfg.mask_prob)
-        lf, af = evaluate_mlm(state, heldout_fg, "fg", cfg.seed + EVAL_SEED_OFFSET,
-                              cfg.mask_prob)
-        logs.eval(step, le, ae, lf, af)
-
-    def checkpoint(step: int) -> None:
-        if out_path is None:
-            return
-        ck = out_path / "checkpoints" / f"step_{step:07d}"
-        save_checkpoint(state, ck, step=step)
-        checkpoints.append(ck)
-
-    try:
-        evaluate(0)
-        for step in range(1, cfg.total_updates + 1):
-            started = time.perf_counter()
-            frozen = step <= cfg.freeze_phase_updates
-            freeze = EMBEDDING_PHASE_FREEZE if frozen else frozenset()
-            b_en, b_fg = balanced_batch(
-                en_stream, fg_stream, cfg, step,
-                len(state.vocab_en), len(state.vocab_fg),
-            )
-            loss_en, grads = backward(state, b_en, freeze)
-            loss_fg, grads = backward(state, b_fg, freeze, grads)
-            grad_norm = clip_gradients(grads, cfg.grad_clip)
-            lr = lr_schedule(step, cfg)
-            adam_step(state, grads, opt, lr, freeze,
-                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-            state.assert_finite()
-            logs.metric(step, lr, loss_en, loss_fg)
-            logs.telemetry(step, "frozen" if frozen else "joint", grad_norm, started)
-            if step % cfg.checkpoint_every == 0 or step == cfg.total_updates:
-                evaluate(step)
-                checkpoint(step)
-    finally:
-        logs.close()
-    return TransferResult(state, logs.metrics, logs.evals, checkpoints)
+    return _train(
+        cfg, state,
+        lambda step: balanced_batch(en_stream, fg_stream, cfg, step,
+                                    len(state.vocab_en), len(state.vocab_fg)),
+        schedule, {"en": heldout_en, "fg": heldout_fg}, out_dir,
+    )
 
 
 def pretrain(
@@ -403,44 +420,13 @@ def pretrain(
 ) -> TransferResult:
     """Monolingual english MLM training (full batches, no freezing)."""
     en_stream = CyclingStream(train_en, (cfg.seed, 0xE))
-    opt = OptimizerState.for_model(state)
     # the foreign side does not exist yet: exclude it from updates entirely
     freeze = frozenset({"emb_fg", "out_bias_fg"})
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-    logs = _RunLogs(out_path, bilingual=False)
-    checkpoints: list[Path] = []
+    def batches(step: int) -> tuple[MaskedBatch]:
+        return (make_masked_batch(en_stream.next(cfg.batch_size), cfg.mask_prob,
+                                  (cfg.seed, step, 0), len(state.vocab_en), "en",
+                                  cfg.eighty_ten_ten),)
 
-    def evaluate(step: int) -> None:
-        if heldout_en is None:
-            return
-        le, ae = evaluate_mlm(state, heldout_en, "en", cfg.seed + EVAL_SEED_OFFSET,
-                              cfg.mask_prob)
-        logs.eval(step, le, ae, float("nan"), float("nan"))
-
-    try:
-        evaluate(0)
-        for step in range(1, cfg.total_updates + 1):
-            started = time.perf_counter()
-            rows = en_stream.next(cfg.batch_size)
-            batch = make_masked_batch(rows, cfg.mask_prob, (cfg.seed, step, 0),
-                                      len(state.vocab_en), "en", cfg.eighty_ten_ten)
-            loss, grads = backward(state, batch, freeze)
-            grad_norm = clip_gradients(grads, cfg.grad_clip)
-            lr = lr_schedule(step, cfg)
-            adam_step(state, grads, opt, lr, freeze,
-                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-            state.assert_finite()
-            logs.metric(step, lr, loss, float("nan"))
-            logs.telemetry(step, "pretrain", grad_norm, started)
-            if step % cfg.checkpoint_every == 0 or step == cfg.total_updates:
-                evaluate(step)
-                if out_path is not None:
-                    ck = out_path / "checkpoints" / f"step_{step:07d}"
-                    save_checkpoint(state, ck, step=step)
-                    checkpoints.append(ck)
-    finally:
-        logs.close()
-    return TransferResult(state, logs.metrics, logs.evals, checkpoints)
+    return _train(cfg, state, batches, lambda step: (freeze, "pretrain"),
+                  {"en": heldout_en}, out_dir)

@@ -314,3 +314,99 @@ class TestConfigValidation:
         assert out["code"] == "invalid_input"
         assert key in out["message"]
         assert not (tmp_path / "run").exists()
+
+
+class TestCommandsShareRunAllStages:
+    """Each subcommand runs the same stage function as run-all."""
+
+    def test_init_and_transfer_match_run_all(self, bundle, capsys, tmp_path):
+        from langxfer.pipeline import PipelineConfig, run_all, write_config
+
+        _, paths = bundle
+        cfg = PipelineConfig(
+            out_dir=str(tmp_path / "ra"), en_train=paths["en_train.txt"],
+            en_heldout=paths["en_heldout.txt"], fg_train=paths["fg_train.txt"],
+            fg_heldout=paths["fg_heldout.txt"], dim=16, layers=1, heads=2, ffn_dim=32,
+            pretrain_updates=15, pretrain_warmup=3, total_updates=12, warmup_updates=3,
+            freeze_phase_updates=4, seq_len=16, checkpoint_every=5, seed=4,
+        )
+        run_all(cfg)
+        work = tmp_path / "ra"
+        checkpoint = work / "pretrain" / "checkpoints" / "step_0000015"
+        code, out = run_cli(capsys, "init-embeddings",
+                            "--translation-matrix", str(work / "translation_matrix.txt"),
+                            "--checkpoint", str(checkpoint),
+                            "--foreign-vocab", str(work / "vocab_fg.txt"), "--seed", "4",
+                            "--output-emb", str(tmp_path / "emb.bin"),
+                            "--output-bias", str(tmp_path / "bias.bin"))
+        assert code == 0
+        report = json.loads((work / "init_report.json").read_text())
+        assert {k: out[k] for k in report} == report
+        for name in ("emb", "bias"):
+            assert (tmp_path / f"{name}.bin").read_bytes() == (
+                work / f"init_{name}.bin").read_bytes()
+
+        write_config(cfg.training_config(), tmp_path / "train.cfg")
+        code, out = run_cli(capsys, "transfer", "--checkpoint", str(checkpoint),
+                            "--init-emb", str(tmp_path / "emb.bin"),
+                            "--init-bias", str(tmp_path / "bias.bin"),
+                            "--en-train", paths["en_train.txt"],
+                            "--fg-train", paths["fg_train.txt"],
+                            "--en-heldout", paths["en_heldout.txt"],
+                            "--fg-heldout", paths["fg_heldout.txt"],
+                            "--config", str(tmp_path / "train.cfg"),
+                            "--out-dir", str(tmp_path / "xfer"))
+        assert code == 0
+        final = "checkpoints/step_0000012"
+
+        def checkpoint_files(out):
+            return sorted(str(p.relative_to(out)) for p in (out / final).rglob("*")
+                          if p.is_file())
+
+        cli_files = checkpoint_files(tmp_path / "xfer")
+        assert len(cli_files) > 3 and cli_files == checkpoint_files(work / "transfer")
+        for rel in ["metrics.csv", "evals.csv"] + cli_files:
+            assert (tmp_path / "xfer" / rel).read_bytes() == (
+                work / "transfer" / rel).read_bytes(), rel
+
+    def test_transfer_without_token_list_reports_it(self, bundle, capsys, tmp_path):
+        from langxfer.corpus import Vocabulary
+        from langxfer.embeddings import write_array
+        from langxfer.tiny_mlm import ModelConfig, init_model, save_checkpoint
+
+        _, paths = bundle
+        vocab = Vocabulary.from_tokens(["a", "b"])
+        model = init_model(ModelConfig(dim=8, layers=1, heads=2, ffn_dim=16, max_len=16),
+                           vocab, vocab, 0)
+        save_checkpoint(model, tmp_path / "ck", step=0)
+        write_array(tmp_path / "e.bin", np.zeros((7, 8), dtype=np.float32))
+        code, out = run_cli(capsys, "transfer", "--checkpoint", str(tmp_path / "ck"),
+                            "--init-emb", str(tmp_path / "e.bin"),
+                            "--en-train", paths["en_train.txt"],
+                            "--fg-train", paths["fg_train.txt"],
+                            "--out-dir", str(tmp_path / "run"))
+        assert code == 1
+        assert out["message"] == f"{tmp_path / 'e.bin'}: binary file has no token list"
+
+    def test_dictionary_route_without_usable_pairs_fails(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "cipher-fixture", "--vocab-size", "20",
+                            "--sentences", "60", "--heldout", "10", "--route", "dictionary",
+                            "--out-dir", str(tmp_path / "fx"))
+        assert code == 0
+        config_path = out["config"]
+        overrides = {"dim": "16", "layers": "1", "heads": "2", "ffn_dim": "32",
+                     "pretrain_updates": "4", "pretrain_warmup": "2", "seq_len": "16"}
+        text = []
+        for line in open(config_path):
+            key = line.split("=")[0].strip()
+            text.append(f"{key} = {overrides[key]}\n" if key in overrides else line)
+        with open(config_path, "w") as fh:
+            fh.writelines(text)
+        dictionary = tmp_path / "fx" / "noisy_dictionary.tsv"
+        dictionary.write_text("nope\tnada\n")
+        with pytest.warns(UserWarning, match="out-of-vocabulary"):
+            code, out = run_cli(capsys, "run-all", "--config", config_path)
+        assert code == 1
+        assert out == {"status": "error", "stage": "run-all", "code": "invalid_input",
+                       "message": f"{dictionary}: no in-vocabulary dictionary pairs"}
+        assert not (tmp_path / "fx" / "pipeline" / "translation_matrix.txt").exists()

@@ -342,7 +342,9 @@ def vec_files(draw):
     header = f"{len(lines)} {dim}" if draw(st.integers(0, 15)) else draw(
         st.sampled_from(["", "3", "3 4 5", "x 4", "2 -1"]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join([header] + lines) + (newline if draw(st.booleans()) else "")
+    # an empty last line exists only if a newline ends it
+    final = draw(st.booleans()) or (bool(lines) and not lines[-1])
+    text = newline.join([header] + lines) + (newline if final else "")
     limit = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=9)))
     return text, limit
 
@@ -446,10 +448,19 @@ class TestHeaderRowCount:
         (tmp_path / "v.vec").write_text("2 2\na 1 2\nb 3 4\n")
         assert len(load_vectors(tmp_path / "v.vec", limit=50_000).vocab) == NUM_SPECIALS + 2
 
-    def test_final_newline_may_end_an_empty_line(self, tmp_path):
-        # "2 0\na\n" also reads as the rows "a" and "" without a final newline
-        (tmp_path / "v.vec").write_text("2 0\na\n")
-        assert load_vectors(tmp_path / "v.vec").vocab.tokens[NUM_SPECIALS:] == ["a"]
+    @pytest.mark.parametrize("text,lines", [
+        ("2 0\na\n", 1),
+        ("3 2\na 1 2\nb 3 4\n", 2),
+        ("3 2\r\na 1 2\r\nb 3 4\r\n", 2),
+    ], ids=["no-values", "lf", "crlf"])
+    def test_header_one_above_the_lines_rejected(self, tmp_path, text, lines):
+        # a final newline ends the last line; it does not start one more
+        path = tmp_path / "v.vec"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError) as exc:
+            load_vectors(path)
+        assert str(exc.value) == (
+            f"{path}: header says {text.split()[0]} rows, but the file has {lines} data lines")
 
 
 class TestSaveVectorsAtomic:

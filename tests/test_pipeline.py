@@ -1,5 +1,6 @@
 import errno
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -298,3 +299,126 @@ class TestStageCache:
         assert cache.hit("s", key, [out])
         out.unlink()
         assert not cache.hit("s", key, [out])
+
+
+class TestVerifiedCacheHits:
+    """A stage is served from cache only while its outputs keep the content
+    they were stored with."""
+
+    @staticmethod
+    def outputs(out):
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file()
+                and p.name not in ("cache.json", "telemetry.csv", "summary.json")}
+
+    def test_truncated_output_reruns_its_stage(self, fixture_paths, tmp_path):
+        paths, _ = fixture_paths
+        out = tmp_path / "out"
+        first = run_all(small_config(paths, out))
+        before = self.outputs(out)
+        pack = out / "pack_en_train.npy"
+        np.save(pack, np.load(pack)[:3])
+        again = run_all(small_config(paths, out))
+        assert again["stages"]["vocab"] == "cached"
+        assert again["stages"]["pack"] == "ran"
+        # the rerun restored the rows byte for byte, so every later stage's
+        # inputs and outputs are what they were: all of them verify as cached
+        assert all(again["stages"][s] == "cached"
+                   for s in ("pretrain", "translation", "init", "transfer"))
+        assert self.outputs(out) == before
+        assert again["foreign_loss_final"] == first["foreign_loss_final"]
+
+    def test_changed_checkpoint_reruns_pretrain(self, fixture_paths, tmp_path):
+        paths, _ = fixture_paths
+        out = tmp_path / "out"
+        run_all(small_config(paths, out))
+        before = self.outputs(out)
+        ck = out / "pretrain" / "checkpoints" / "step_0000020"
+        (ck / "manifest.json").write_text((ck / "manifest.json").read_text() + " ")
+        again = run_all(small_config(paths, out))
+        assert again["stages"]["pretrain"] == "ran"
+        assert again["stages"]["init"] == again["stages"]["transfer"] == "cached"
+        assert self.outputs(out) == before
+
+    def test_old_format_entries_rerun_every_stage(self, fixture_paths, tmp_path):
+        paths, _ = fixture_paths
+        out = tmp_path / "out"
+        run_all(small_config(paths, out))
+        entries = json.loads((out / "cache.json").read_text())
+        old = {stage: {"key": e["key"], "outputs": [path for path, _ in e["outputs"]]}
+               for stage, e in entries.items()}
+        (out / "cache.json").write_text(json.dumps(old))
+        summary = run_all(small_config(paths, out))
+        assert set(summary["stages"].values()) == {"ran"}
+        assert json.loads((out / "cache.json").read_text()) == entries
+
+    def test_hit_requires_unchanged_content(self, tmp_path):
+        cache = StageCache(tmp_path)
+        (tmp_path / "ck").mkdir()
+        outs = [tmp_path / "a.txt", tmp_path / "ck"]
+        outs[0].write_text("x")
+        (tmp_path / "ck" / "w.bin").write_bytes(b"12")
+        key = cache.key("s", {}, [])
+        cache.store("s", key, outs)
+        assert cache.hit("s", key, outs)
+        outs[0].write_text("y")
+        assert not cache.hit("s", key, outs)
+        outs[0].write_text("x")
+        assert StageCache(tmp_path).hit("s", key, outs)
+        (tmp_path / "ck" / "w.bin").write_bytes(b"13")
+        assert not cache.hit("s", key, outs)
+        (tmp_path / "ck" / "w.bin").write_bytes(b"12")
+        (tmp_path / "ck" / "extra").write_bytes(b"")
+        assert not cache.hit("s", key, outs)
+
+
+def old_dictionary_pairs(path, vocab_fg, vocab_en):
+    """Oracle: the dictionary-route parser that read_dictionary replaced."""
+    pairs = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        en_w, fg_w = line.split("\t")
+        i, j = vocab_fg.index.get(fg_w), vocab_en.index.get(en_w)
+        if i is None or j is None or i < 5 or j < 5:
+            continue
+        pairs.append((i, j))
+    return pairs
+
+
+class TestDictionaryRoute:
+    def test_matches_old_parser_and_warns_on_out_of_vocabulary(self, fixture_paths,
+                                                               tmp_path):
+        from langxfer.corpus import Vocabulary
+        from langxfer.translation import (
+            dictionary_translation_matrix,
+            write_translation_matrix,
+        )
+
+        paths, _ = fixture_paths
+        lines = Path(paths["noisy_dictionary.tsv"]).read_text().splitlines()
+        dictionary = tmp_path / "d.tsv"
+        dictionary.write_text("\n".join(lines[:10] + ["nope\tnada", "<unk>\t<unk>"]
+                                        + lines[10:]) + "\n")
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="skipped 1 out-of-vocabulary entries"):
+            run_all(small_config(paths, out, route="dictionary", dictionary=str(dictionary)))
+        vocab_en = Vocabulary.load(out / "vocab_en.txt")
+        vocab_fg = Vocabulary.load(out / "vocab_fg.txt")
+        tm = dictionary_translation_matrix(
+            old_dictionary_pairs(dictionary, vocab_fg, vocab_en), vocab_fg, vocab_en)
+        write_translation_matrix(tm, vocab_fg, vocab_en, tmp_path / "oracle.txt")
+        assert (out / "translation_matrix.txt").read_bytes() == (
+            tmp_path / "oracle.txt").read_bytes()
+
+    @pytest.mark.parametrize("text", ["nope\tnada\nzip\tzap\n", "<unk>\t<unk>\n</s>\t</s>\n"],
+                             ids=["out-of-vocabulary", "special-tokens"])
+    def test_no_usable_pair_fails(self, fixture_paths, tmp_path, text):
+        paths, _ = fixture_paths
+        (tmp_path / "d.tsv").write_text(text)
+        cfg = small_config(paths, tmp_path / "out", route="dictionary",
+                           dictionary=str(tmp_path / "d.tsv"))
+        with warnings.catch_warnings(), pytest.raises(
+                ValueError, match="no in-vocabulary dictionary pairs"):
+            warnings.simplefilter("ignore")
+            run_all(cfg)
+        assert not (tmp_path / "out" / "translation_matrix.txt").exists()
+        assert "translation" not in json.loads((tmp_path / "out" / "cache.json").read_text())
