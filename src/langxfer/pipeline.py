@@ -235,22 +235,44 @@ def _hash_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _hash_tree(path: Path) -> str:
+def _hash_tree(path: Path, memo: dict[str, str] | None = None) -> str:
+    """sha256 of a file, or of a directory's relative paths and file digests.
+
+    `memo` maps absolute file paths to digests taken before; a file found
+    there is not read again, and new digests are added to it.
+    """
+
+    def digest(file: Path) -> str:
+        if memo is None:
+            return _hash_file(file)
+        key = os.path.abspath(file)
+        if key not in memo:
+            memo[key] = _hash_file(file)
+        return memo[key]
+
     if path.is_file():
-        return _hash_file(path)
+        return digest(path)
     h = hashlib.sha256()
     for sub in sorted(path.rglob("*")):
         if sub.is_file():
             h.update(str(sub.relative_to(path)).encode())
-            h.update(_hash_file(sub).encode())
+            h.update(digest(sub).encode())
     return h.hexdigest()
 
 
 class StageCache:
-    """Content-addressed skip logic: (stage, params, input hashes) -> outputs."""
+    """Content-addressed skip logic: (stage, params, input hashes) -> outputs.
 
-    def __init__(self, work_dir: Path) -> None:
+    With `memo`, a dict of file digests, each file is hashed once for as
+    long as the dict lives, by `key`, `hit` and `store` alike; `drop`
+    forgets the digests of the outputs a stage is about to rewrite. Only a
+    caller that writes the files itself, through stages, can share one:
+    `run_all` does, for the length of one call.
+    """
+
+    def __init__(self, work_dir: Path, memo: dict[str, str] | None = None) -> None:
         self.path = work_dir / "cache.json"
+        self.memo = memo
         try:
             entries = json.loads(self.path.read_text(encoding="utf-8"))
         except (OSError, ValueError):  # missing, unreadable or torn: rerun every stage
@@ -261,7 +283,7 @@ class StageCache:
         payload = {
             "stage": stage,
             "params": params,
-            "inputs": [_hash_tree(Path(p)) for p in inputs],
+            "inputs": [_hash_tree(Path(p), self.memo) for p in inputs],
         }
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
@@ -281,13 +303,17 @@ class StageCache:
         self.entries[stage] = {"key": key, "outputs": self._digests(outputs)}
         self._save()
 
-    @staticmethod
-    def _digests(outputs: list[Path]) -> list[list[str]]:
-        return [[str(p), _hash_tree(Path(p))] for p in outputs]
+    def _digests(self, outputs: list[Path]) -> list[list[str]]:
+        return [[str(p), _hash_tree(Path(p), self.memo)] for p in outputs]
 
-    def drop(self, stage: str) -> None:
+    def drop(self, stage: str, outputs: list[Path] = ()) -> None:
         """Forget a stage about to run: if it fails, no entry points at its
-        partial outputs."""
+        partial outputs. The memo forgets every file under `outputs`."""
+        if self.memo:
+            gone = [os.path.abspath(p) for p in outputs]
+            for key in [k for k in self.memo
+                        if any(k == g or k.startswith(g + os.sep) for g in gone)]:
+                del self.memo[key]
         if self.entries.pop(stage, None) is not None:
             self._save()
 
@@ -371,7 +397,7 @@ def run_all(cfg: PipelineConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     work = Path(os.environ.get(CACHE_DIR_ENV, cfg.out_dir))
     work.mkdir(parents=True, exist_ok=True)
-    cache = StageCache(work)
+    cache = StageCache(work, memo={})
     summary: dict = {"stages": {}, "work_dir": str(work)}
 
     def stage(name, params, inputs, outputs, fn) -> None:
@@ -380,7 +406,7 @@ def run_all(cfg: PipelineConfig) -> dict:
         if cache.hit(name, key, outs):
             summary["stages"][name] = "cached"
             return
-        cache.drop(name)
+        cache.drop(name, outs)
         fn()
         cache.store(name, key, outs)
         summary["stages"][name] = "ran"

@@ -22,6 +22,9 @@ from .embeddings import EmbeddingMatrix, replacing
 UNIGRAM_FLOOR = 1e-9
 SPARSEMAX_TOP_K = 64  # width of the first partial sort in `sparsemax`
 SLICE_BYTES = 1 << 21  # float64 scores per row slice normalised at once (2 MB)
+# the dense softmax ablation stores every (row, column) entry as CSR, 16 bytes
+# each: 2^24 entries are 268 MB; 8000 x 8000 would be about 1 GB
+SOFTMAX_MAX_ENTRIES = 1 << 24
 
 
 def sparsemax(z: np.ndarray) -> np.ndarray:
@@ -158,7 +161,8 @@ def translation_matrix_from_vectors(
 
     Dot products accumulate in 64-bit. Target rows that are special tokens or
     exactly zero vectors (no upstream support) stay uncovered. `mode` may be
-    "softmax" for the dense ablation variant.
+    "softmax" for the dense ablation variant, which refuses a matrix of more
+    than SOFTMAX_MAX_ENTRIES rows x columns (non-special tokens).
 
     Scores come in blocks of `chunk` target rows, one GEMM each. The last
     bits of a GEMM result depend on its shape (BLAS picks kernels and
@@ -172,6 +176,14 @@ def translation_matrix_from_vectors(
         raise ValueError(f"dimension mismatch: {tgt_aligned.dim} vs {src.dim}")
     if mode not in ("sparsemax", "softmax"):
         raise ValueError(f"unknown mode: {mode!r}")
+    if mode == "softmax":
+        dense = (max(len(tgt_aligned.vocab) - NUM_SPECIALS, 0)
+                 * max(len(src.vocab) - NUM_SPECIALS, 0))
+        if dense > SOFTMAX_MAX_ENTRIES:
+            raise ValueError(
+                f"softmax mode would store {dense:,} entries ({16 * dense / 1e6:,.0f} MB), "
+                f"over the limit of {SOFTMAX_MAX_ENTRIES:,}; use sparsemax"
+            )
     src_data = src.data[NUM_SPECIALS:].astype(np.float64)
     n_tgt = len(tgt_aligned.vocab)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
