@@ -4,10 +4,10 @@
     python3 scripts/compare_outputs.py PARENT_TREE CHANGE_TREE
 
 Each tree's code (imported from TREE/src, in a subprocess) runs the same
-small jobs on the same inputs: every `run_all` route (parallel with word
-and with BPE tokens, dictionary, vectors) with an embedding-only phase of
-none, some and all of the updates, a warm rerun, and each CLI subcommand
-once. Every job writes into one fixed run directory, which is then moved
+small jobs on the same inputs: every `run_all` route (parallel and
+vectors, each with word and with BPE tokens, and dictionary), the parallel
+word route with an embedding-only phase of none, some and all of the
+updates, a warm rerun, and each CLI subcommand once. Every job writes into one fixed run directory, which is then moved
 aside, so paths that outputs record are the same on both sides. The CLI's
 JSON lines are kept as files too.
 
@@ -92,6 +92,8 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
         "dictionary": {"route": "dictionary", "dictionary": i["dictionary.tsv"]},
         "vectors": {"route": "vectors", "en_vectors": i["en.vec"], "fg_vectors": i["fg.vec"],
                     "seed_dictionary": i["seed.tsv"]},
+        "vectors-bpe": {"route": "vectors", "tokenization": "bpe", "en_vectors": i["en.vec"],
+                        "fg_vectors": i["fg.vec"], "seed_dictionary": i["seed.tsv"]},
     }
     for name, extra in routes.items():
         cfg = {"out_dir": str(run / name), "en_train": i["en_train.txt"],

@@ -19,7 +19,6 @@ import numpy as np
 from .cipher import generate_cipher_fixture, write_fixture
 from .corpus import (
     BpeCodes,
-    Tokenizer,
     Vocabulary,
     build_vocab,
     iter_lines,
@@ -208,8 +207,8 @@ def cmd_transfer(args) -> int:
     model, _, _ = load_checkpoint(args.checkpoint)
     emb = load_binary_vectors(args.init_emb)
     bias = read_array(args.init_bias)[0] if args.init_bias else None
-    tok_en = Tokenizer(model.vocab_en, BpeCodes.load(args.codes_en) if args.codes_en else None)
-    tok_fg = Tokenizer(emb.vocab, BpeCodes.load(args.codes_fg) if args.codes_fg else None)
+    tok_en = load_tokenizer(model.vocab_en, args.codes_en)
+    tok_fg = load_tokenizer(emb.vocab, args.codes_fg)
     result = run_transfer(
         cfg,
         model,
@@ -236,8 +235,7 @@ def cmd_transfer(args) -> int:
 
 def cmd_eval(args) -> int:
     model, step, _ = load_checkpoint(args.checkpoint)
-    vocab = model.vocab(args.language)
-    tok = Tokenizer(vocab, BpeCodes.load(args.codes) if args.codes else None)
+    tok = load_tokenizer(model.vocab(args.language), args.codes)
     rows = pack_corpus(args.corpus, tok, model.cfg.max_len)
     loss, acc = evaluate_mlm(model, rows, args.language, args.seed, args.mask_prob)
     return _emit(

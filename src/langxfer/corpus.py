@@ -69,9 +69,18 @@ class BpeCodes:
     merges: list[tuple[str, str]]
     exhausted: bool = False  # fewer merges were available than requested
     rank: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    _segments: dict[str, list[str]] = field(init=False, repr=False, compare=False,
+                                            default_factory=dict)
 
     def __post_init__(self) -> None:
         self.rank = {pair: i for i, pair in enumerate(self.merges)}
+
+    def segment(self, word: str) -> list[str]:
+        """`apply_bpe(word, self)`, memoised per word; the list is shared."""
+        pieces = self._segments.get(word)
+        if pieces is None:
+            pieces = self._segments[word] = apply_bpe(word, self)
+        return pieces
 
     @property
     def num_codes(self) -> int:
@@ -278,18 +287,9 @@ class Tokenizer:
 
     vocab: Vocabulary
     codes: BpeCodes | None = None
-    _cache: dict[str, list[str]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def tokenize_word(self, word: str) -> list[str]:
-        if self.codes is None:
-            return [word]
-        cached = self._cache.get(word)
-        if cached is None:
-            cached = apply_bpe(word, self.codes)
-            self._cache[word] = cached
-        return cached
+        return [word] if self.codes is None else self.codes.segment(word)
 
     def tokenize_line(self, line: str) -> list[str]:
         return [s for w in line.split() for s in self.tokenize_word(w)]
@@ -310,17 +310,12 @@ def iter_lines(path: str | Path) -> Iterator[str]:
 
 def iter_tokens(path: str | Path, codes: BpeCodes | None = None) -> Iterator[str]:
     """Stream the corpus at `path` as tokens (subwords when codes are given)."""
-    cache: dict[str, list[str]] = {}
     for line in iter_lines(path):
-        for word in line.split():
-            if codes is None:
-                yield word
-            else:
-                segmented = cache.get(word)
-                if segmented is None:
-                    segmented = apply_bpe(word, codes)
-                    cache[word] = segmented
-                yield from segmented
+        if codes is None:
+            yield from line.split()
+        else:
+            for word in line.split():
+                yield from codes.segment(word)
 
 
 def read_parallel(

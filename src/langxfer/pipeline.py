@@ -129,18 +129,6 @@ class PipelineConfig:
             except ValueError as exc:
                 raise ValueError(f"{part}: {exc}") from None
 
-    def validate_paths(self) -> None:
-        required = [self.en_train, self.en_heldout, self.fg_train, self.fg_heldout]
-        if self.route == "dictionary":
-            required.append(self.dictionary)
-        if self.route == "vectors":
-            required += [self.en_vectors, self.fg_vectors]
-            if self.seed_dictionary:
-                required.append(self.seed_dictionary)
-        for p in required:
-            if not Path(p).exists():
-                raise FileNotFoundError(f"input file not found: {p}")
-
     def _schedule(self, total: int, warmup: int, peak_lr: float, freeze: int,
                   every: int) -> TrainingConfig:
         return TrainingConfig(
@@ -329,9 +317,10 @@ def _params(cfg: PipelineConfig, *names: str) -> dict:
     return {n: getattr(cfg, n) for n in names}
 
 
-def load_tokenizer(vocab: str | Path, codes: str | Path | None = None) -> Tokenizer:
-    """A vocabulary file's tokenizer, with BPE codes when a codes file is given."""
-    return Tokenizer(Vocabulary.load(vocab), BpeCodes.load(codes) if codes else None)
+def load_tokenizer(vocab: Vocabulary | str | Path, codes: str | Path | None = None) -> Tokenizer:
+    """A tokenizer over a vocabulary or its file, with BPE codes when a codes file is given."""
+    vocab = vocab if isinstance(vocab, Vocabulary) else Vocabulary.load(vocab)
+    return Tokenizer(vocab, BpeCodes.load(codes) if codes else None)
 
 
 def pack_corpus(path: str | Path, tok: Tokenizer, seq_len: int) -> np.ndarray:
@@ -390,87 +379,141 @@ def _vocab_ref(vec_emb: EmbeddingMatrix, vocab: Vocabulary) -> EmbeddingMatrix:
     return EmbeddingMatrix(vocab, out)
 
 
+SIDES = ("en", "fg")
+CORPORA = ("en_train", "en_heldout", "fg_train", "fg_heldout")
+
+
+def _tokenizers(files: dict[str, Path]) -> dict[str, Tokenizer]:
+    """Each side's tokenizer from a stage's inputs: `vocab_<side>`, with the
+    BPE codes `codes_<side>` when the inputs name them."""
+    return {s: load_tokenizer(files[f"vocab_{s}"], files.get(f"codes_{s}")) for s in SIDES}
+
+
+def _translation_route(cfg: PipelineConfig, corpora: dict[str, Path],
+                       vocabs: dict[str, Path], codes: dict[str, Path], log_path: Path):
+    """The translation route of `cfg`: its body, the files it reads in key
+    order, and what it writes beside the matrix and its report. The body
+    takes those files and `_tokenizers` of them and returns the matrix."""
+    if cfg.route == "parallel":
+        def parallel(f, tok) -> TranslationMatrix:
+            pairs = read_parallel(f["fg_train"], f["en_train"], tok["fg"], tok["en"])
+            tm, info = align_parallel(pairs, tok["fg"].vocab, tok["en"].vocab,
+                                      cfg.ibm1_iterations, cfg.ibm1_prune,
+                                      cfg.align_pairs, cfg.seed)
+            log_path.write_text(json.dumps(info) + "\n", encoding="utf-8")
+            return tm
+
+        files = {**vocabs, "fg_train": corpora["fg_train"],
+                 "en_train": corpora["en_train"], **codes}
+        return parallel, files, [log_path]
+    if cfg.route == "dictionary":
+        def dictionary(f, tok) -> TranslationMatrix:  # english<TAB>foreign; specials never map
+            ns = corpus_mod.NUM_SPECIALS
+            vocab_en, vocab_fg = tok["en"].vocab, tok["fg"].vocab
+            pairs = [(i, j) for j, i in read_dictionary(f["dictionary"], vocab_en, vocab_fg)
+                     if i >= ns and j >= ns]
+            if not pairs:  # only special tokens matched
+                raise ValueError(f"{f['dictionary']}: no in-vocabulary dictionary pairs")
+            return dictionary_translation_matrix(pairs, vocab_fg, vocab_en)
+
+        return dictionary, {**vocabs, "dictionary": Path(cfg.dictionary)}, []
+
+    def aligned(f) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
+        en_vec = load_vectors(f["en_vectors"], cfg.word_limit)
+        fg_vec = load_vectors(f["fg_vectors"], cfg.word_limit)
+        return align_to(fg_vec, en_vec, f.get("seed_dictionary"))[0], en_vec
+
+    def word_vectors(f, tok) -> TranslationMatrix:
+        fg_vec, en_vec = aligned(f)
+        return translation_matrix_from_vectors(_vocab_ref(fg_vec, tok["fg"].vocab),
+                                               _vocab_ref(en_vec, tok["en"].vocab))
+
+    def bpe_vectors(f, tok) -> TranslationMatrix:  # subword vectors, weighted by the corpora
+        fg_vec, en_vec = aligned(f)
+        en_sub = corpus_subword_vectors(en_vec, f["en_train"], tok["en"])
+        fg_sub = corpus_subword_vectors(fg_vec, f["fg_train"], tok["fg"])
+        return translation_matrix_from_vectors(fg_sub.emb, en_sub.emb)
+
+    files = {**vocabs, "en_vectors": Path(cfg.en_vectors), "fg_vectors": Path(cfg.fg_vectors)}
+    if cfg.seed_dictionary:
+        files["seed_dictionary"] = Path(cfg.seed_dictionary)
+    if not codes:
+        return word_vectors, files, []
+    files.update(en_train=corpora["en_train"], fg_train=corpora["fg_train"], **codes)
+    return bpe_vectors, files, []
+
+
 def run_all(cfg: PipelineConfig) -> dict:
-    """Execute all stages in dependency order with caching; returns a summary."""
-    cfg.validate_paths()
+    """Execute all stages in dependency order with caching; returns a summary.
+
+    A stage body gets the mapping of the files its key hashes and reads no
+    other path. Every external input is checked before any stage runs.
+    """
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     work = Path(os.environ.get(CACHE_DIR_ENV, cfg.out_dir))
+    corpora = {n: Path(getattr(cfg, n)) for n in CORPORA}
+    # the tokenizer files: the vocab stage's outputs, every tokenizing stage's inputs
+    vocabs = {f"vocab_{s}": work / f"vocab_{s}.txt" for s in SIDES}
+    codes = {f"codes_{s}": work / f"codes_{s}.txt" for s in SIDES} \
+        if cfg.tokenization == "bpe" else {}
+    tok_files = {**vocabs, **codes}
+    route, tm_inputs, tm_logs = _translation_route(cfg, corpora, vocabs, codes,
+                                                   work / "alignment_info.json")
+    # the input files the config names for its route
+    external = {n: getattr(cfg, n) for n in [*CORPORA, *tm_inputs] if n not in tok_files}
+    for p in external.values():
+        if not p or not Path(p).exists():
+            raise FileNotFoundError(f"input file not found: {p}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     work.mkdir(parents=True, exist_ok=True)
     cache = StageCache(work, memo={})
     summary: dict = {"stages": {}, "work_dir": str(work)}
 
-    def stage(name, params, inputs, outputs, fn) -> None:
-        key = cache.key(name, params, [Path(p) for p in inputs])
+    def stage(name, params, inputs: dict[str, Path], outputs, fn) -> None:
+        key = cache.key(name, params, list(inputs.values()))
         outs = [Path(p) for p in outputs]
         if cache.hit(name, key, outs):
             summary["stages"][name] = "cached"
             return
         cache.drop(name, outs)
-        fn()
+        fn(inputs)
         cache.store(name, key, outs)
         summary["stages"][name] = "ran"
 
     # 1. vocabularies (and BPE codes)
-    vocab_outputs = [work / "vocab_en.txt", work / "vocab_fg.txt"]
-    if cfg.tokenization == "bpe":
-        vocab_outputs += [work / "codes_en.txt", work / "codes_fg.txt"]
+    def build_vocabs(f) -> None:
+        for side in SIDES:
+            bpe = None
+            if codes:
+                bpe = learn_bpe(iter_lines(f[f"{side}_train"]), cfg.bpe_codes)
+                bpe.save(codes[f"codes_{side}"])
+            build_vocab(iter_tokens(f[f"{side}_train"], bpe),
+                        getattr(cfg, f"vocab_size_{side}")).save(vocabs[f"vocab_{side}"])
 
-    def build_vocabs() -> None:
-        for side, train in (("en", cfg.en_train), ("fg", cfg.fg_train)):
-            size = cfg.vocab_size_en if side == "en" else cfg.vocab_size_fg
-            codes = None
-            if cfg.tokenization == "bpe":
-                codes = learn_bpe(iter_lines(train), cfg.bpe_codes)
-                codes.save(work / f"codes_{side}.txt")
-            build_vocab(iter_tokens(train, codes), size).save(work / f"vocab_{side}.txt")
-
-    stage(
-        "vocab",
-        _params(cfg, "tokenization", "bpe_codes", "vocab_size_en", "vocab_size_fg"),
-        [cfg.en_train, cfg.fg_train],
-        vocab_outputs,
-        build_vocabs,
-    )
-
-    def tokenizer(side: str) -> Tokenizer:
-        codes = work / f"codes_{side}.txt" if cfg.tokenization == "bpe" else None
-        return load_tokenizer(work / f"vocab_{side}.txt", codes)
+    stage("vocab", _params(cfg, "tokenization", "bpe_codes", "vocab_size_en", "vocab_size_fg"),
+          {n: corpora[n] for n in ("en_train", "fg_train")}, list(tok_files.values()),
+          build_vocabs)
 
     # 2. tokenize + pack all corpora into fixed-length rows
-    pack_names = ["en_train", "en_heldout", "fg_train", "fg_heldout"]
-    pack_outputs = [work / f"pack_{n}.npy" for n in pack_names]
+    packs = {f"pack_{n}": work / f"pack_{n}.npy" for n in CORPORA}
 
-    def pack_all() -> None:
-        tok = {s: tokenizer(s) for s in ("en", "fg")}
-        for name, path in zip(
-            pack_names, (cfg.en_train, cfg.en_heldout, cfg.fg_train, cfg.fg_heldout)
-        ):
-            np.save(work / f"pack_{name}.npy", pack_corpus(path, tok[name[:2]], cfg.seq_len))
+    def pack_all(f) -> None:
+        tok = _tokenizers(f)
+        for n in CORPORA:
+            np.save(packs[f"pack_{n}"], pack_corpus(f[n], tok[n[:2]], cfg.seq_len))
 
-    stage(
-        "pack",
-        _params(cfg, "tokenization", "seq_len"),
-        [cfg.en_train, cfg.en_heldout, cfg.fg_train, cfg.fg_heldout] + vocab_outputs,
-        pack_outputs,
-        pack_all,
-    )
+    stage("pack", _params(cfg, "tokenization", "seq_len"), {**corpora, **tok_files},
+          list(packs.values()), pack_all)
 
     # 3. pretrain the english model
     pretrain_dir = work / "pretrain"
     pretrain_ck = pretrain_dir / "checkpoints" / f"step_{cfg.pretrain_updates:07d}"
 
-    def do_pretrain() -> None:
-        vocab_en = Vocabulary.load(work / "vocab_en.txt")
-        placeholder_fg = Vocabulary.from_tokens([])
-        model = init_model(cfg.model_config(), vocab_en, placeholder_fg, cfg.seed)
-        pretrain(
-            cfg.pretrain_config(),
-            model,
-            np.load(work / "pack_en_train.npy"),
-            np.load(work / "pack_en_heldout.npy"),
-            out_dir=pretrain_dir,
-        )
+    def do_pretrain(f) -> None:
+        model = init_model(cfg.model_config(), Vocabulary.load(f["vocab_en"]),
+                           Vocabulary.from_tokens([]), cfg.seed)
+        pretrain(cfg.pretrain_config(), model, np.load(f["pack_en_train"]),
+                 np.load(f["pack_en_heldout"]), out_dir=pretrain_dir)
 
     stage(
         "pretrain",
@@ -479,109 +522,53 @@ def run_all(cfg: PipelineConfig) -> dict:
             "pretrain_updates", "pretrain_warmup", "pretrain_peak_lr",
             "batch_size", "mask_prob", "grad_clip", "seed",
         ),
-        [work / "pack_en_train.npy", work / "pack_en_heldout.npy",
-         work / "vocab_en.txt"],
+        {"pack_en_train": packs["pack_en_train"], "pack_en_heldout": packs["pack_en_heldout"],
+         "vocab_en": vocabs["vocab_en"]},
         [pretrain_ck],
         do_pretrain,
     )
 
-    # 4. translation matrix, by route
+    # 4. translation matrix, by the route chosen above
     tm_path = work / "translation_matrix.txt"
     report_path = work / "translation_report.json"
-    tm_outputs = [tm_path, report_path]
-    route_inputs: list = [work / "vocab_en.txt", work / "vocab_fg.txt"]
-    if cfg.route == "parallel":
-        tm_outputs.append(work / "alignment_info.json")
-        route_inputs += [cfg.fg_train, cfg.en_train]
-        if cfg.tokenization == "bpe":
-            route_inputs += [work / "codes_en.txt", work / "codes_fg.txt"]
-    elif cfg.route == "dictionary":
-        route_inputs.append(cfg.dictionary)
-    else:
-        route_inputs += [cfg.en_vectors, cfg.fg_vectors]
-        if cfg.seed_dictionary:
-            route_inputs.append(cfg.seed_dictionary)
 
-    def build_translation_matrix() -> None:
-        tok_en, tok_fg = tokenizer("en"), tokenizer("fg")
-        vocab_en, vocab_fg = tok_en.vocab, tok_fg.vocab
-        if cfg.route == "parallel":
-            parallel = read_parallel(cfg.fg_train, cfg.en_train, tok_fg, tok_en)
-            tm, info = align_parallel(parallel, vocab_fg, vocab_en, cfg.ibm1_iterations,
-                                      cfg.ibm1_prune, cfg.align_pairs, cfg.seed)
-            (work / "alignment_info.json").write_text(json.dumps(info) + "\n",
-                                                      encoding="utf-8")
-        elif cfg.route == "dictionary":  # english<TAB>foreign; specials never map
-            ns = corpus_mod.NUM_SPECIALS
-            pairs = [(i, j) for j, i in read_dictionary(cfg.dictionary, vocab_en, vocab_fg)
-                     if i >= ns and j >= ns]
-            if not pairs:  # only special tokens matched
-                raise ValueError(f"{cfg.dictionary}: no in-vocabulary dictionary pairs")
-            tm = dictionary_translation_matrix(pairs, vocab_fg, vocab_en)
-        else:
-            en_vec = load_vectors(cfg.en_vectors, cfg.word_limit)
-            fg_vec = load_vectors(cfg.fg_vectors, cfg.word_limit)
-            fg_aligned, _, _ = align_to(fg_vec, en_vec, cfg.seed_dictionary)
-            if cfg.tokenization == "bpe":
-                en_sub = corpus_subword_vectors(en_vec, cfg.en_train, tok_en)
-                fg_sub = corpus_subword_vectors(fg_aligned, cfg.fg_train, tok_fg)
-                tm = translation_matrix_from_vectors(fg_sub.emb, en_sub.emb)
-            else:
-                tm = translation_matrix_from_vectors(
-                    _vocab_ref(fg_aligned, vocab_fg), _vocab_ref(en_vec, vocab_en)
-                )
-        write_translation_matrix(tm, vocab_fg, vocab_en, tm_path)
+    def build_translation_matrix(f) -> None:
+        tok = _tokenizers(f)
+        tm = route(f, tok)
+        write_translation_matrix(tm, tok["fg"].vocab, tok["en"].vocab, tm_path)
         report_path.write_text(
             json.dumps(dataclasses.asdict(row_entropy_report(tm)), sort_keys=True) + "\n",
             encoding="utf-8",
         )
 
-    stage(
-        "translation",
-        _params(
-            cfg, "route", "tokenization", "align_pairs", "ibm1_iterations",
-            "ibm1_prune", "word_limit", "seed",
-        ),
-        route_inputs,
-        tm_outputs,
-        build_translation_matrix,
-    )
+    stage("translation",
+          _params(cfg, "route", "tokenization", "align_pairs", "ibm1_iterations",
+                  "ibm1_prune", "word_limit", "seed"),
+          tm_inputs, [tm_path, report_path, *tm_logs], build_translation_matrix)
 
     # 5. initialize foreign embeddings and bias
-    init_outputs = [work / "init_emb.bin", work / "init_bias.bin",
-                    work / "init_report.json"]
+    init_files = {n: work / f"{n}.bin" for n in ("init_emb", "init_bias")}
+    init_report = work / "init_report.json"
 
-    def do_init() -> None:
-        report = init_foreign(tm_path, pretrain_ck, work / "vocab_fg.txt", cfg.seed,
-                              work / "init_emb.bin", work / "init_bias.bin")
-        report.save(work / "init_report.json")
+    def do_init(f) -> None:
+        init_foreign(f["translation_matrix"], f["pretrain"], f["vocab_fg"], cfg.seed,
+                     *init_files.values()).save(init_report)
 
-    stage(
-        "init",
-        _params(cfg, "seed"),
-        [tm_path, pretrain_ck, work / "vocab_fg.txt"],
-        init_outputs,
-        do_init,
-    )
+    stage("init", _params(cfg, "seed"),
+          {"translation_matrix": tm_path, "pretrain": pretrain_ck, "vocab_fg": vocabs["vocab_fg"]},
+          [*init_files.values(), init_report], do_init)
 
     # 6. transfer
     transfer_dir = work / "transfer"
     transfer_outputs = [transfer_dir / "metrics.csv", transfer_dir / "evals.csv",
                         transfer_dir / "checkpoints" / f"step_{cfg.total_updates:07d}"]
 
-    def do_transfer() -> None:
-        model, _, _ = load_checkpoint(pretrain_ck)
-        run_transfer(
-            cfg.training_config(),
-            model,
-            load_binary_vectors(work / "init_emb.bin"),
-            np.load(work / "pack_en_train.npy"),
-            np.load(work / "pack_fg_train.npy"),
-            np.load(work / "pack_en_heldout.npy"),
-            np.load(work / "pack_fg_heldout.npy"),
-            init_bias=read_array(work / "init_bias.bin")[0],
-            out_dir=transfer_dir,
-        )
+    def do_transfer(f) -> None:
+        model, _, _ = load_checkpoint(f["pretrain"])
+        rows = [np.load(f[f"pack_{n}"]) for n in ("en_train", "fg_train", "en_heldout",
+                                                   "fg_heldout")]
+        run_transfer(cfg.training_config(), model, load_binary_vectors(f["init_emb"]), *rows,
+                     init_bias=read_array(f["init_bias"])[0], out_dir=transfer_dir)
 
     stage(
         "transfer",
@@ -590,13 +577,13 @@ def run_all(cfg: PipelineConfig) -> dict:
             "seq_len", "mask_prob", "freeze_phase_updates", "checkpoint_every",
             "grad_clip", "seed",
         ),
-        init_outputs[:2] + [pretrain_ck] + pack_outputs,
+        {**init_files, "pretrain": pretrain_ck, **packs},
         transfer_outputs,
         do_transfer,
     )
 
     # 7. summary
-    report = json.loads((work / "init_report.json").read_text(encoding="utf-8"))
+    report = json.loads(init_report.read_text(encoding="utf-8"))
     evals = _read_evals(transfer_dir / "evals.csv")
     first, last = evals[0], evals[-1]
     retention = last["eval_loss_en"] - first["eval_loss_en"]

@@ -49,6 +49,10 @@ class ModelConfig:
     ln_eps: float = 1e-5
 
     def __post_init__(self) -> None:
+        for name, low in (("dim", 1), ("layers", 0), ("heads", 1), ("ffn_dim", 1),
+                          ("max_len", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
         if self.norm not in ("pre", "post"):

@@ -53,6 +53,9 @@ class TrainingConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
+        for name, low in (("batch_size", 2), ("seq_len", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.batch_size % 2 != 0:
             raise ValueError("batch_size must be even")
         if self.warmup_updates > self.total_updates:

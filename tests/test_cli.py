@@ -410,3 +410,27 @@ class TestCommandsShareRunAllStages:
         assert out == {"status": "error", "stage": "run-all", "code": "invalid_input",
                        "message": f"{dictionary}: no in-vocabulary dictionary pairs"}
         assert not (tmp_path / "fx" / "pipeline" / "translation_matrix.txt").exists()
+
+
+class TestBadSizesFailEarly:
+    @pytest.mark.parametrize("key,value,message", [
+        ("heads", "0", "model: heads must be >= 1, got 0"),
+        ("seq_len", "0", "pretrain schedule: seq_len must be >= 1, got 0"),
+        ("dim", "0", "model: dim must be >= 1, got 0"),
+        ("ffn_dim", "0", "model: ffn_dim must be >= 1, got 0"),
+        ("batch_size", "0", "pretrain schedule: batch_size must be >= 2, got 0"),
+        ("seed", "-1", "pretrain schedule: seed must be >= 0, got -1"),
+    ])
+    def test_run_all_reports_bad_size_before_any_output(self, capsys, tmp_path,
+                                                        key, value, message):
+        code, out = run_cli(capsys, "cipher-fixture", "--vocab-size", "20",
+                            "--sentences", "50", "--heldout", "10",
+                            "--out-dir", str(tmp_path / "fx"))
+        assert code == 0
+        with open(out["config"], "a") as fh:
+            fh.write(f"{key} = {value}\n")
+        code, out = run_cli(capsys, "run-all", "--config", str(tmp_path / "fx" / "pipeline.cfg"))
+        assert code == 1
+        assert out == {"status": "error", "stage": "run-all", "code": "invalid_input",
+                       "message": message}
+        assert not (tmp_path / "fx" / "pipeline").exists()

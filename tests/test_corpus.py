@@ -247,3 +247,37 @@ class TestEncodeLine:
         assert tokenizer.encode_line("un chat  chien\n") == [
             NUM_SPECIALS, SPECIAL_TOKENS.index("<unk>"), NUM_SPECIALS + 1
         ]
+
+
+class TestBpeMemo:
+    """One memo of `apply_bpe` per codes object, shared by its tokenizers and
+    by `iter_tokens`; segmentations are those of `apply_bpe`."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(lines=st.lists(st.lists(WORDS, min_size=1, max_size=6).map(" ".join),
+                          min_size=1, max_size=5))
+    def test_memo_matches_apply_bpe(self, tmp_path_factory, lines):
+        from langxfer.corpus import iter_tokens
+
+        codes = learn_bpe(["low lower newest widest"] + lines, 10)
+        path = tmp_path_factory.mktemp("memo") / "c.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        words = [w for line in lines for w in line.split()]
+        expected = [s for w in words for s in apply_bpe(w, codes)]
+        assert list(iter_tokens(path, codes)) == expected
+        tok = Tokenizer(Vocabulary.from_tokens([]), codes)
+        assert [s for w in words for s in tok.tokenize_word(w)] == expected
+        # a second pass is served from the memo iter_tokens filled
+        assert all(tok.tokenize_word(w) is codes.segment(w) for w in words)
+
+    def test_load_tokenizer_takes_a_vocabulary_or_its_file(self, tmp_path):
+        from langxfer.pipeline import load_tokenizer
+
+        vocab = Vocabulary.from_tokens(["lo", "w</w>"])
+        vocab.save(tmp_path / "v.txt")
+        learn_bpe(["low low"], 2).save(tmp_path / "codes.txt")
+        for tok in (load_tokenizer(vocab, tmp_path / "codes.txt"),
+                    load_tokenizer(tmp_path / "v.txt", tmp_path / "codes.txt")):
+            assert tok.vocab == vocab
+            assert tok.tokenize_line("low") == ["low</w>"]
+        assert load_tokenizer(vocab).tokenize_line("low") == ["low"]
