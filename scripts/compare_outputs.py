@@ -7,9 +7,12 @@ Each tree's code (imported from TREE/src, in a subprocess) runs the same
 small jobs on the same inputs: every `run_all` route (parallel and
 vectors, each with word and with BPE tokens, and dictionary), the parallel
 word route with an embedding-only phase of none, some and all of the
-updates, a warm rerun, and each CLI subcommand once. Every job writes into one fixed run directory, which is then moved
-aside, so paths that outputs record are the same on both sides. The CLI's
-JSON lines are kept as files too.
+updates, a warm rerun, and each CLI subcommand once, plus a second
+`cipher-fixture` at the benchmark's size with split noise and dictionary
+dropout, so that every draw path of the generator is compared. Every job
+writes into one fixed run directory, which is then moved aside, so paths
+that outputs record are the same on both sides. The CLI's JSON lines are
+kept as files too.
 
 A file differs when its bytes differ, except that the `wall_ms` column of
 `telemetry.csv` is not compared. Since both sides write into the same
@@ -32,6 +35,8 @@ from pathlib import Path
 
 # small enough that one side runs in well under a minute
 FIXTURE = ["--vocab-size", "40", "--sentences", "500", "--heldout", "60", "--seed", "5"]
+NOISY_FIXTURE = ["--vocab-size", "60", "--sentences", "8000", "--heldout", "300",
+                 "--split-prob", "0.3", "--dict-dropout", "0.2"]
 MODEL = {"dim": 16, "layers": 1, "heads": 2, "ffn_dim": 32}
 TRAIN = {"total_updates": 12, "warmup_updates": 3, "batch_size": 8, "seq_len": 16,
          "checkpoint_every": 6, "seed": 2}
@@ -106,6 +111,8 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
     # each subcommand
     cli(tree, run, "fixture", "cipher-fixture", *FIXTURE, "--route", "dictionary",
         "--out-dir", str(run / "fixture"))
+    cli(tree, run, "fixture-noisy", "cipher-fixture", *NOISY_FIXTURE,
+        "--out-dir", str(run / "fixture-noisy"))
     for side, corpus in sides.items():
         cli(tree, run, f"bpe-{side}", "bpe", "--input", i[corpus], "--num-codes", "30",
             "--output", str(run / f"codes_{side}.txt"))

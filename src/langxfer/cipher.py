@@ -9,6 +9,15 @@ the cipher side identically.
 Noise options exercise the fallback paths: dictionary dropout hides a
 fraction of the emitted dictionary, and split noise renders some cipher
 words as two tokens (breaking one-to-one token alignment).
+
+Draw order. After the words, the split noise and the bigram model, the
+generator draws, per sentence and in sentence order, one
+`integers(min_len, max_len + 1)` for the length L and then one `random(L)`
+for the L word choices; the dictionary dropout draws come last. A word is
+`searchsorted(cdf, u, side="right")` on the cumulative distribution of the
+initial or the previous word's transition probabilities, which is what
+`Generator.choice(V, p=p)` computes from one `random()`. Bundles stay
+byte-identical only as long as this order and this rule do.
 """
 
 from __future__ import annotations
@@ -51,6 +60,34 @@ def _pseudo_words(rng: np.random.Generator, n: int, taken: set[str]) -> list[str
     return words
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Each row's cumulative distribution, normalised as `Generator.choice` does."""
+    cdf = probs.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _bigram_chain(init_probs: np.ndarray, transitions: np.ndarray,
+                  lengths: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Word indices of every sentence; row s uses draws[s, :lengths[s]].
+
+    Position 0 searches the initial distribution; each later position
+    searches the previous word's transition row, one call per previous word.
+    """
+    words = np.zeros(draws.shape, dtype=np.int64)
+    words[:, 0] = _cdf(init_probs).searchsorted(draws[:, 0], side="right")
+    cdf = _cdf(transitions)
+    for t in range(1, draws.shape[1]):
+        rows = np.flatnonzero(lengths > t)
+        prev = words[rows, t - 1]
+        order = np.argsort(prev, kind="stable")
+        rows, prev = rows[order], prev[order]
+        starts = np.flatnonzero(np.diff(prev, prepend=-1))
+        for word, group in zip(prev[starts], np.split(rows, starts[1:])):
+            words[group, t] = cdf[word].searchsorted(draws[group, t], side="right")
+    return words
+
+
 def generate_cipher_fixture(
     vocab_size: int,
     sentences: int,
@@ -65,8 +102,20 @@ def generate_cipher_fixture(
     """Deterministic corpus bundle for the cipher-transfer experiment."""
     if vocab_size < 10:
         raise ValueError("vocab_size must be >= 10")
+    if sentences < 1:
+        raise ValueError(f"sentences must be >= 1, got {sentences}")
+    if heldout < 0:
+        raise ValueError(f"heldout must be >= 0, got {heldout}")
+    if min_len < 1:
+        raise ValueError(f"min_len must be >= 1, got {min_len}")
+    if max_len < min_len:
+        raise ValueError(f"max_len must be >= min_len, got {max_len} < {min_len}")
     if not 0.0 <= dict_dropout < 1.0:
         raise ValueError("dict_dropout must be in [0, 1)")
+    if not 0.0 <= split_prob <= 1.0:
+        raise ValueError(f"split_prob must be in [0, 1], got {split_prob}")
+    if not bigram_alpha > 0.0:
+        raise ValueError(f"bigram_alpha must be > 0, got {bigram_alpha}")
     rng = np.random.default_rng(seed)
 
     taken: set[str] = set()
@@ -76,26 +125,31 @@ def generate_cipher_fixture(
 
     # deterministic per-word rendering on the cipher side
     split_flags = rng.random(vocab_size) < split_prob
-    fg_render = {}
-    for i, (en_w, fg_w) in enumerate(dictionary):
-        if split_flags[i] and len(fg_w) >= 4:
+    fg_render = []
+    for fg_w, split in zip(fg_words, split_flags):
+        if split and len(fg_w) >= 4:
             cut = int(rng.integers(2, len(fg_w) - 1))
-            fg_render[en_w] = f"{fg_w[:cut]} {fg_w[cut:]}"
+            fg_render.append(f"{fg_w[:cut]} {fg_w[cut:]}")
         else:
-            fg_render[en_w] = fg_w
+            fg_render.append(fg_w)
 
     init_probs = rng.dirichlet(np.full(vocab_size, 1.0))
     transitions = rng.dirichlet(np.full(vocab_size, bigram_alpha), size=vocab_size)
 
-    def sample_sentence() -> list[str]:
+    # per sentence, one length and then that many uniforms (see the module docstring)
+    draws = np.empty((sentences + heldout, max_len))
+    lengths = []
+    for row in draws:
         length = int(rng.integers(min_len, max_len + 1))
-        idx = [int(rng.choice(vocab_size, p=init_probs))]
-        for _ in range(length - 1):
-            idx.append(int(rng.choice(vocab_size, p=transitions[idx[-1]])))
-        return [en_words[i] for i in idx]
+        lengths.append(length)
+        rng.random(out=row[:length])
+    words = _bigram_chain(init_probs, transitions, np.array(lengths), draws)
 
-    en_all = [" ".join(sample_sentence()) for _ in range(sentences + heldout)]
-    fg_all = [" ".join(fg_render[w] for w in line.split()) for line in en_all]
+    en_all, fg_all = [], []
+    for row, length in zip(words.tolist(), lengths):
+        row = row[:length]
+        en_all.append(" ".join([en_words[i] for i in row]))
+        fg_all.append(" ".join([fg_render[i] for i in row]))
 
     if dict_dropout > 0.0:
         keep = rng.random(vocab_size) >= dict_dropout

@@ -112,8 +112,8 @@ class PipelineConfig:
             raise ValueError(f"unknown tokenization: {self.tokenization!r}")
         # fail on bad sizes, a bad schedule or model now, before any output exists
         for name, low in (("word_limit", 1), ("align_pairs", 1), ("ibm1_iterations", 1),
-                          ("bpe_codes", 0)):
-            if getattr(self, name) < low:
+                          ("bpe_codes", 0), ("ibm1_prune", 0)):
+            if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("vocab_size_en", "vocab_size_fg"):
             if getattr(self, name) <= corpus_mod.NUM_SPECIALS:

@@ -434,3 +434,64 @@ class TestBadSizesFailEarly:
         assert out == {"status": "error", "stage": "run-all", "code": "invalid_input",
                        "message": message}
         assert not (tmp_path / "fx" / "pipeline").exists()
+
+
+class TestSenselessValuesFailEarly:
+    @pytest.mark.parametrize("key,value,message", [
+        ("peak_lr", "0.0", "transfer schedule: peak_lr must be > 0, got 0.0"),
+        ("peak_lr", "-1.0", "transfer schedule: peak_lr must be > 0, got -1.0"),
+        ("pretrain_peak_lr", "0.0", "pretrain schedule: peak_lr must be > 0, got 0.0"),
+        ("pretrain_peak_lr", "-0.002", "pretrain schedule: peak_lr must be > 0, got -0.002"),
+        ("freeze_phase_updates", "-1",
+         "transfer schedule: freeze_phase_updates must be >= 0, got -1"),
+        ("ibm1_prune", "-0.5", "ibm1_prune must be >= 0, got -0.5"),
+    ])
+    def test_run_all_rejects_senseless_value(self, capsys, tmp_path, key, value, message):
+        code, out = run_cli(capsys, "cipher-fixture", "--vocab-size", "20",
+                            "--sentences", "50", "--heldout", "10",
+                            "--out-dir", str(tmp_path / "fx"))
+        assert code == 0
+        with open(out["config"], "a") as fh:
+            fh.write(f"{key} = {value}\n")
+        code, out = run_cli(capsys, "run-all", "--config", out["config"])
+        assert code == 1
+        assert out == {"status": "error", "stage": "run-all", "code": "invalid_input",
+                       "message": message}
+        assert not (tmp_path / "fx" / "pipeline").exists()
+
+    @pytest.mark.parametrize("command,config,message", [
+        ("pretrain", "peak_lr = 0.0\n", "peak_lr must be > 0, got 0.0"),
+        ("transfer", "peak_lr = -1.0\n", "peak_lr must be > 0, got -1.0"),
+        ("pretrain", "floor_lr = -1e-07\n", "floor_lr must be >= 0, got -1e-07"),
+        ("transfer", "freeze_phase_updates = -5\n",
+         "freeze_phase_updates must be >= 0, got -5"),
+    ])
+    def test_training_commands_reject_senseless_schedule(self, bundle, capsys, tmp_path,
+                                                         command, config, message):
+        _, paths = bundle
+        (tmp_path / "train.cfg").write_text(config)
+        common = ["--config", str(tmp_path / "train.cfg"), "--out-dir", str(tmp_path / "run")]
+        if command == "pretrain":
+            args = ["--corpus", paths["en_train.txt"], "--vocab", str(tmp_path / "v.txt")]
+        else:
+            args = ["--checkpoint", str(tmp_path / "ck"), "--init-emb", str(tmp_path / "e.bin"),
+                    "--en-train", paths["en_train.txt"], "--fg-train", paths["fg_train.txt"]]
+        code, out = run_cli(capsys, command, *args, *common)
+        assert code == 1
+        assert out == {"status": "error", "stage": command, "code": "invalid_input",
+                       "message": message}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--sentences", "-4", "sentences must be >= 1, got -4"),
+        ("--sentences", "0", "sentences must be >= 1, got 0"),
+        ("--heldout", "-3", "heldout must be >= 0, got -3"),
+        ("--split-prob", "1.5", "split_prob must be in [0, 1], got 1.5"),
+    ])
+    def test_cipher_fixture_rejects_bad_size(self, capsys, tmp_path, flag, value, message):
+        code, out = run_cli(capsys, "cipher-fixture", "--vocab-size", "20", flag, value,
+                            "--out-dir", str(tmp_path / "fx"))
+        assert code == 1
+        assert out == {"status": "error", "stage": "cipher-fixture", "code": "invalid_input",
+                       "message": message}
+        assert not (tmp_path / "fx").exists()
