@@ -7,9 +7,12 @@ Each tree's code (imported from TREE/src, in a subprocess) runs the same
 small jobs on the same inputs: every `run_all` route (parallel and
 vectors, each with word and with BPE tokens, and dictionary), the parallel
 word route with an embedding-only phase of none, some and all of the
-updates, a warm rerun, and each CLI subcommand once, plus a second
-`cipher-fixture` at the benchmark's size with split noise and dictionary
-dropout, so that every draw path of the generator is compared. Every job
+updates, and once with the settings that `PipelineConfig` renames or
+converts on their way into its sub-configs set to values no other route
+uses (post-norm, no clipping, other pretraining and masking rates), a warm
+rerun, and each CLI subcommand once, plus a second `cipher-fixture` at the
+benchmark's size with split noise and dictionary dropout, so that every
+draw path of the generator is compared. Every job
 writes into one fixed run directory, which is then moved aside, so paths
 that outputs record are the same on both sides. The CLI's JSON lines are
 kept as files too.
@@ -88,11 +91,15 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
         "dictionary.tsv", "en.vec", "fg.vec", "seed.tsv")}
     sides = {"en": "en_train.txt", "fg": "fg_train.txt"}
 
-    # run_all: every route, and the embedding-only phase for none, some and all updates
+    # run_all: every route, the embedding-only phase for none, some and all
+    # updates, and the mapped settings at values of their own
     routes = {
         "parallel-word-f0": {"route": "parallel", "freeze_phase_updates": 0},
         "parallel-word-f5": {"route": "parallel", "freeze_phase_updates": 5},
         "parallel-word-f12": {"route": "parallel", "freeze_phase_updates": 12},
+        "parallel-word-mapped": {"route": "parallel", "norm": "post", "grad_clip": 0,
+                                 "pretrain_peak_lr": 0.003, "pretrain_warmup": 4,
+                                 "mask_prob": 0.25},
         "parallel-bpe": {"route": "parallel", "tokenization": "bpe"},
         "dictionary": {"route": "dictionary", "dictionary": i["dictionary.tsv"]},
         "vectors": {"route": "vectors", "en_vectors": i["en.vec"], "fg_vectors": i["fg.vec"],

@@ -3,7 +3,8 @@
 Every subcommand wraps one library operation, writes its artifact, and
 prints a JSON summary to stdout (human-readable logs go to stderr). Exit
 status is 0 on success; failures print a JSON error object with a
-machine-readable code and exit nonzero.
+machine-readable code and exit nonzero: 2 for a usage error (code
+`invalid_argument`), 1 for any other.
 """
 
 from __future__ import annotations
@@ -64,6 +65,20 @@ def _emit(payload: dict) -> int:
     return 0
 
 
+def _emit_error(stage: str | None, code: str, message: str) -> None:
+    _emit({"status": "error", "stage": stage, "code": code, "message": message})
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as the JSON error
+    object on stdout (its usage line on stderr) and exits with status 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        _emit_error(self.prog.partition(" ")[2] or None, "invalid_argument", message)
+        self.exit(2)
+
+
 def cmd_bpe(args) -> int:
     codes = learn_bpe(iter_lines(args.input), args.num_codes)
     codes.save(args.output)
@@ -95,6 +110,9 @@ def cmd_align_vectors(args) -> int:
 
 
 def _read_aligned_parallel(args) -> tuple:
+    sides = (args.foreign, args.english)
+    if (args.parallel and any(sides)) or not (args.parallel or all(sides)):
+        raise ValueError("give --parallel alone, or both --foreign and --english")
     tok_fg = load_tokenizer(args.foreign_vocab, args.foreign_codes)
     tok_en = load_tokenizer(args.english_vocab, args.english_codes)
     if args.parallel:
@@ -283,7 +301,7 @@ def cmd_run_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="langxfer",
         description="Cross-lingual MLM transfer via sparse embedding initialization",
     )
@@ -416,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(fn=cmd_run_all)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -429,20 +448,16 @@ _ERROR_CODES = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported by the subcommand, so that the error names it
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except (ValueError, OSError, FloatingPointError) as exc:
         code = next(
             (c for t, c in _ERROR_CODES.items() if isinstance(exc, t)), "error"
         )
-        print(
-            json.dumps(
-                {"status": "error", "stage": args.command, "code": code,
-                 "message": str(exc)},
-                sort_keys=True,
-            )
-        )
+        _emit_error(args.command, code, str(exc))
         return 1
 
 

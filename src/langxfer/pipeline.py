@@ -65,6 +65,41 @@ from .word_alignment import (
 
 CACHE_DIR_ENV = "LANGXFER_CACHE_DIR"
 
+# Each sub-config a PipelineConfig derives, under the name its errors give
+# it: its class, the PipelineConfig field each of its fields comes from,
+# and its fixed values. Its other fields keep their defaults.
+_SHARED = ("batch_size", "seq_len", "mask_prob", "seed", "grad_clip")
+SUB_CONFIGS: dict[str, tuple[type, dict[str, str], dict]] = {
+    "pretrain schedule": (TrainingConfig, {
+        **{n: n for n in _SHARED}, "total_updates": "pretrain_updates",
+        "warmup_updates": "pretrain_warmup", "peak_lr": "pretrain_peak_lr",
+        "checkpoint_every": "pretrain_updates"}, {"freeze_phase_updates": 0}),
+    "transfer schedule": (TrainingConfig, {n: n for n in (
+        *_SHARED, "total_updates", "warmup_updates", "peak_lr", "freeze_phase_updates",
+        "checkpoint_every")}, {}),
+    "model": (ModelConfig, {"dim": "dim", "layers": "layers", "heads": "heads",
+                            "ffn_dim": "ffn_dim", "norm": "norm", "max_len": "seq_len"}, {}),
+}
+# a value that changes on its way into a sub-config: grad_clip <= 0 is no clipping
+_CONVERT = {"grad_clip": lambda clip: clip if clip > 0 else None}
+
+
+def _read_by(*parts: str) -> tuple[str, ...]:
+    """The PipelineConfig fields the named sub-configs read."""
+    return tuple(sorted({n for part in parts for n in SUB_CONFIGS[part][1].values()}))
+
+
+# the PipelineConfig fields each run_all stage's cache key hashes
+STAGE_PARAMS: dict[str, tuple[str, ...]] = {
+    "vocab": ("tokenization", "bpe_codes", "vocab_size_en", "vocab_size_fg"),
+    "pack": ("tokenization", "seq_len"),
+    "pretrain": _read_by("pretrain schedule", "model"),
+    "translation": ("route", "tokenization", "align_pairs", "ibm1_iterations",
+                    "ibm1_prune", "word_limit", "seed"),
+    "init": ("seed",),
+    "transfer": _read_by("transfer schedule"),
+}
+
 
 @dataclass
 class PipelineConfig:
@@ -121,46 +156,25 @@ class PipelineConfig:
                     f"{name} must exceed the {corpus_mod.NUM_SPECIALS} special tokens, "
                     f"got {getattr(self, name)}"
                 )
-        for part, make in (("pretrain schedule", self.pretrain_config),
-                           ("transfer schedule", self.training_config),
-                           ("model", self.model_config)):
+        for part in SUB_CONFIGS:
             try:
-                make()
+                self._derive(part)
             except ValueError as exc:
                 raise ValueError(f"{part}: {exc}") from None
 
-    def _schedule(self, total: int, warmup: int, peak_lr: float, freeze: int,
-                  every: int) -> TrainingConfig:
-        return TrainingConfig(
-            total_updates=total,
-            warmup_updates=warmup,
-            peak_lr=peak_lr,
-            batch_size=self.batch_size,
-            seq_len=self.seq_len,
-            mask_prob=self.mask_prob,
-            freeze_phase_updates=freeze,
-            seed=self.seed,
-            checkpoint_every=every,
-            grad_clip=self.grad_clip if self.grad_clip > 0 else None,
-        )
+    def _derive(self, part: str):
+        cls, fields, fixed = SUB_CONFIGS[part]
+        return cls(**fixed, **{f: _CONVERT.get(n, lambda x: x)(getattr(self, n))
+                               for f, n in fields.items()})
 
     def pretrain_config(self) -> TrainingConfig:
-        return self._schedule(self.pretrain_updates, self.pretrain_warmup,
-                              self.pretrain_peak_lr, 0, self.pretrain_updates)
+        return self._derive("pretrain schedule")
 
     def training_config(self) -> TrainingConfig:
-        return self._schedule(self.total_updates, self.warmup_updates, self.peak_lr,
-                              self.freeze_phase_updates, self.checkpoint_every)
+        return self._derive("transfer schedule")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            dim=self.dim,
-            layers=self.layers,
-            heads=self.heads,
-            ffn_dim=self.ffn_dim,
-            max_len=self.seq_len,
-            norm=self.norm,
-        )
+        return self._derive("model")
 
 
 def _parse_scalar(text: str, like) -> object:
@@ -311,10 +325,6 @@ class StageCache:
                 json.dumps(self.entries, indent=1, sort_keys=True) + "\n",
                 encoding="utf-8",
             )
-
-
-def _params(cfg: PipelineConfig, *names: str) -> dict:
-    return {n: getattr(cfg, n) for n in names}
 
 
 def load_tokenizer(vocab: Vocabulary | str | Path, codes: str | Path | None = None) -> Tokenizer:
@@ -469,7 +479,8 @@ def run_all(cfg: PipelineConfig) -> dict:
     cache = StageCache(work, memo={})
     summary: dict = {"stages": {}, "work_dir": str(work)}
 
-    def stage(name, params, inputs: dict[str, Path], outputs, fn) -> None:
+    def stage(name, inputs: dict[str, Path], outputs, fn) -> None:
+        params = {n: getattr(cfg, n) for n in STAGE_PARAMS[name]}
         key = cache.key(name, params, list(inputs.values()))
         outs = [Path(p) for p in outputs]
         if cache.hit(name, key, outs):
@@ -490,9 +501,8 @@ def run_all(cfg: PipelineConfig) -> dict:
             build_vocab(iter_tokens(f[f"{side}_train"], bpe),
                         getattr(cfg, f"vocab_size_{side}")).save(vocabs[f"vocab_{side}"])
 
-    stage("vocab", _params(cfg, "tokenization", "bpe_codes", "vocab_size_en", "vocab_size_fg"),
-          {n: corpora[n] for n in ("en_train", "fg_train")}, list(tok_files.values()),
-          build_vocabs)
+    stage("vocab", {n: corpora[n] for n in ("en_train", "fg_train")},
+          list(tok_files.values()), build_vocabs)
 
     # 2. tokenize + pack all corpora into fixed-length rows
     packs = {f"pack_{n}": work / f"pack_{n}.npy" for n in CORPORA}
@@ -502,8 +512,7 @@ def run_all(cfg: PipelineConfig) -> dict:
         for n in CORPORA:
             np.save(packs[f"pack_{n}"], pack_corpus(f[n], tok[n[:2]], cfg.seq_len))
 
-    stage("pack", _params(cfg, "tokenization", "seq_len"), {**corpora, **tok_files},
-          list(packs.values()), pack_all)
+    stage("pack", {**corpora, **tok_files}, list(packs.values()), pack_all)
 
     # 3. pretrain the english model
     pretrain_dir = work / "pretrain"
@@ -515,18 +524,8 @@ def run_all(cfg: PipelineConfig) -> dict:
         pretrain(cfg.pretrain_config(), model, np.load(f["pack_en_train"]),
                  np.load(f["pack_en_heldout"]), out_dir=pretrain_dir)
 
-    stage(
-        "pretrain",
-        _params(
-            cfg, "dim", "layers", "heads", "ffn_dim", "norm", "seq_len",
-            "pretrain_updates", "pretrain_warmup", "pretrain_peak_lr",
-            "batch_size", "mask_prob", "grad_clip", "seed",
-        ),
-        {"pack_en_train": packs["pack_en_train"], "pack_en_heldout": packs["pack_en_heldout"],
-         "vocab_en": vocabs["vocab_en"]},
-        [pretrain_ck],
-        do_pretrain,
-    )
+    en_packs = {n: packs[n] for n in ("pack_en_train", "pack_en_heldout")}
+    stage("pretrain", {**en_packs, "vocab_en": vocabs["vocab_en"]}, [pretrain_ck], do_pretrain)
 
     # 4. translation matrix, by the route chosen above
     tm_path = work / "translation_matrix.txt"
@@ -541,10 +540,7 @@ def run_all(cfg: PipelineConfig) -> dict:
             encoding="utf-8",
         )
 
-    stage("translation",
-          _params(cfg, "route", "tokenization", "align_pairs", "ibm1_iterations",
-                  "ibm1_prune", "word_limit", "seed"),
-          tm_inputs, [tm_path, report_path, *tm_logs], build_translation_matrix)
+    stage("translation", tm_inputs, [tm_path, report_path, *tm_logs], build_translation_matrix)
 
     # 5. initialize foreign embeddings and bias
     init_files = {n: work / f"{n}.bin" for n in ("init_emb", "init_bias")}
@@ -554,9 +550,8 @@ def run_all(cfg: PipelineConfig) -> dict:
         init_foreign(f["translation_matrix"], f["pretrain"], f["vocab_fg"], cfg.seed,
                      *init_files.values()).save(init_report)
 
-    stage("init", _params(cfg, "seed"),
-          {"translation_matrix": tm_path, "pretrain": pretrain_ck, "vocab_fg": vocabs["vocab_fg"]},
-          [*init_files.values(), init_report], do_init)
+    stage("init", {"translation_matrix": tm_path, "pretrain": pretrain_ck,
+                   "vocab_fg": vocabs["vocab_fg"]}, [*init_files.values(), init_report], do_init)
 
     # 6. transfer
     transfer_dir = work / "transfer"
@@ -570,17 +565,8 @@ def run_all(cfg: PipelineConfig) -> dict:
         run_transfer(cfg.training_config(), model, load_binary_vectors(f["init_emb"]), *rows,
                      init_bias=read_array(f["init_bias"])[0], out_dir=transfer_dir)
 
-    stage(
-        "transfer",
-        _params(
-            cfg, "total_updates", "warmup_updates", "peak_lr", "batch_size",
-            "seq_len", "mask_prob", "freeze_phase_updates", "checkpoint_every",
-            "grad_clip", "seed",
-        ),
-        {**init_files, "pretrain": pretrain_ck, **packs},
-        transfer_outputs,
-        do_transfer,
-    )
+    stage("transfer", {**init_files, "pretrain": pretrain_ck, **packs}, transfer_outputs,
+          do_transfer)
 
     # 7. summary
     report = json.loads(init_report.read_text(encoding="utf-8"))

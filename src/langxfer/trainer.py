@@ -108,18 +108,6 @@ class OptimizerState:
     v: dict[str, np.ndarray]
     step: int = 0
 
-    @classmethod
-    def for_model(cls, state: ModelState) -> "OptimizerState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in state.params.items()},
-            v={k: np.zeros_like(p) for k, p in state.params.items()},
-        )
-
-
-def _flat(x: np.ndarray) -> np.ndarray:
-    """A 1-D view of a contiguous array (never a copy: updates go through it)."""
-    return x.reshape(-1, copy=False)
-
 
 class ArenaGrads(dict):
     """A ParamArena's gradient views for one freeze set, in `params` order.
@@ -220,7 +208,7 @@ class ParamArena:
 
 def adam_step(
     state: ModelState,
-    grads: dict[str, np.ndarray],
+    grads: ArenaGrads,
     opt: OptimizerState,
     lr: float,
     freeze: frozenset[str] | set[str] = frozenset(),
@@ -230,29 +218,25 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update in place; frozen groups stay untouched.
 
-    `grads` needs an entry for every parameter outside `freeze`. The update
-    runs over ranges: the arena's contiguous ones when `grads` is the
-    ArenaGrads of `state`, `opt` and `freeze`, otherwise each parameter is a
-    range of its own. A range is updated in blocks of ADAM_BLOCK elements
-    through two scratch buffers, with the textbook expressions' operations
-    in their order:
+    `grads` is the ArenaGrads of `state`, `opt` and `freeze`
+    (`ParamArena.zeroed_grads`); anything else is a ValueError. The update
+    runs over the arena's contiguous ranges, each in blocks of ADAM_BLOCK
+    elements through two scratch buffers, with the textbook expressions'
+    operations in their order:
     m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
     p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
     """
-    if isinstance(grads, ArenaGrads) and grads.updates(state, opt, freeze):
-        runs = grads.runs
-    else:
-        runs = [(_flat(state.params[k]), _flat(grads[k]), _flat(opt.m[k]), _flat(opt.v[k]))
-                for k in state.params if param_group(k) not in freeze]
-    if not all(np.isfinite(g).all() for _, g, _, _ in runs):  # abort before mutating
+    if not (isinstance(grads, ArenaGrads) and grads.updates(state, opt, freeze)):
+        raise ValueError("adam_step needs the ArenaGrads of its state, optimizer and freeze set")
+    if not all(np.isfinite(g).all() for _, g, _, _ in grads.runs):  # abort before mutating
         for k in state.params:
-            if param_group(k) not in freeze and not np.all(np.isfinite(grads[k])):
+            if k in grads and not np.all(np.isfinite(grads[k])):
                 raise FloatingPointError(f"non-finite gradient for parameter group {k}")
     opt.step += 1
     t = opt.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for p_run, g_run, m_run, v_run in runs:
+    for p_run, g_run, m_run, v_run in grads.runs:
         scratch = np.empty((2, min(ADAM_BLOCK, len(p_run))), dtype=p_run.dtype)
         for i in range(0, len(p_run), ADAM_BLOCK):
             p, g = p_run[i:i + ADAM_BLOCK], g_run[i:i + ADAM_BLOCK]
@@ -274,25 +258,23 @@ def adam_step(
             p -= a
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float | None) -> float:
-    """Scale all gradients in place so their global L2 norm is at most max_norm.
+def clip_gradients(grads: ArenaGrads, max_norm: float | None) -> float:
+    """Scale an ArenaGrads in place so its global L2 norm is at most max_norm.
 
-    The norm adds each gradient's float64 sum of squares in dict order; an
-    ArenaGrads sums each stack's rows in one call, bit-identical to one
-    sum per gradient. Returns the norm before clipping; with
-    `max_norm=None` it only measures.
+    The norm adds each gradient's float64 sum of squares in dict order,
+    each stack's rows summed in one call, bit-identical to one sum per
+    gradient. Returns the norm before clipping; with `max_norm=None` it
+    only measures. Anything but an ArenaGrads is a ValueError.
     """
-    if isinstance(grads, ArenaGrads):
-        stacks = grads.stacks
-    else:
-        stacks = [([k], _flat(g)[None]) for k, g in grads.items()]
+    if not isinstance(grads, ArenaGrads):
+        raise ValueError("clip_gradients needs an ArenaGrads (ParamArena.zeroed_grads)")
     sums: dict[str, float] = {}
-    for names, rows in stacks:
+    for names, rows in grads.stacks:
         sums.update(zip(names, np.square(rows, dtype=np.float64).sum(axis=1).tolist()))
     total = math.sqrt(sum(sums[k] for k in grads))
     if max_norm is not None and total > max_norm and total > 0:
         scale = max_norm / total
-        for _, rows in stacks:
+        for _, rows in grads.stacks:
             rows *= np.asarray(scale, dtype=rows.dtype)
     return total
 

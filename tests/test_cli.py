@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from langxfer.cli import main
+from langxfer.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -495,3 +502,110 @@ class TestSenselessValuesFailEarly:
         assert out == {"status": "error", "stage": "cipher-fixture", "code": "invalid_input",
                        "message": message}
         assert not (tmp_path / "fx").exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,stage,message", [
+        (["pretrain", "--dim", "abc"], "pretrain", "argument --dim: invalid int value: 'abc'"),
+        (["run-all"], "run-all", "the following arguments are required: --config"),
+        (["eval", "--checkpoint", "c", "--corpus", "x", "--language", "de"], "eval",
+         "argument --language: invalid choice: 'de' (choose from 'en', 'fg')"),
+        (["run-all", "--config", "c", "--bogus", "1"], "run-all",
+         "unrecognized arguments: --bogus 1"),
+        ([], None, "the following arguments are required: command"),
+    ], ids=["bad-int", "missing-flag", "bad-choice", "unknown-flag", "no-command"])
+    def test_usage_error_prints_the_json_error(self, capsys, argv, stage, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out = capsys.readouterr().out.splitlines()
+        assert exit_info.value.code == 2 and len(out) == 1
+        assert json.loads(out[0]) == {
+            "status": "error", "stage": stage, "code": "invalid_argument", "message": message}
+
+    def test_help_is_still_text(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pretrain", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: langxfer pretrain")
+
+
+class TestParallelFlags:
+    @pytest.mark.parametrize("command", ["ibm1", "parse-fastalign"])
+    @pytest.mark.parametrize("corpus", [
+        [], ["--foreign", "fg"], ["--english", "en"], ["--parallel", "p", "--foreign", "fg"],
+    ], ids=["none", "foreign-only", "english-only", "parallel-and-foreign"])
+    def test_bad_corpus_flags_fail_before_reading(self, capsys, tmp_path, command, corpus):
+        # no file named here exists: the flags are checked before any is read
+        argv = [command, *corpus, "--foreign-vocab", "vf", "--english-vocab", "ve",
+                "--output", str(tmp_path / "tm.txt")]
+        if command == "parse-fastalign":
+            argv += ["--alignments", "al"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == {"status": "error", "stage": command, "code": "invalid_input",
+                       "message": "give --parallel alone, or both --foreign and --english"}
+        assert not (tmp_path / "tm.txt").exists()
+
+
+# the values a fuzzed flag takes, by its type: numbers at and past the
+# edges of their ranges and one that does not parse; for a path, an empty
+# string and files that are missing, empty, or of some other kind
+FUZZ_FILES = {"empty.txt": "", "junk.txt": "a b\nc d e\n", "pairs.tsv": "a b\tc d\n",
+              "vocab.txt": "<pad>\n<unk>\n<mask>\n<s>\n</s>\na\nb\nc\n"}
+FUZZ_VALUES = {
+    int: ["-1", "0", "1", "2", "abc"],
+    float: ["-1", "0", "0.5", "1.5", "nan", "abc"],
+    None: ["", "missing.txt", *FUZZ_FILES, "out", "-1"],
+}
+OUT_DIR_COMMANDS = ("run-all", "pretrain", "transfer", "cipher-fixture")
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand and a draw of its flags, each from `build_parser()`:
+    a required flag is left out one time in ten, an optional one six."""
+    command, parser = draw(st.sampled_from(sorted(build_parser().commands.items())))
+    argv = [command]
+    for action in parser._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if draw(st.integers(0, 9)) < (1 if action.required else 6):
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            pool = [*action.choices, "bogus"] if action.choices else FUZZ_VALUES[action.type]
+            argv.append(draw(st.sampled_from(pool)))
+    if draw(st.integers(0, 9)) == 0:
+        argv += draw(st.sampled_from([["--bogus"], ["stray"], ["--seed"]]))
+    return argv
+
+
+class TestArgvFuzz:
+    @pytest.mark.filterwarnings("ignore:corpus ran out of pairs:UserWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(argv=fuzzed_argv())
+    def test_every_argv_gives_one_json_line(self, argv):
+        """No traceback, one JSON line on stdout, and a failed command
+        leaves no output directory behind."""
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                for name, text in FUZZ_FILES.items():
+                    Path(name).write_text(text)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                created = set(os.listdir()) - set(FUZZ_FILES)
+            finally:
+                os.chdir(cwd)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        payload = json.loads(lines[0])
+        assert "Traceback" not in err.getvalue()
+        assert (payload.get("status") == "error") == (code != 0), (argv, code, payload)
+        if code != 0 and argv[0] in OUT_DIR_COMMANDS:
+            assert "out" not in created, (argv, payload)

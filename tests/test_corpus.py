@@ -239,10 +239,11 @@ class TestEncodeLine:
     )
     def test_matches_per_token_lookup(self, vocab_words, lines):
         codes = learn_bpe(["low lower newest widest"] + lines, 10)
-        words = [w for w in vocab_words if w not in SPECIAL_TOKENS]
+        subwords = ["lo", "w</w>", "e"]  # appended below: a drawn copy would be a duplicate
+        words = [w for w in vocab_words if w not in (*SPECIAL_TOKENS, *subwords)]
         for tokenizer in (
             Tokenizer(Vocabulary.from_tokens(words)),
-            Tokenizer(Vocabulary.from_tokens(words + ["lo", "w</w>", "e"]), codes),
+            Tokenizer(Vocabulary.from_tokens(words + subwords), codes),
         ):
             for line in lines + ["", "  <unk> <pad>\tnever-seen "]:
                 assert tokenizer.encode_line(line) == self.per_token_encode(tokenizer, line)

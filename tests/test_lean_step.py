@@ -115,12 +115,14 @@ def oracle_backward(state, batch, freeze=frozenset()):
 
 
 def oracle_step_backward(state, batch, freeze=frozenset(), grads=None):
-    """The full backward with the new call shape: merge into `grads` by
-    adding the two per-language dicts."""
+    """The full backward with the new call shape: with `grads` (the arena's
+    in a training run), this batch's gradients are added into it in place."""
     loss, g = oracle_backward(state, batch, freeze)
-    if grads is not None:
-        g = {k: grads[k] + g[k] for k in grads}
-    return loss, g
+    if grads is None:
+        return loss, g
+    for k in grads:
+        grads[k] += g[k]
+    return loss, grads
 
 
 def oracle_adam_step(state, grads, opt, lr, freeze=frozenset(),
@@ -232,19 +234,21 @@ class TestBackwardAgainstOracle:
 class TestAdamAgainstOracle:
     def test_in_place_update_bit_identical(self):
         a, b = model(), model()
-        opt_a = trainer.OptimizerState.for_model(a)
-        opt_b = trainer.OptimizerState.for_model(b)
+        arena = trainer.ParamArena(a)
+        opt_b = trainer.OptimizerState(m={k: np.zeros_like(p) for k, p in b.params.items()},
+                                       v={k: np.zeros_like(p) for k, p in b.params.items()})
         rng = np.random.default_rng(8)
         for step in range(5):
             freeze = EMBEDDING_PHASE_FREEZE if step < 2 else frozenset()
-            grads = {k: rng.normal(0, 1, p.shape).astype(p.dtype)
-                     for k, p in a.params.items()}
-            trainer.adam_step(a, grads, opt_a, 1e-2, freeze)
+            grads = arena.zeroed_grads(freeze)
+            for g in grads.values():
+                g[...] = rng.normal(0, 1, g.shape)
+            trainer.adam_step(a, grads, arena.opt, 1e-2, freeze)
             oracle_adam_step(b, grads, opt_b, 1e-2, freeze)
             for k in a.params:
                 assert np.array_equal(a.params[k], b.params[k]), k
-                assert np.array_equal(opt_a.m[k], opt_b.m[k]), k
-                assert np.array_equal(opt_a.v[k], opt_b.v[k]), k
+                assert np.array_equal(arena.opt.m[k], opt_b.m[k]), k
+                assert np.array_equal(arena.opt.v[k], opt_b.v[k]), k
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,65 @@ class TestInputsCheckedFirst:
         assert run_all(cfg)["stages"]["transfer"] == "ran"
 
 
+# every PipelineConfig field and the stage keys that hash it as a parameter;
+# the fields that name files are hashed by content, as inputs
+KEYED_BY = {
+    **{n: set() for n in ("out_dir", "en_train", "en_heldout", "fg_train", "fg_heldout",
+                          "dictionary", "en_vectors", "fg_vectors", "seed_dictionary")},
+    "route": {"translation"},
+    "tokenization": {"vocab", "pack", "translation"},
+    **{n: {"vocab"} for n in ("bpe_codes", "vocab_size_en", "vocab_size_fg")},
+    **{n: {"translation"} for n in ("word_limit", "align_pairs", "ibm1_iterations",
+                                    "ibm1_prune")},
+    **{n: {"pretrain"} for n in ("dim", "layers", "heads", "ffn_dim", "norm",
+                                 "pretrain_updates", "pretrain_warmup", "pretrain_peak_lr")},
+    **{n: {"transfer"} for n in ("total_updates", "warmup_updates", "peak_lr",
+                                 "freeze_phase_updates", "checkpoint_every")},
+    **{n: {"pretrain", "transfer"} for n in ("batch_size", "mask_prob", "grad_clip")},
+    "seq_len": {"pack", "pretrain", "transfer"},
+    "seed": {"pretrain", "translation", "init", "transfer"},
+}
+FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)]
+
+
+def fields_read(cfg, method):
+    """The PipelineConfig fields that `cfg.method()` reads."""
+    reads = set()
+
+    class Recording(PipelineConfig):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return object.__getattribute__(self, name)
+
+    recording = Recording(**dataclasses.asdict(cfg))
+    reads.clear()
+    getattr(recording, method)()
+    return reads & set(FIELDS)
+
+
+class TestStageParams:
+    def test_each_field_is_hashed_by_its_stages(self, letters, monkeypatch):
+        hashed = {}
+        real_key = StageCache.key
+
+        def spy(self, stage, params, inputs):
+            hashed[stage] = params
+            return real_key(self, stage, params, inputs)
+
+        monkeypatch.setattr(StageCache, "key", spy)
+        cfg = letters_config(letters, letters / "out", grad_clip=0.0, norm="post")
+        run_all(cfg)
+        assert set(KEYED_BY) == set(FIELDS)
+        for name in FIELDS:
+            assert {s for s, params in hashed.items() if name in params} == KEYED_BY[name], name
+        for params in hashed.values():  # the config's values, before any conversion
+            assert params == {n: getattr(cfg, n) for n in params}
+        # a stage key hashes exactly the fields its sub-configs read
+        assert set(hashed["pretrain"]) == (fields_read(cfg, "pretrain_config")
+                                           | fields_read(cfg, "model_config"))
+        assert set(hashed["transfer"]) == fields_read(cfg, "training_config")
+
+
 NUMERIC = {f.name: f.type for f in dataclasses.fields(PipelineConfig)
            if f.type in ("int", "float")}
 

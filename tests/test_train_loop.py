@@ -3,10 +3,10 @@
 `oracle_pretrain` and `oracle_run_transfer` below are the earlier,
 separate implementations of the two training runs, kept as test
 references together with the log writer they used. They share the step's
-primitives (backward, Adam, clipping, batching, evaluation, checkpoints)
-with the library, so any difference comes from the single update loop that
-now drives both runs: its batch order, freeze schedule, evaluation and
-logging.
+primitives (the parameter arena, backward, Adam, clipping, batching,
+evaluation, checkpoints) with the library, so any difference comes from
+the single update loop that now drives both runs: its batch order, freeze
+schedule, evaluation and logging.
 """
 
 import math
@@ -24,7 +24,7 @@ from langxfer.trainer import (
     EMBEDDING_PHASE_FREEZE,
     EVAL_SEED_OFFSET,
     CyclingStream,
-    OptimizerState,
+    ParamArena,
     TrainingConfig,
     TransferResult,
     lr_schedule,
@@ -84,7 +84,7 @@ def oracle_run_transfer(cfg, pretrained, init_emb, train_en, train_fg, heldout_e
 
     en_stream = CyclingStream(train_en, (cfg.seed, 0xE))
     fg_stream = CyclingStream(train_fg, (cfg.seed, 0xF))
-    opt = OptimizerState.for_model(state)
+    arena = ParamArena(state)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -118,11 +118,12 @@ def oracle_run_transfer(cfg, pretrained, init_emb, train_en, train_fg, heldout_e
                 en_stream, fg_stream, cfg, step,
                 len(state.vocab_en), len(state.vocab_fg),
             )
-            loss_en, grads = trainer.backward(state, b_en, freeze)
+            grads = arena.zeroed_grads(freeze)
+            loss_en, grads = trainer.backward(state, b_en, freeze, grads)
             loss_fg, grads = trainer.backward(state, b_fg, freeze, grads)
             grad_norm = trainer.clip_gradients(grads, cfg.grad_clip)
             lr = lr_schedule(step, cfg)
-            trainer.adam_step(state, grads, opt, lr, freeze,
+            trainer.adam_step(state, grads, arena.opt, lr, freeze,
                               cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             state.assert_finite()
             logs.metric(step, lr, loss_en, loss_fg)
@@ -131,13 +132,14 @@ def oracle_run_transfer(cfg, pretrained, init_emb, train_en, train_fg, heldout_e
                 evaluate(step)
                 checkpoint(step)
     finally:
+        state.arena = None
         logs.close()
     return TransferResult(state, logs.metrics, logs.evals, checkpoints)
 
 
 def oracle_pretrain(cfg, state, train_en, heldout_en=None, out_dir=None):
     en_stream = CyclingStream(train_en, (cfg.seed, 0xE))
-    opt = OptimizerState.for_model(state)
+    arena = ParamArena(state)
     freeze = frozenset({"emb_fg", "out_bias_fg"})
 
     out_path = Path(out_dir) if out_dir is not None else None
@@ -160,10 +162,10 @@ def oracle_pretrain(cfg, state, train_en, heldout_en=None, out_dir=None):
             rows = en_stream.next(cfg.batch_size)
             batch = trainer.make_masked_batch(rows, cfg.mask_prob, (cfg.seed, step, 0),
                                               len(state.vocab_en), "en", cfg.eighty_ten_ten)
-            loss, grads = trainer.backward(state, batch, freeze)
+            loss, grads = trainer.backward(state, batch, freeze, arena.zeroed_grads(freeze))
             grad_norm = trainer.clip_gradients(grads, cfg.grad_clip)
             lr = lr_schedule(step, cfg)
-            trainer.adam_step(state, grads, opt, lr, freeze,
+            trainer.adam_step(state, grads, arena.opt, lr, freeze,
                               cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             state.assert_finite()
             logs.metric(step, lr, loss, float("nan"))
@@ -175,6 +177,7 @@ def oracle_pretrain(cfg, state, train_en, heldout_en=None, out_dir=None):
                     trainer.save_checkpoint(state, ck, step=step)
                     checkpoints.append(ck)
     finally:
+        state.arena = None
         logs.close()
     return TransferResult(state, logs.metrics, logs.evals, checkpoints)
 

@@ -9,6 +9,7 @@ from langxfer.tiny_mlm import ModelConfig, init_model
 from langxfer.trainer import (
     CyclingStream,
     OptimizerState,
+    ParamArena,
     TrainingConfig,
     adam_step,
     balanced_batch,
@@ -58,14 +59,19 @@ def scalar_state():
     return state
 
 
+def arena_grads(state, freeze=frozenset()):
+    """An arena over `state` and its zero-filled gradients for `freeze`."""
+    arena = ParamArena(state)
+    return arena, arena.zeroed_grads(frozenset(freeze))
+
+
 class TestAdamStep:
     def test_first_step_hand_derived(self):
         state = scalar_state()
         state.params["out_bias_en"][:] = 0.0
-        grads = {k: np.zeros_like(p) for k, p in state.params.items()}
+        arena, grads = arena_grads(state)
         grads["out_bias_en"][0] = 1.0
-        opt = OptimizerState.for_model(state)
-        adam_step(state, grads, opt, lr=0.5)
+        adam_step(state, grads, arena.opt, lr=0.5)
         # bias-corrected first step: m_hat = v_hat = 1, update = -lr / (1 + eps)
         expected = -0.5 * 1.0 / (1.0 + 1e-8)
         assert state.params["out_bias_en"][0] == pytest.approx(expected, rel=1e-12)
@@ -73,44 +79,63 @@ class TestAdamStep:
     def test_zero_gradients_leave_parameters(self):
         state = scalar_state()
         before = {k: p.copy() for k, p in state.params.items()}
-        grads = {k: np.zeros_like(p) for k, p in state.params.items()}
-        adam_step(state, grads, OptimizerState.for_model(state), lr=0.1)
+        arena, grads = arena_grads(state)
+        adam_step(state, grads, arena.opt, lr=0.1)
         for k, p in state.params.items():
             assert np.array_equal(p, before[k])
 
     def test_frozen_group_bit_unchanged_and_moments_zero(self):
         state = scalar_state()
         before = state.params["emb_en"].copy()
-        opt = OptimizerState.for_model(state)
+        arena = ParamArena(state)
         rng = np.random.default_rng(0)
         for _ in range(1000):
-            grads = {k: rng.normal(0, 1, p.shape) for k, p in state.params.items()}
-            adam_step(state, grads, opt, lr=1e-3, freeze={"emb_en"})
+            grads = arena.zeroed_grads(frozenset({"emb_en"}))
+            for g in grads.values():
+                g[...] = rng.normal(0, 1, g.shape)
+            adam_step(state, grads, arena.opt, lr=1e-3, freeze={"emb_en"})
         assert np.array_equal(state.params["emb_en"], before)
-        assert np.all(opt.m["emb_en"] == 0)
-        assert np.all(opt.v["emb_en"] == 0)
+        assert np.all(arena.opt.m["emb_en"] == 0)
+        assert np.all(arena.opt.v["emb_en"] == 0)
         assert not np.array_equal(state.params["emb_fg"], before)  # others moved
 
     def test_non_finite_gradient_aborts_without_mutation(self):
         state = scalar_state()
         before = {k: p.copy() for k, p in state.params.items()}
-        grads = {k: np.zeros_like(p) for k, p in state.params.items()}
+        arena, grads = arena_grads(state)
         grads["pos_emb"][0, 0] = np.nan
-        opt = OptimizerState.for_model(state)
         with pytest.raises(FloatingPointError, match="pos_emb"):
-            adam_step(state, grads, opt, lr=0.1)
+            adam_step(state, grads, arena.opt, lr=0.1)
         for k, p in state.params.items():
             assert np.array_equal(p, before[k])
-        assert opt.step == 0
+        assert arena.opt.step == 0
 
     def test_clip_gradients(self):
-        grads = {"a": np.array([3.0, 4.0]), "b": np.array([0.0])}
+        state = scalar_state()
+        arena, grads = arena_grads(state)
+        grads["out_bias_en"][:2] = [3.0, 4.0]
         norm = clip_gradients(grads, max_norm=1.0)
         assert norm == pytest.approx(5.0)
-        assert np.linalg.norm(grads["a"]) == pytest.approx(1.0, rel=1e-6)
-        small = {"a": np.array([0.3])}
-        clip_gradients(small, max_norm=1.0)
-        assert small["a"][0] == 0.3  # under the cap: untouched
+        assert np.linalg.norm(arena.grad) == pytest.approx(1.0, rel=1e-6)
+        grads = arena.zeroed_grads(frozenset())
+        grads["out_bias_en"][0] = 0.3
+        clip_gradients(grads, max_norm=1.0)
+        assert grads["out_bias_en"][0] == 0.3  # under the cap: untouched
+
+    def test_other_gradients_are_refused(self):
+        state = scalar_state()
+        plain = {k: np.zeros_like(p) for k, p in state.params.items()}
+        opt = OptimizerState(m={k: np.zeros_like(p) for k, p in state.params.items()},
+                             v={k: np.zeros_like(p) for k, p in state.params.items()})
+        with pytest.raises(ValueError, match="ArenaGrads"):
+            adam_step(state, plain, opt, lr=0.1)
+        with pytest.raises(ValueError, match="ArenaGrads"):
+            clip_gradients(plain, max_norm=1.0)
+        arena, grads = arena_grads(state, {"emb_en"})
+        for other_opt, freeze in ((opt, {"emb_en"}), (arena.opt, frozenset())):
+            with pytest.raises(ValueError, match="ArenaGrads"):
+                adam_step(state, grads, other_opt, lr=0.1, freeze=freeze)
+        assert arena.opt.step == 0 and opt.step == 0
 
 
 class TestPacking:
