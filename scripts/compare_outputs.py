@@ -22,12 +22,15 @@ A file differs when its bytes differ, except that the `wall_ms` column of
 path, `summary.json`'s `work_dir` and the paths in `cache.json` agree, and
 both files are compared whole. The script prints each file that differs
 or exists on one side only, and the number of files compared; it exits 1
-when any differs.
+when any differs. Under each CSV that differs it prints the largest
+absolute difference in each numeric column that differs, so that the size
+of a change that is not bit-equal shows at a glance.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import random
 import shutil
@@ -182,16 +185,47 @@ def comparable(path: Path) -> bytes | list[str]:
     return path.read_bytes()
 
 
-def compare(a: Path, b: Path) -> tuple[list[str], int]:
+def column_gaps(a: Path, b: Path) -> list[str]:
+    """The largest absolute difference in each numeric column of two CSVs
+    that differs (not telemetry's wall_ms), one line per column."""
+    with a.open(newline="", encoding="utf-8") as fa, b.open(newline="", encoding="utf-8") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    shape = [len(row) for row in rows_a]
+    if not rows_a or rows_a[0] != rows_b[0] or shape != [len(row) for row in rows_b]:
+        return ["  header or shape differs"]
+    lines = []
+    for j, name in enumerate(rows_a[0]):
+        if a.name == "telemetry.csv" and name == "wall_ms":
+            continue
+        pairs = [(x[j], y[j]) for x, y in zip(rows_a[1:], rows_b[1:]) if x[j] != y[j]]
+        try:
+            gap = max((abs(float(x) - float(y)) for x, y in pairs), default=None)
+        except ValueError:  # not a numeric column, or a value missing on one side
+            lines.append(f"  {name}: {len(pairs)} values differ")
+            continue
+        if gap is not None:
+            lines.append(f"  {name}: largest |difference| {gap:.3g} over {len(pairs)} values")
+    return lines
+
+
+def compare(a: Path, b: Path) -> tuple[list[str], int, int]:
+    """The report, one line per file that differs or exists on one side
+    only, a CSV's followed by its column gaps; the number of those files;
+    and the number of files compared."""
     def files(root: Path) -> set[str]:
         return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
 
     fa, fb = files(a), files(b)
-    diffs = [f"only in parent: {f}" for f in sorted(fa - fb)]
-    diffs += [f"only in change: {f}" for f in sorted(fb - fa)]
-    diffs += [f"differs: {f}" for f in sorted(fa & fb)
-              if comparable(a / f) != comparable(b / f)]
-    return diffs, len(fa & fb)
+    report = [f"only in parent: {f}" for f in sorted(fa - fb)]
+    report += [f"only in change: {f}" for f in sorted(fb - fa)]
+    n_diffs = len(report)
+    for f in sorted(fa & fb):
+        if comparable(a / f) != comparable(b / f):
+            n_diffs += 1
+            report.append(f"differs: {f}")
+            if f.endswith(".csv"):
+                report += column_gaps(a / f, b / f)
+    return report, n_diffs, len(fa & fb)
 
 
 def main() -> int:
@@ -210,11 +244,11 @@ def main() -> int:
         for side, tree in trees.items():
             run_jobs(tree, inputs, work / "run")
             shutil.move(work / "run", work / side)
-        diffs, compared = compare(work / "parent", work / "change")
-    for line in diffs:
+        report, n_diffs, compared = compare(work / "parent", work / "change")
+    for line in report:
         print(line)
-    print(f"{compared} files compared, {len(diffs)} differ")
-    return 1 if diffs else 0
+    print(f"{compared} files compared, {n_diffs} differ")
+    return 1 if n_diffs else 0
 
 
 if __name__ == "__main__":

@@ -12,8 +12,12 @@ backward pass must be a Python float (or int), never a numpy scalar: under
 NumPy 2's promotion rules (NEP 50) a Python float adapts to a float32
 array, while an `np.float64` such as `1.0 / np.sqrt(n)` silently turns
 everything downstream into float64. The softmax normalizer at masked
-positions sums exponentials in ascending sorted order, making the loss
-invariant, bit for bit, to a permutation of the vocabulary.
+positions truncates each exponential (all in [0, 1]) to a multiple of
+2^-k, k = 53 - bit_length(V - 1), and adds those in float64, where every
+partial sum is exact: the loss is invariant, bit for bit, to a permutation
+of the vocabulary, and the normalizer, before its one rounding to the
+model's dtype, is within V * 2^-k of the true sum (about 1e-7 relative at
+V = 30k; the maximum term is 1, so the sum is >= 1).
 """
 
 from __future__ import annotations
@@ -185,6 +189,8 @@ def make_masked_batch(
     """
     if not 0.0 < mask_prob <= 1.0:
         raise ValueError("mask_prob must be in (0, 1]")
+    if vocab_size <= NUM_SPECIALS:
+        raise ValueError(f"the {language} vocabulary has no non-special tokens")
     sequences = np.asarray(sequences)
     rng = np.random.default_rng(seed)
     u = rng.random(sequences.shape)
@@ -369,23 +375,41 @@ def _masked_logits(state: ModelState, ctx: np.ndarray, batch: MaskedBatch):
     return cm @ emb.T + bias, cm
 
 
+def _exact_row_sums(ex: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Row sums of `ex`, whose entries lie in [0, 1], in any column order.
+
+    Each entry is truncated to a multiple of 2^-k, for V columns
+    k = 53 - bit_length(max(V - 1, 1)): scaling by 2^k and flooring are
+    exact, so each term is an integer in [0, 2^k] and every partial sum an
+    integer <= V * 2^k <= 2^53, which float64 adds exactly. The result is
+    the same bit for bit under any permutation of the columns; before its
+    one rounding to `ex`'s dtype it lies within V * 2^-k of the exact sum.
+    With `overwrite`, `ex` itself holds the truncated terms afterwards;
+    otherwise one temporary of its dtype is allocated.
+    """
+    scale = 2.0 ** (53 - max(ex.shape[1] - 1, 1).bit_length())
+    q = np.multiply(ex, scale, out=ex if overwrite else None)
+    np.floor(q, out=q)
+    return (q.sum(axis=1, dtype=np.float64) / scale).astype(ex.dtype)
+
+
 def _loss_from_logits(logits: np.ndarray, labels: np.ndarray, probs: bool = False):
     """Mean cross-entropy at the masked positions, and the probabilities.
 
-    With `probs`, `logits` is overwritten by the softmax probabilities
-    (normalised in place) and those are returned; otherwise the second
-    value is None and `logits` is left as it is.
+    The normalizer, `_exact_row_sums` of the shifted exponentials, is their
+    exact sum after truncation to multiples of 2^-k: within V * 2^-k of
+    the true sum, and bit-identical under any permutation of the
+    vocabulary, as the loss therefore is. With `probs`, `logits` is
+    overwritten by the softmax probabilities (normalised in place) and
+    those are returned; otherwise the second value is None and `logits` is
+    left as it is.
     """
     m = logits.max(axis=1, keepdims=True)
     picked = logits[np.arange(logits.shape[0]), labels]
     ex = np.subtract(logits, m, out=logits if probs else None)
     np.exp(ex, out=ex)
-    # ascending-order summation: invariant to vocabulary permutation
-    if probs:
-        denom = np.sort(ex, axis=1).sum(axis=1)
-    else:  # `ex` is a scratch copy: sort it in place instead of copying it
-        ex.sort(axis=1)
-        denom = ex.sum(axis=1)
+    # without `probs`, `ex` is a scratch copy: truncate it in place
+    denom = _exact_row_sums(ex, overwrite=not probs)
     nll = -(picked - m[:, 0] - np.log(denom))
     if not probs:
         return nll.mean(), None

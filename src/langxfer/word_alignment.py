@@ -229,6 +229,8 @@ def train_ibm1(
         raise ValueError("cannot train an aligner on an empty corpus")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if not prune >= 0.0:  # NaN too: no entry compares >= NaN
+        raise ValueError(f"prune must be >= 0, got {prune}")
 
     blocks = _blocks(corpus, BLOCK_LINKS)
     width = max(int(block.seg_e.max()) for block in blocks) + 2

@@ -364,7 +364,15 @@ def test_loss_without_probs_matches_the_sorted_copy_and_keeps_logits():
     loss, none = _loss_from_logits(logits, labels)
     assert none is None and np.array_equal(logits, before)
     m = logits.max(axis=1, keepdims=True)
-    denom = np.sort(np.exp(logits - m), axis=1).sum(axis=1)
+    ex = np.exp(logits - m)
+    # the exact sum of the exponentials truncated to multiples of 2^-40
+    scale = 2.0 ** (53 - (8000 - 1).bit_length())
+    denom = np.array([math.fsum(np.floor(row * scale).tolist()) / scale for row in ex],
+                     dtype=np.float32)
     want = -(logits[np.arange(300), labels] - m[:, 0] - np.log(denom))
     assert loss == want.mean()
+    # the sorted float32 sum it replaced, within that sum's a priori error
+    # bound at V = 8000 (32 ulps) plus one ulp of rounding
+    sorted_denom = np.sort(ex, axis=1).sum(axis=1)
+    assert np.all(np.abs(denom - sorted_denom) <= 33 * np.spacing(denom))
     assert loss == _loss_from_logits(logits.copy(), labels, probs=True)[0]

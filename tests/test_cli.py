@@ -138,6 +138,24 @@ class TestAlignmentCommands:
         assert out["covered_rows"] > 0
         assert out["iterations"] == 5
 
+    @pytest.mark.parametrize("prune", ["nan", "-1"])
+    def test_ibm1_rejects_nan_or_negative_prune(self, bundle, capsys, tmp_path, prune):
+        tmp, paths = bundle
+        for side in ("en", "fg"):
+            run_cli(capsys, "vocab", "--input", paths[f"{side}_train.txt"],
+                    "--max-size", "100", "--output", str(tmp_path / f"v_{side}.txt"))
+        code, out = run_cli(capsys, "ibm1",
+                            "--foreign", paths["fg_train.txt"],
+                            "--english", paths["en_train.txt"],
+                            "--foreign-vocab", str(tmp_path / "v_fg.txt"),
+                            "--english-vocab", str(tmp_path / "v_en.txt"),
+                            "--prune", prune,
+                            "--output", str(tmp_path / "tm.txt"))
+        assert code == 1
+        assert out == {"status": "error", "stage": "ibm1", "code": "invalid_input",
+                       "message": f"prune must be >= 0, got {float(prune)}"}
+        assert not (tmp_path / "tm.txt").exists()
+
     def test_parse_fastalign(self, bundle, capsys, tmp_path):
         tmp, paths = bundle
         (tmp_path / "f.txt").write_text("aa bb\n")
@@ -223,6 +241,30 @@ class TestTrainingCommands:
                             "--language", "fg")
         assert code == 0
         assert out["loss"] > 0
+
+    def test_eval_of_foreign_text_on_a_pretrain_checkpoint_names_the_vocabulary(
+            self, bundle, capsys, tmp_path):
+        tmp, paths = bundle
+        run_cli(capsys, "vocab", "--input", paths["en_train.txt"],
+                "--max-size", "100", "--output", str(tmp_path / "v_en.txt"))
+        (tmp_path / "train.cfg").write_text(
+            "total_updates = 2\nwarmup_updates = 1\nbatch_size = 4\n"
+            "seq_len = 8\ncheckpoint_every = 2\n"
+        )
+        code, _ = run_cli(capsys, "pretrain",
+                          "--corpus", paths["en_train.txt"],
+                          "--vocab", str(tmp_path / "v_en.txt"),
+                          "--dim", "8", "--layers", "1", "--heads", "2", "--ffn-dim", "16",
+                          "--config", str(tmp_path / "train.cfg"),
+                          "--out-dir", str(tmp_path / "pre"))
+        assert code == 0
+        code, out = run_cli(capsys, "eval",
+                            "--checkpoint", str(tmp_path / "pre" / "checkpoints" / "step_0000002"),
+                            "--corpus", paths["fg_heldout.txt"],
+                            "--language", "fg")
+        assert code == 1
+        assert out == {"status": "error", "stage": "eval", "code": "invalid_input",
+                       "message": "the fg vocabulary has no non-special tokens"}
 
 
 class TestRunAllCommand:
@@ -489,7 +531,27 @@ class TestSenselessValuesFailEarly:
                        "message": message}
         assert not (tmp_path / "run").exists()
 
+    def test_cipher_fixture_writes_the_library_bundle_with_generator_flags(
+            self, capsys, tmp_path):
+        from langxfer.cipher import generate_cipher_fixture, write_fixture
+
+        code, _ = run_cli(capsys, "cipher-fixture", "--vocab-size", "60",
+                          "--sentences", "8000", "--heldout", "300",
+                          "--bigram-alpha", "0.08", "--out-dir", str(tmp_path / "cli"))
+        assert code == 0
+        paths = write_fixture(
+            generate_cipher_fixture(vocab_size=60, sentences=8000, seed=0, heldout=300,
+                                    bigram_alpha=0.08),
+            tmp_path / "lib",
+        )
+        assert len(paths) > 4
+        for name, path in paths.items():
+            assert (tmp_path / "cli" / name).read_bytes() == Path(path).read_bytes(), name
+
     @pytest.mark.parametrize("flag,value,message", [
+        ("--min-len", "0", "min_len must be >= 1, got 0"),
+        ("--max-len", "3", "max_len must be >= min_len, got 3 < 4"),
+        ("--bigram-alpha", "nan", "bigram_alpha must be > 0, got nan"),
         ("--sentences", "-4", "sentences must be >= 1, got -4"),
         ("--sentences", "0", "sentences must be >= 1, got 0"),
         ("--heldout", "-3", "heldout must be >= 0, got -3"),

@@ -6,10 +6,19 @@ frozen groups, a per-language merge of two such dicts, and Adam written as
 its textbook expressions. It shares the model's forward and backward
 primitives, so any difference comes from what the lean step skips, where it
 accumulates, and how it updates in place.
+
+The oracle's softmax normalizer adds the truncated exponentials with
+`math.fsum`, exactly and independently of the model's float64 sum. The
+sorted float32 sum that the model used before is kept as a tolerance
+oracle for the normalizer.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langxfer import trainer
 from langxfer.corpus import NUM_SPECIALS, Vocabulary
@@ -17,9 +26,11 @@ from langxfer.embeddings import EmbeddingMatrix
 from langxfer.tiny_mlm import (
     ModelConfig,
     _attention_backward,
+    _exact_row_sums,
     _ffn_backward,
     _forward,
     _layer_norm_backward,
+    _loss_from_logits,
     _masked_logits,
     backward,
     init_model,
@@ -40,10 +51,28 @@ FREEZE_SETS = [
 # oracle: the full step
 
 
+def truncation_scale(v):
+    """2^k for V = v columns: v terms in [0, 2^k] add up to at most 2^53."""
+    return 2.0 ** (53 - max(v - 1, 1).bit_length())
+
+
+def exact_denominator(ex):
+    """Per row, the exact sum of the exponentials truncated to multiples of
+    2^-k, rounded once to the rows' dtype."""
+    scale = truncation_scale(ex.shape[1])
+    sums = [math.fsum(np.floor(row * scale).tolist()) / scale for row in ex]
+    return np.array(sums, dtype=ex.dtype)
+
+
+def sorted_denominator(ex):
+    """The normalizer before: ascending-order float32 pairwise sum."""
+    return np.sort(ex, axis=1).sum(axis=1)
+
+
 def oracle_loss_from_logits(logits, labels):
     m = logits.max(axis=1, keepdims=True)
     ex = np.exp(logits - m)
-    denom = np.sort(ex, axis=1).sum(axis=1)
+    denom = exact_denominator(ex)
     idx = np.arange(logits.shape[0])
     nll = -(logits[idx, labels] - m[:, 0] - np.log(denom))
     probs = ex / denom[:, None]
@@ -249,6 +278,70 @@ class TestAdamAgainstOracle:
                 assert np.array_equal(a.params[k], b.params[k]), k
                 assert np.array_equal(arena.opt.m[k], opt_b.m[k]), k
                 assert np.array_equal(arena.opt.v[k], opt_b.v[k]), k
+
+
+# ---------------------------------------------------------------------------
+# the softmax normalizer against the exact and the sorted sums
+
+
+def sorted_sum_ulps(v):
+    """A priori bound, in ulps of the result, on the error of numpy's
+    pairwise row sum of v non-negative terms: a term passes through at most
+    25 additions inside its 128-term block, one per halving above that, and
+    one into the reduction's first element (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 4.2)."""
+    return 26 + max(math.ceil(math.log2(v / 128)), 0)
+
+
+@st.composite
+def logit_rows(draw):
+    v = draw(st.sampled_from([2, 65, 8000, 8192, 8193]))
+    n = draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "equal", "masked"]))
+    if kind == "equal":
+        logits = np.full((n, v), draw(st.sampled_from([-3.0, 0.0, 7.5])))
+    else:
+        logits = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 4.0, 20.0])), (n, v))
+    if kind == "masked":  # a bias whose exponentials are exactly 0
+        logits[rng.random((n, v)) < 0.5] -= 1e4
+    return logits.astype(dtype), rng.integers(0, v, n), rng.permutation(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=logit_rows())
+def test_normalizer_is_exact_order_free_and_within_the_sorted_sums_bound(case):
+    logits, labels, perm = case
+    v = logits.shape[1]
+    ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+    assert ex.dtype == logits.dtype and ex.max(axis=1).tolist() == [1.0] * len(ex)
+
+    denom = _exact_row_sums(ex.copy())
+    assert denom.dtype == ex.dtype
+    assert np.array_equal(denom, exact_denominator(ex))
+    # truncation costs at most v * 2^-k, rounding to the dtype one ulp
+    ulp = np.spacing(denom).astype(np.float64)
+    truncation = v / truncation_scale(v)
+    exact = np.array([math.fsum(row.tolist()) for row in ex])
+    assert np.all(np.abs(denom - exact) <= truncation + ulp)
+    sorted_sum = sorted_denominator(ex).astype(np.float64)
+    assert np.all(np.abs(denom - sorted_sum) <= truncation + (sorted_sum_ulps(v) + 1) * ulp)
+
+    # the loss, and the probabilities, are bit-equal to the oracle's and
+    # to those of the same logits with the vocabulary permuted
+    labels_p = np.argsort(perm)[labels]
+    before = logits.copy()
+    loss, none = _loss_from_logits(logits, labels)
+    assert none is None and np.array_equal(logits, before)
+    assert loss == _loss_from_logits(logits[:, perm], labels_p)[0]
+    want_loss, want_probs = oracle_loss_from_logits(logits, labels)
+    assert loss == want_loss
+    loss_p, probs = _loss_from_logits(logits.copy(), labels, probs=True)
+    loss_pp, probs_p = _loss_from_logits(logits[:, perm], labels_p, probs=True)
+    assert loss_p == loss_pp == loss
+    assert np.array_equal(probs, want_probs)
+    assert np.array_equal(probs[:, perm], probs_p)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,10 @@ class TestMakeMaskedBatch:
         with pytest.raises(ValueError):
             make_masked_batch(np.full((1, 2), 6), 0.0, 6, 16, "en")
 
+    def test_vocabulary_of_specials_only_rejected(self):
+        with pytest.raises(ValueError, match="the fg vocabulary has no non-special tokens"):
+            make_masked_batch(np.full((1, 2), 1), 0.5, 7, NUM_SPECIALS, "fg")
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):

@@ -271,6 +271,11 @@ class TestTrainIbm1:
         with pytest.raises(ValueError, match="empty"):
             train_ibm1(ParallelCorpus([]), iterations=1)
 
+    @pytest.mark.parametrize("prune", [float("nan"), -1.0, -1e-300])
+    def test_nan_or_negative_prune_raises(self, prune):
+        with pytest.raises(ValueError, match=f"prune must be >= 0, got {prune}"):
+            train_ibm1(self.corpus, iterations=1, prune=prune)
+
     def test_dictionary_generated_corpus_recovered(self):
         rng = np.random.default_rng(1)
         n_types = 60
