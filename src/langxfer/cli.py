@@ -269,9 +269,8 @@ def cmd_cipher_fixture(args) -> int:
         heldout=args.heldout,
         dict_dropout=args.dict_dropout,
         split_prob=args.split_prob,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        bigram_alpha=args.bigram_alpha,
+        # the generator owns the default: pass the flag only when given
+        **({"bigram_alpha": args.bigram_alpha} if hasattr(args, "bigram_alpha") else {}),
     )
     paths = write_fixture(fixture, args.out_dir)
     out = Path(args.out_dir)
@@ -429,9 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dict-dropout", type=float, default=0.0)
     p.add_argument("--split-prob", type=float, default=0.0)
-    p.add_argument("--min-len", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=11)
-    p.add_argument("--bigram-alpha", type=float, default=0.25)
+    p.add_argument("--bigram-alpha", type=float, default=argparse.SUPPRESS)
     p.add_argument("--route", choices=("parallel", "dictionary"), default="parallel")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_cipher_fixture)

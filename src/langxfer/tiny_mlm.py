@@ -12,12 +12,13 @@ backward pass must be a Python float (or int), never a numpy scalar: under
 NumPy 2's promotion rules (NEP 50) a Python float adapts to a float32
 array, while an `np.float64` such as `1.0 / np.sqrt(n)` silently turns
 everything downstream into float64. The softmax normalizer at masked
-positions truncates each exponential (all in [0, 1]) to a multiple of
-2^-k, k = 53 - bit_length(V - 1), and adds those in float64, where every
-partial sum is exact: the loss is invariant, bit for bit, to a permutation
-of the vocabulary, and the normalizer, before its one rounding to the
-model's dtype, is within V * 2^-k of the true sum (about 1e-7 relative at
-V = 30k; the maximum term is 1, so the sum is >= 1).
+positions rounds each exponential (all in [0, 1]) to the nearest multiple
+of 2^-k, k = 53 - bit_length(V - 1), and adds those in float64, where
+every partial sum is exact: the loss is invariant, bit for bit, to a
+permutation of the vocabulary, and the normalizer, before its one rounding
+to the model's dtype, is within V * 2^-(k+1) of the true sum, with no bias
+to either side (about 5e-8 relative at V = 30k; the maximum term is 1, so
+the sum is >= 1).
 """
 
 from __future__ import annotations
@@ -378,18 +379,19 @@ def _masked_logits(state: ModelState, ctx: np.ndarray, batch: MaskedBatch):
 def _exact_row_sums(ex: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Row sums of `ex`, whose entries lie in [0, 1], in any column order.
 
-    Each entry is truncated to a multiple of 2^-k, for V columns
-    k = 53 - bit_length(max(V - 1, 1)): scaling by 2^k and flooring are
-    exact, so each term is an integer in [0, 2^k] and every partial sum an
-    integer <= V * 2^k <= 2^53, which float64 adds exactly. The result is
-    the same bit for bit under any permutation of the columns; before its
-    one rounding to `ex`'s dtype it lies within V * 2^-k of the exact sum.
-    With `overwrite`, `ex` itself holds the truncated terms afterwards;
+    Each entry is rounded to the nearest multiple of 2^-k, for V columns
+    k = 53 - bit_length(max(V - 1, 1)): scaling by 2^k and rounding to an
+    integer are exact, so each term is an integer in [0, 2^k] and every
+    partial sum an integer <= V * 2^k <= 2^53, which float64 adds exactly.
+    The result is the same bit for bit under any permutation of the
+    columns; before its one rounding to `ex`'s dtype it lies within
+    V * 2^-(k+1) of the exact sum, and the term errors have either sign.
+    With `overwrite`, `ex` itself holds the rounded terms afterwards;
     otherwise one temporary of its dtype is allocated.
     """
     scale = 2.0 ** (53 - max(ex.shape[1] - 1, 1).bit_length())
     q = np.multiply(ex, scale, out=ex if overwrite else None)
-    np.floor(q, out=q)
+    np.rint(q, out=q)
     return (q.sum(axis=1, dtype=np.float64) / scale).astype(ex.dtype)
 
 
@@ -397,8 +399,8 @@ def _loss_from_logits(logits: np.ndarray, labels: np.ndarray, probs: bool = Fals
     """Mean cross-entropy at the masked positions, and the probabilities.
 
     The normalizer, `_exact_row_sums` of the shifted exponentials, is their
-    exact sum after truncation to multiples of 2^-k: within V * 2^-k of
-    the true sum, and bit-identical under any permutation of the
+    exact sum after rounding to multiples of 2^-k: within V * 2^-(k+1)
+    of the true sum, and bit-identical under any permutation of the
     vocabulary, as the loss therefore is. With `probs`, `logits` is
     overwritten by the softmax probabilities (normalised in place) and
     those are returned; otherwise the second value is None and `logits` is
@@ -408,7 +410,7 @@ def _loss_from_logits(logits: np.ndarray, labels: np.ndarray, probs: bool = Fals
     picked = logits[np.arange(logits.shape[0]), labels]
     ex = np.subtract(logits, m, out=logits if probs else None)
     np.exp(ex, out=ex)
-    # without `probs`, `ex` is a scratch copy: truncate it in place
+    # without `probs`, `ex` is a scratch copy: round it in place
     denom = _exact_row_sums(ex, overwrite=not probs)
     nll = -(picked - m[:, 0] - np.log(denom))
     if not probs:

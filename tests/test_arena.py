@@ -365,9 +365,9 @@ def test_loss_without_probs_matches_the_sorted_copy_and_keeps_logits():
     assert none is None and np.array_equal(logits, before)
     m = logits.max(axis=1, keepdims=True)
     ex = np.exp(logits - m)
-    # the exact sum of the exponentials truncated to multiples of 2^-40
+    # the exact sum of the exponentials rounded to multiples of 2^-40
     scale = 2.0 ** (53 - (8000 - 1).bit_length())
-    denom = np.array([math.fsum(np.floor(row * scale).tolist()) / scale for row in ex],
+    denom = np.array([math.fsum(np.rint(row * scale).tolist()) / scale for row in ex],
                      dtype=np.float32)
     want = -(logits[np.arange(300), labels] - m[:, 0] - np.log(denom))
     assert loss == want.mean()

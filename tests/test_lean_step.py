@@ -7,7 +7,7 @@ its textbook expressions. It shares the model's forward and backward
 primitives, so any difference comes from what the lean step skips, where it
 accumulates, and how it updates in place.
 
-The oracle's softmax normalizer adds the truncated exponentials with
+The oracle's softmax normalizer adds the rounded exponentials with
 `math.fsum`, exactly and independently of the model's float64 sum. The
 sorted float32 sum that the model used before is kept as a tolerance
 oracle for the normalizer.
@@ -51,16 +51,16 @@ FREEZE_SETS = [
 # oracle: the full step
 
 
-def truncation_scale(v):
+def rounding_scale(v):
     """2^k for V = v columns: v terms in [0, 2^k] add up to at most 2^53."""
     return 2.0 ** (53 - max(v - 1, 1).bit_length())
 
 
 def exact_denominator(ex):
-    """Per row, the exact sum of the exponentials truncated to multiples of
-    2^-k, rounded once to the rows' dtype."""
-    scale = truncation_scale(ex.shape[1])
-    sums = [math.fsum(np.floor(row * scale).tolist()) / scale for row in ex]
+    """Per row, the exact sum of the exponentials rounded to the nearest
+    multiples of 2^-k, rounded once to the rows' dtype."""
+    scale = rounding_scale(ex.shape[1])
+    sums = [math.fsum(np.rint(row * scale).tolist()) / scale for row in ex]
     return np.array(sums, dtype=ex.dtype)
 
 
@@ -320,13 +320,14 @@ def test_normalizer_is_exact_order_free_and_within_the_sorted_sums_bound(case):
     denom = _exact_row_sums(ex.copy())
     assert denom.dtype == ex.dtype
     assert np.array_equal(denom, exact_denominator(ex))
-    # truncation costs at most v * 2^-k, rounding to the dtype one ulp
+    # rounding the terms costs at most v * 2^-(k+1), rounding the sum to
+    # the dtype one ulp
     ulp = np.spacing(denom).astype(np.float64)
-    truncation = v / truncation_scale(v)
+    grid = v / (2 * rounding_scale(v))
     exact = np.array([math.fsum(row.tolist()) for row in ex])
-    assert np.all(np.abs(denom - exact) <= truncation + ulp)
+    assert np.all(np.abs(denom - exact) <= grid + ulp)
     sorted_sum = sorted_denominator(ex).astype(np.float64)
-    assert np.all(np.abs(denom - sorted_sum) <= truncation + (sorted_sum_ulps(v) + 1) * ulp)
+    assert np.all(np.abs(denom - sorted_sum) <= grid + (sorted_sum_ulps(v) + 1) * ulp)
 
     # the loss, and the probabilities, are bit-equal to the oracle's and
     # to those of the same logits with the vocabulary permuted
