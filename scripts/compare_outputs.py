@@ -7,12 +7,13 @@ Each tree's code (imported from TREE/src, in a subprocess) runs the same
 small jobs on the same inputs: every `run_all` route (parallel and
 vectors, each with word and with BPE tokens, and dictionary), the parallel
 word route with an embedding-only phase of none, some and all of the
-updates, and once with the settings that `PipelineConfig` renames or
-converts on their way into its sub-configs set to values no other route
-uses (post-norm, no clipping, other pretraining and masking rates), a warm
-rerun, and each CLI subcommand once, plus a second `cipher-fixture` at the
-benchmark's size with split noise and dictionary dropout, so that every
-draw path of the generator is compared. Every job
+updates, and once with the settings that `PipelineConfig` renames on their
+way into its sub-configs, or that a sub-config converts, set to values no
+other route uses (post-norm, no clipping, other pretraining and masking
+rates), a warm rerun, and each CLI subcommand once, plus a second
+`cipher-fixture` at the benchmark's size and bigram weight with split
+noise and dictionary dropout, so that every draw path of the generator is
+compared. Every job
 writes into one fixed run directory, which is then moved aside, so paths
 that outputs record are the same on both sides. The CLI's JSON lines are
 kept as files too.
@@ -42,7 +43,7 @@ from pathlib import Path
 # small enough that one side runs in well under a minute
 FIXTURE = ["--vocab-size", "40", "--sentences", "500", "--heldout", "60", "--seed", "5"]
 NOISY_FIXTURE = ["--vocab-size", "60", "--sentences", "8000", "--heldout", "300",
-                 "--split-prob", "0.3", "--dict-dropout", "0.2"]
+                 "--split-prob", "0.3", "--dict-dropout", "0.2", "--bigram-alpha", "0.08"]
 MODEL = {"dim": 16, "layers": 1, "heads": 2, "ffn_dim": 32}
 TRAIN = {"total_updates": 12, "warmup_updates": 3, "batch_size": 8, "seq_len": 16,
          "checkpoint_every": 6, "seed": 2}

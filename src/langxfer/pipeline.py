@@ -80,8 +80,6 @@ SUB_CONFIGS: dict[str, tuple[type, dict[str, str], dict]] = {
     "model": (ModelConfig, {"dim": "dim", "layers": "layers", "heads": "heads",
                             "ffn_dim": "ffn_dim", "norm": "norm", "max_len": "seq_len"}, {}),
 }
-# a value that changes on its way into a sub-config: grad_clip <= 0 is no clipping
-_CONVERT = {"grad_clip": lambda clip: clip if clip > 0 else None}
 
 
 def _read_by(*parts: str) -> tuple[str, ...]:
@@ -164,8 +162,7 @@ class PipelineConfig:
 
     def _derive(self, part: str):
         cls, fields, fixed = SUB_CONFIGS[part]
-        return cls(**fixed, **{f: _CONVERT.get(n, lambda x: x)(getattr(self, n))
-                               for f, n in fields.items()})
+        return cls(**fixed, **{f: getattr(self, n) for f, n in fields.items()})
 
     def pretrain_config(self) -> TrainingConfig:
         return self._derive("pretrain schedule")

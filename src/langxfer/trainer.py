@@ -30,7 +30,8 @@ from .tiny_mlm import (
     save_checkpoint,
 )
 
-EMBEDDING_PHASE_FREEZE = frozenset(PARAM_GROUPS) - {"emb_fg", "out_bias_fg"}
+FOREIGN_PAIR = ("emb_fg", "out_bias_fg")  # first in the arena: see ParamArena
+EMBEDDING_PHASE_FREEZE = frozenset(PARAM_GROUPS) - set(FOREIGN_PAIR)
 EVAL_SEED_OFFSET = 0x5EED
 
 
@@ -47,7 +48,7 @@ class TrainingConfig:
     freeze_phase_updates: int = 500
     seed: int = 0
     checkpoint_every: int = 1000
-    grad_clip: float | None = 1.0
+    grad_clip: float | None = 1.0  # None, 0 or less: no clipping
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -69,6 +70,10 @@ class TrainingConfig:
             raise ValueError("checkpoint_every must be >= 1")
         if not 0.0 < self.mask_prob <= 1.0:
             raise ValueError("mask_prob must be in (0, 1]")
+        if self.grad_clip is not None and math.isnan(self.grad_clip):
+            raise ValueError("grad_clip must not be NaN (0 or less means no clipping)")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            self.grad_clip = None
 
     @classmethod
     def paper_scale(cls) -> "TrainingConfig":
@@ -96,7 +101,6 @@ def lr_schedule(step: int, cfg: TrainingConfig) -> float:
     return cfg.peak_lr * math.sqrt(cfg.warmup_updates / step)
 
 
-FOREIGN_PAIR = ("emb_fg", "out_bias_fg")  # first in the arena: see ParamArena
 # elements per Adam block: the six float32 operands of a block (1.5 MB) stay
 # in a 2 MB L2 cache; 16 K-element blocks measured slower at V=65 and V=8000
 ADAM_BLOCK = 1 << 16
@@ -540,7 +544,7 @@ def pretrain(
     """Monolingual english MLM training (full batches, no freezing)."""
     en_stream = CyclingStream(train_en, (cfg.seed, 0xE))
     # the foreign side does not exist yet: exclude it from updates entirely
-    freeze = frozenset({"emb_fg", "out_bias_fg"})
+    freeze = frozenset(FOREIGN_PAIR)
 
     def batches(step: int) -> tuple[MaskedBatch]:
         return (make_masked_batch(en_stream.next(cfg.batch_size), cfg.mask_prob,

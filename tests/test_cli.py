@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -669,3 +670,161 @@ class TestArgvFuzz:
         assert (payload.get("status") == "error") == (code != 0), (argv, code, payload)
         if code != 0 and argv[0] in OUT_DIR_COMMANDS:
             assert "out" not in created, (argv, payload)
+
+
+# Every subcommand's flags in declaration order, as (option, dest, type,
+# default, required, choices, switch). The order is part of the contract:
+# argparse lists missing required flags in it, and the JSON error carries
+# that message. A default of argparse.SUPPRESS reads as None: either way a
+# flag left out is not passed on.
+S, REQ = None, True  # a string flag's type; a required flag
+PARSER_TABLE = {
+    "bpe": [
+        ("--input", "input", S, None, REQ, None, False),
+        ("--num-codes", "num_codes", int, None, REQ, None, False),
+        ("--output", "output", S, None, REQ, None, False),
+    ],
+    "vocab": [
+        ("--input", "input", S, None, REQ, None, False),
+        ("--max-size", "max_size", int, None, REQ, None, False),
+        ("--codes", "codes", S, None, False, None, False),
+        ("--output", "output", S, None, REQ, None, False),
+    ],
+    "align-vectors": [
+        ("--foreign-vectors", "foreign_vectors", S, None, REQ, None, False),
+        ("--english-vectors", "english_vectors", S, None, REQ, None, False),
+        ("--dictionary", "dictionary", S, None, False, None, False),
+        ("--normalize", "normalize", S, False, False, None, True),
+        ("--limit", "limit", int, 50000, False, None, False),
+        ("--output", "output", S, None, REQ, None, False),
+    ],
+    "ibm1": [
+        ("--foreign", "foreign", S, None, False, None, False),
+        ("--english", "english", S, None, False, None, False),
+        ("--parallel", "parallel", S, None, False, None, False),
+        ("--foreign-vocab", "foreign_vocab", S, None, REQ, None, False),
+        ("--english-vocab", "english_vocab", S, None, REQ, None, False),
+        ("--foreign-codes", "foreign_codes", S, None, False, None, False),
+        ("--english-codes", "english_codes", S, None, False, None, False),
+        ("--iterations", "iterations", int, 10, False, None, False),
+        ("--prune", "prune", float, 1e-4, False, None, False),
+        ("--subsample", "subsample", int, None, False, None, False),
+        ("--seed", "seed", int, 0, False, None, False),
+        ("--output", "output", S, None, REQ, None, False),
+    ],
+    "parse-fastalign": [
+        ("--foreign", "foreign", S, None, False, None, False),
+        ("--english", "english", S, None, False, None, False),
+        ("--parallel", "parallel", S, None, False, None, False),
+        ("--foreign-vocab", "foreign_vocab", S, None, REQ, None, False),
+        ("--english-vocab", "english_vocab", S, None, REQ, None, False),
+        ("--foreign-codes", "foreign_codes", S, None, False, None, False),
+        ("--english-codes", "english_codes", S, None, False, None, False),
+        ("--alignments", "alignments", S, None, REQ, None, False),
+        ("--output", "output", S, None, REQ, None, False),
+    ],
+    "subword-vectors": [
+        ("--vectors", "vectors", S, None, REQ, None, False),
+        ("--corpus", "corpus", S, None, REQ, None, False),
+        ("--vocab", "vocab", S, None, REQ, None, False),
+        ("--codes", "codes", S, None, REQ, None, False),
+        ("--limit", "limit", int, 50000, False, None, False),
+        ("--output", "output", S, None, REQ, None, False),
+    ],
+    "translation-matrix": [
+        ("--foreign-vectors", "foreign_vectors", S, None, REQ, None, False),
+        ("--english-vectors", "english_vectors", S, None, REQ, None, False),
+        ("--mode", "mode", S, "sparsemax", False, ("sparsemax", "softmax"), False),
+        ("--output", "output", S, None, REQ, None, False),
+    ],
+    "init-embeddings": [
+        ("--translation-matrix", "translation_matrix", S, None, REQ, None, False),
+        ("--checkpoint", "checkpoint", S, None, REQ, None, False),
+        ("--foreign-vocab", "foreign_vocab", S, None, REQ, None, False),
+        ("--seed", "seed", int, 0, False, None, False),
+        ("--output-emb", "output_emb", S, None, REQ, None, False),
+        ("--output-bias", "output_bias", S, None, REQ, None, False),
+    ],
+    "pretrain": [
+        ("--corpus", "corpus", S, None, REQ, None, False),
+        ("--heldout", "heldout", S, None, False, None, False),
+        ("--vocab", "vocab", S, None, REQ, None, False),
+        ("--codes", "codes", S, None, False, None, False),
+        ("--dim", "dim", int, 64, False, None, False),
+        ("--layers", "layers", int, 2, False, None, False),
+        ("--heads", "heads", int, 4, False, None, False),
+        ("--ffn-dim", "ffn_dim", int, 256, False, None, False),
+        ("--out-dir", "out_dir", S, None, REQ, None, False),
+        ("--config", "config", S, None, False, None, False),
+        ("--updates", "updates", int, None, False, None, False),
+        ("--seed", "seed", int, None, False, None, False),
+    ],
+    "transfer": [
+        ("--checkpoint", "checkpoint", S, None, REQ, None, False),
+        ("--init-emb", "init_emb", S, None, REQ, None, False),
+        ("--init-bias", "init_bias", S, None, False, None, False),
+        ("--en-train", "en_train", S, None, REQ, None, False),
+        ("--fg-train", "fg_train", S, None, REQ, None, False),
+        ("--en-heldout", "en_heldout", S, None, False, None, False),
+        ("--fg-heldout", "fg_heldout", S, None, False, None, False),
+        ("--codes-en", "codes_en", S, None, False, None, False),
+        ("--codes-fg", "codes_fg", S, None, False, None, False),
+        ("--out-dir", "out_dir", S, None, REQ, None, False),
+        ("--config", "config", S, None, False, None, False),
+        ("--updates", "updates", int, None, False, None, False),
+        ("--seed", "seed", int, None, False, None, False),
+    ],
+    "eval": [
+        ("--checkpoint", "checkpoint", S, None, REQ, None, False),
+        ("--corpus", "corpus", S, None, REQ, None, False),
+        ("--language", "language", S, None, REQ, ("en", "fg"), False),
+        ("--codes", "codes", S, None, False, None, False),
+        ("--seed", "seed", int, 0, False, None, False),
+        ("--mask-prob", "mask_prob", float, 0.15, False, None, False),
+    ],
+    "cipher-fixture": [
+        ("--vocab-size", "vocab_size", int, 120, False, None, False),
+        ("--sentences", "sentences", int, 3000, False, None, False),
+        ("--heldout", "heldout", int, 200, False, None, False),
+        ("--seed", "seed", int, 0, False, None, False),
+        ("--dict-dropout", "dict_dropout", float, 0.0, False, None, False),
+        ("--split-prob", "split_prob", float, 0.0, False, None, False),
+        ("--bigram-alpha", "bigram_alpha", float, None, False, None, False),
+        ("--route", "route", S, "parallel", False, ("parallel", "dictionary"), False),
+        ("--out-dir", "out_dir", S, None, REQ, None, False),
+    ],
+    "run-all": [
+        ("--config", "config", S, None, REQ, None, False),
+    ],
+}
+
+
+def test_parser_flags_match_the_table():
+    """Each subcommand's flags, in order, with their types, defaults,
+    required-ness, choices and switches; help text is left out."""
+    commands = build_parser().commands
+    assert list(commands) == list(PARSER_TABLE)
+    for name, parser in commands.items():
+        rows = [(a.option_strings[0], a.dest, a.type,
+                 None if a.default == argparse.SUPPRESS else a.default, a.required,
+                 tuple(a.choices) if a.choices else None, a.nargs == 0)
+                for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert rows == PARSER_TABLE[name], name
+
+
+@pytest.mark.parametrize("command", ["pretrain", "transfer"])
+def test_nan_grad_clip_in_a_training_config_is_the_json_error(bundle, capsys, tmp_path,
+                                                               command):
+    _, paths = bundle
+    (tmp_path / "train.cfg").write_text("grad_clip = nan\n")
+    if command == "pretrain":
+        args = ["--corpus", paths["en_train.txt"], "--vocab", str(tmp_path / "v.txt")]
+    else:
+        args = ["--checkpoint", str(tmp_path / "ck"), "--init-emb", str(tmp_path / "e.bin"),
+                "--en-train", paths["en_train.txt"], "--fg-train", paths["fg_train.txt"]]
+    code, out = run_cli(capsys, command, *args, "--config", str(tmp_path / "train.cfg"),
+                        "--out-dir", str(tmp_path / "run"))
+    assert code == 1
+    assert out == {"status": "error", "stage": command, "code": "invalid_input",
+                   "message": "grad_clip must not be NaN (0 or less means no clipping)"}
+    assert not (tmp_path / "run").exists()

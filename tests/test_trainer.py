@@ -370,3 +370,20 @@ class TestTelemetry:
         monkeypatch.chdir(tmp_path / "cwd")
         pretrain(cfg, tiny_setup(seed=1), random_rows(8, 8, 24, 2))
         assert not any((tmp_path / "cwd").iterdir())
+
+
+class TestGradClipOfZeroOrLess:
+    def metrics(self, out, grad_clip):
+        cfg = TrainingConfig(total_updates=6, warmup_updates=2, batch_size=4, seq_len=8,
+                             grad_clip=grad_clip, seed=1)
+        pretrain(cfg, tiny_setup(seed=1), random_rows(8, 8, 24, 2), out_dir=out)
+        return (out / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("clip", [0.0, -1.0])
+    def test_is_no_clipping(self, tmp_path, clip):
+        assert TrainingConfig(grad_clip=clip).grad_clip is None
+        assert self.metrics(tmp_path / "clip", clip) == self.metrics(tmp_path / "none", None)
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(ValueError, match="grad_clip must not be NaN"):
+            TrainingConfig(grad_clip=math.nan)
