@@ -13,7 +13,7 @@ other route uses (post-norm, no clipping, other pretraining and masking
 rates), a warm rerun, and each CLI subcommand once, plus a second
 `cipher-fixture` at the benchmark's size and bigram weight with split
 noise and dictionary dropout, so that every draw path of the generator is
-compared. Every job
+compared, and a second `ibm1` on a subsample of the bundle's pairs. Every job
 writes into one fixed run directory, which is then moved aside, so paths
 that outputs record are the same on both sides. The CLI's JSON lines are
 kept as files too.
@@ -137,6 +137,10 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
     cli(tree, run, "ibm1", "ibm1", "--foreign", i["fg_train.txt"],
         "--english", i["en_train.txt"], *vocabs, "--iterations", "3",
         "--output", str(run / "ibm1_tm.txt"))
+    # fewer pairs than the bundle holds, so that the subsampled alignment runs
+    cli(tree, run, "ibm1-subsample", "ibm1", "--foreign", i["fg_train.txt"],
+        "--english", i["en_train.txt"], *vocabs, "--iterations", "3",
+        "--subsample", "200", "--seed", "7", "--output", str(run / "ibm1_sub_tm.txt"))
     links = [" ".join(f"{k}-{k}" for k in range(min(len(fg.split()), len(en.split()))))
              for fg, en in zip(Path(i["fg_train.txt"]).read_text().splitlines(),
                                Path(i["en_train.txt"]).read_text().splitlines())]

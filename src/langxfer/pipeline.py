@@ -341,7 +341,7 @@ def align_parallel(corpus: ParallelCorpus, vocab_fg: Vocabulary, vocab_en: Vocab
                    seed: int = 0) -> tuple[TranslationMatrix, dict]:
     """IBM-1 translation matrix of a parallel corpus, first subsampled to
     `max_pairs` pairs when given, and the alignment's log."""
-    if max_pairs:
+    if max_pairs is not None:
         corpus = subsample(corpus, max_pairs, seed)
     model = train_ibm1(corpus, iterations, prune)
     info = {
@@ -468,9 +468,9 @@ def run_all(cfg: PipelineConfig) -> dict:
                                                    work / "alignment_info.json")
     # the input files the config names for its route
     external = {n: getattr(cfg, n) for n in [*CORPORA, *tm_inputs] if n not in tok_files}
-    for p in external.values():
+    for name, p in external.items():
         if not p or not Path(p).exists():
-            raise FileNotFoundError(f"input file not found: {p}")
+            raise FileNotFoundError(f"input file not found: {p} ({name})")
     out_dir.mkdir(parents=True, exist_ok=True)
     work.mkdir(parents=True, exist_ok=True)
     cache = StageCache(work, memo={})

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +30,10 @@ from .tiny_mlm import (
 )
 
 FOREIGN_PAIR = ("emb_fg", "out_bias_fg")  # first in the arena: see ParamArena
-EMBEDDING_PHASE_FREEZE = frozenset(PARAM_GROUPS) - set(FOREIGN_PAIR)
+# the foreign side does not exist while pretraining: it takes no updates
+PRETRAIN_FREEZE = frozenset(FOREIGN_PAIR)
+EMBEDDING_PHASE_FREEZE = frozenset(PARAM_GROUPS) - PRETRAIN_FREEZE
+STREAM_SEEDS = {"en": 0xE, "fg": 0xF}  # each language's row stream: (cfg.seed, this)
 EVAL_SEED_OFFSET = 0x5EED
 
 
@@ -58,8 +60,12 @@ class TrainingConfig:
                           ("freeze_phase_updates", 0), ("floor_lr", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.peak_lr > 0.0:
-            raise ValueError(f"peak_lr must be > 0, got {self.peak_lr}")
+        for name, ok, rule in (("peak_lr", self.peak_lr > 0.0, "> 0"),
+                               ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
+                               ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
+                               ("adam_eps", self.adam_eps > 0.0, "> 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
         if self.batch_size % 2 != 0:
             raise ValueError("batch_size must be even")
         if self.warmup_updates > self.total_updates:
@@ -146,12 +152,9 @@ class ArenaGrads(dict):
                      for a, b in ranges]
         self.stacks = [(names, arena.grad[a:b].reshape(len(names), -1))
                        for names, a, b in stacks]
-        self.views = dict(self)
 
     def zero(self) -> None:
-        """Zero-fill the gradients, and point any entry a caller rebound
-        (as a per-tensor clip may do) back at its view."""
-        self.update(self.views)
+        """Zero-fill the gradients."""
         for _, g, _, _ in self.runs:
             g.fill(0)
 
@@ -329,24 +332,17 @@ class CyclingStream:
 
 
 def balanced_batch(
-    en_stream: CyclingStream,
-    fg_stream: CyclingStream,
+    streams: dict[str, CyclingStream],
     cfg: TrainingConfig,
     step: int,
-    vocab_en_size: int,
-    vocab_fg_size: int,
-) -> tuple[MaskedBatch, MaskedBatch]:
-    """Half-english, half-foreign masked batches for one update."""
-    half = cfg.batch_size // 2
-    en = make_masked_batch(
-        en_stream.next(half), cfg.mask_prob, (cfg.seed, step, 0),
-        vocab_en_size, "en", cfg.eighty_ten_ten,
-    )
-    fg = make_masked_batch(
-        fg_stream.next(half), cfg.mask_prob, (cfg.seed, step, 1),
-        vocab_fg_size, "fg", cfg.eighty_ten_ten,
-    )
-    return en, fg
+    vocab_sizes: dict[str, int],
+) -> list[MaskedBatch]:
+    """One update's masked batches, one per language of `streams` in order:
+    `cfg.batch_size` rows split evenly, language k masked as seed side k."""
+    share = cfg.batch_size // len(streams)
+    return [make_masked_batch(stream.next(share), cfg.mask_prob, (cfg.seed, step, side),
+                              vocab_sizes[language], language, cfg.eighty_ten_ten)
+            for side, (language, stream) in enumerate(streams.items())]
 
 
 def evaluate_mlm(
@@ -437,21 +433,25 @@ class _RunLogs:
 def _train(
     cfg: TrainingConfig,
     state: ModelState,
-    batches: Callable[[int], tuple[MaskedBatch, ...]],
-    schedule: Callable[[int], tuple[frozenset[str], str]],
+    train: dict[str, np.ndarray],
     heldout: dict[str, np.ndarray | None],
     out_dir: str | Path | None,
 ) -> TransferResult:
     """The update loop of every training run, on `state` in place.
 
-    Step s sums the gradients of the masked batches `batches(s)` (english
-    first), clips them and takes one Adam step; `schedule(s)` gives its
-    freeze set and telemetry phase. Held-out evaluation of each language in
+    `train` holds each language's training rows, english first. Step s
+    sums the gradients of `balanced_batch`'s batches for s, clips them and
+    takes one Adam step. The data gives the schedule: english alone is
+    pretraining, with PRETRAIN_FREEZE; english and foreign train only the
+    foreign pair (EMBEDDING_PHASE_FREEZE) up to `cfg.freeze_phase_updates`,
+    then everything jointly. Held-out evaluation of each language in
     `heldout` runs at step 0, at every checkpoint and at the end, when every
     language there has rows.
     """
+    streams = {language: CyclingStream(rows, (cfg.seed, STREAM_SEEDS[language]))
+               for language, rows in train.items()}
+    vocab_sizes = {language: len(state.vocab(language)) for language in train}
     arena = ParamArena(state)
-    opt = arena.opt
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -470,14 +470,19 @@ def _train(
         evaluate(0)
         for step in range(1, cfg.total_updates + 1):
             started = time.perf_counter()
-            freeze, phase = schedule(step)
+            if "fg" not in train:
+                freeze, phase = PRETRAIN_FREEZE, "pretrain"
+            elif step <= cfg.freeze_phase_updates:
+                freeze, phase = EMBEDDING_PHASE_FREEZE, "frozen"
+            else:
+                freeze, phase = frozenset(), "joint"
             losses, grads = [], arena.zeroed_grads(freeze)
-            for batch in batches(step):
+            for batch in balanced_batch(streams, cfg, step, vocab_sizes):
                 loss, grads = backward(state, batch, freeze, grads)
                 losses.append(loss)
             grad_norm = clip_gradients(grads, cfg.grad_clip)
             lr = lr_schedule(step, cfg)
-            adam_step(state, grads, opt, lr, freeze,
+            adam_step(state, grads, arena.opt, lr, freeze,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             state.assert_finite()
             logs.metric(step, lr, *(losses + [math.nan])[:2])
@@ -518,20 +523,8 @@ def run_transfer(
     if cfg.seq_len > pretrained.cfg.max_len:
         raise ValueError("seq_len exceeds the model's max_len")
     state = plug_foreign(pretrained, init_emb.vocab, init_emb.data, init_bias)
-    en_stream = CyclingStream(train_en, (cfg.seed, 0xE))
-    fg_stream = CyclingStream(train_fg, (cfg.seed, 0xF))
-
-    def schedule(step: int) -> tuple[frozenset[str], str]:
-        if step <= cfg.freeze_phase_updates:
-            return EMBEDDING_PHASE_FREEZE, "frozen"
-        return frozenset(), "joint"
-
-    return _train(
-        cfg, state,
-        lambda step: balanced_batch(en_stream, fg_stream, cfg, step,
-                                    len(state.vocab_en), len(state.vocab_fg)),
-        schedule, {"en": heldout_en, "fg": heldout_fg}, out_dir,
-    )
+    return _train(cfg, state, {"en": train_en, "fg": train_fg},
+                  {"en": heldout_en, "fg": heldout_fg}, out_dir)
 
 
 def pretrain(
@@ -541,15 +534,5 @@ def pretrain(
     heldout_en: np.ndarray | None = None,
     out_dir: str | Path | None = None,
 ) -> TransferResult:
-    """Monolingual english MLM training (full batches, no freezing)."""
-    en_stream = CyclingStream(train_en, (cfg.seed, 0xE))
-    # the foreign side does not exist yet: exclude it from updates entirely
-    freeze = frozenset(FOREIGN_PAIR)
-
-    def batches(step: int) -> tuple[MaskedBatch]:
-        return (make_masked_batch(en_stream.next(cfg.batch_size), cfg.mask_prob,
-                                  (cfg.seed, step, 0), len(state.vocab_en), "en",
-                                  cfg.eighty_ten_ten),)
-
-    return _train(cfg, state, batches, lambda step: (freeze, "pretrain"),
-                  {"en": heldout_en}, out_dir)
+    """Monolingual english MLM training: full batches, the foreign pair frozen."""
+    return _train(cfg, state, {"en": train_en}, {"en": heldout_en}, out_dir)

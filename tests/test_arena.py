@@ -2,7 +2,7 @@
 
 The oracles below are the earlier per-tensor implementations, kept as test
 references: Adam with two scratch arrays per tensor, clipping that sums
-each gradient's float64 squares and rebinds the scaled gradients, and a
+each gradient's float64 squares and scales each into a new array, and a
 finite check per parameter. The arena runs the same expressions over
 contiguous ranges, so every comparison is bit for bit.
 """
@@ -85,7 +85,9 @@ def oracle_clip_gradients(grads, max_norm):
     if max_norm is not None and total > max_norm and total > 0:
         scale = max_norm / total
         for k in grads:
-            grads[k] = grads[k] * np.asarray(scale, dtype=grads[k].dtype)
+            # the product is a new array, as before; it is copied back because
+            # an ArenaGrads entry is a view that must not be rebound
+            grads[k][...] = grads[k] * np.asarray(scale, dtype=grads[k].dtype)
     return total
 
 

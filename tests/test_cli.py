@@ -157,6 +157,24 @@ class TestAlignmentCommands:
                        "message": f"prune must be >= 0, got {float(prune)}"}
         assert not (tmp_path / "tm.txt").exists()
 
+    @pytest.mark.parametrize("subsample", ["0", "-1"])
+    def test_ibm1_rejects_subsample_below_one(self, bundle, capsys, tmp_path, subsample):
+        tmp, paths = bundle
+        for side in ("en", "fg"):
+            run_cli(capsys, "vocab", "--input", paths[f"{side}_train.txt"],
+                    "--max-size", "100", "--output", str(tmp_path / f"v_{side}.txt"))
+        code, out = run_cli(capsys, "ibm1",
+                            "--foreign", paths["fg_train.txt"],
+                            "--english", paths["en_train.txt"],
+                            "--foreign-vocab", str(tmp_path / "v_fg.txt"),
+                            "--english-vocab", str(tmp_path / "v_en.txt"),
+                            "--subsample", subsample,
+                            "--output", str(tmp_path / "tm.txt"))
+        assert code == 1
+        assert out == {"status": "error", "stage": "ibm1", "code": "invalid_input",
+                       "message": "n must be >= 1"}
+        assert not (tmp_path / "tm.txt").exists()
+
     def test_parse_fastalign(self, bundle, capsys, tmp_path):
         tmp, paths = bundle
         (tmp_path / "f.txt").write_text("aa bb\n")
@@ -515,6 +533,11 @@ class TestSenselessValuesFailEarly:
         ("pretrain", "floor_lr = -1e-07\n", "floor_lr must be >= 0, got -1e-07"),
         ("transfer", "freeze_phase_updates = -5\n",
          "freeze_phase_updates must be >= 0, got -5"),
+        ("pretrain", "adam_eps = -1\n", "adam_eps must be > 0, got -1.0"),
+        ("transfer", "adam_eps = nan\n", "adam_eps must be > 0, got nan"),
+        ("pretrain", "adam_beta1 = 1.5\n", "adam_beta1 must be in [0, 1), got 1.5"),
+        ("transfer", "adam_beta1 = 1\n", "adam_beta1 must be in [0, 1), got 1.0"),
+        ("pretrain", "adam_beta2 = nan\n", "adam_beta2 must be in [0, 1), got nan"),
     ])
     def test_training_commands_reject_senseless_schedule(self, bundle, capsys, tmp_path,
                                                          command, config, message):

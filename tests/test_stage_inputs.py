@@ -126,6 +126,16 @@ class TestInputsCheckedFirst:
             run_all(cfg)
         assert not (letters / "out").exists()
 
+    @pytest.mark.parametrize("route,unset", [
+        ("dictionary", "dictionary"), ("vectors", "en_vectors"), ("vectors", "fg_vectors"),
+    ])
+    def test_unset_route_file_names_its_config_key(self, letters, route, unset):
+        cfg = letters_config(letters, letters / "out", route=route, **{unset: ""})
+        with pytest.raises(FileNotFoundError) as err:
+            run_all(cfg)
+        assert str(err.value) == f"input file not found:  ({unset})"
+        assert not (letters / "out").exists()
+
     def test_unused_route_files_are_not_required(self, tmp_path):
         fx = generate_cipher_fixture(vocab_size=20, sentences=60, seed=3, heldout=10)
         paths = write_fixture(fx, tmp_path / "fx")

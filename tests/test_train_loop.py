@@ -3,10 +3,11 @@
 `oracle_pretrain` and `oracle_run_transfer` below are the earlier,
 separate implementations of the two training runs, kept as test
 references together with the log writer they used. They share the step's
-primitives (the parameter arena, backward, Adam, clipping, batching,
-evaluation, checkpoints) with the library, so any difference comes from
-the single update loop that now drives both runs: its batch order, freeze
-schedule, evaluation and logging.
+primitives (the parameter arena, backward, Adam, clipping, masking,
+evaluation, checkpoints) with the library, but build their own row streams
+and batches, so any difference comes from the single update loop that now
+drives both runs: its streams, batch split, freeze schedule, evaluation and
+logging.
 """
 
 import math
@@ -114,10 +115,13 @@ def oracle_run_transfer(cfg, pretrained, init_emb, train_en, train_fg, heldout_e
             started = time.perf_counter()
             frozen = step <= cfg.freeze_phase_updates
             freeze = EMBEDDING_PHASE_FREEZE if frozen else frozenset()
-            b_en, b_fg = trainer.balanced_batch(
-                en_stream, fg_stream, cfg, step,
-                len(state.vocab_en), len(state.vocab_fg),
-            )
+            half = cfg.batch_size // 2
+            b_en = trainer.make_masked_batch(en_stream.next(half), cfg.mask_prob,
+                                             (cfg.seed, step, 0), len(state.vocab_en), "en",
+                                             cfg.eighty_ten_ten)
+            b_fg = trainer.make_masked_batch(fg_stream.next(half), cfg.mask_prob,
+                                             (cfg.seed, step, 1), len(state.vocab_fg), "fg",
+                                             cfg.eighty_ten_ten)
             grads = arena.zeroed_grads(freeze)
             loss_en, grads = trainer.backward(state, b_en, freeze, grads)
             loss_fg, grads = trainer.backward(state, b_fg, freeze, grads)

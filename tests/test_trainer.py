@@ -5,7 +5,7 @@ import pytest
 
 from langxfer.corpus import NUM_SPECIALS, Vocabulary
 from langxfer.embeddings import EmbeddingMatrix
-from langxfer.tiny_mlm import ModelConfig, init_model
+from langxfer.tiny_mlm import ModelConfig, init_model, make_masked_batch
 from langxfer.trainer import (
     CyclingStream,
     OptimizerState,
@@ -164,8 +164,8 @@ class TestStreams:
         fg = CyclingStream(rng.integers(5, 16, (7, 8)), seed=1)
         cfg = TrainingConfig(total_updates=10, warmup_updates=2, batch_size=8,
                              seq_len=8)
-        b_en, b_fg = balanced_batch(en, fg, cfg, step=1, vocab_en_size=16,
-                                    vocab_fg_size=16)
+        b_en, b_fg = balanced_batch({"en": en, "fg": fg}, cfg, step=1,
+                                    vocab_sizes={"en": 16, "fg": 16})
         assert b_en.token_ids.shape == (4, 8)
         assert b_fg.token_ids.shape == (4, 8)
         assert b_en.language == "en" and b_fg.language == "fg"
@@ -176,10 +176,22 @@ class TestStreams:
         fg = CyclingStream(rng.integers(5, 16, (300, 4)), seed=1)
         cfg = TrainingConfig(total_updates=10, warmup_updates=2, batch_size=112,
                              seq_len=4)
-        b_en, b_fg = balanced_batch(en, fg, cfg, step=1, vocab_en_size=16,
-                                    vocab_fg_size=16)
+        b_en, b_fg = balanced_batch({"en": en, "fg": fg}, cfg, step=1,
+                                    vocab_sizes={"en": 16, "fg": 16})
         assert b_en.token_ids.shape[0] == 56
         assert b_fg.token_ids.shape[0] == 56
+
+    def test_one_stream_is_one_full_batch(self):
+        rows = np.random.default_rng(3).integers(5, 16, (30, 8))
+        cfg = TrainingConfig(total_updates=10, warmup_updates=2, batch_size=6,
+                             seq_len=8, seed=7)
+        (got,) = balanced_batch({"en": CyclingStream(rows, seed=4)}, cfg, step=3,
+                                vocab_sizes={"en": 16})
+        want = make_masked_batch(CyclingStream(rows, seed=4).next(6), cfg.mask_prob,
+                                 (cfg.seed, 3, 0), 16, "en", cfg.eighty_ten_ten)
+        assert got.token_ids.shape == (6, 8) and got.language == "en"
+        for name in ("token_ids", "mask_rows", "mask_cols", "labels"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_short_stream_cycles(self):
         rows = np.arange(5, 11).reshape(3, 2)
@@ -387,3 +399,24 @@ class TestGradClipOfZeroOrLess:
     def test_nan_is_rejected(self):
         with pytest.raises(ValueError, match="grad_clip must not be NaN"):
             TrainingConfig(grad_clip=math.nan)
+
+
+class TestAdamSettings:
+    @pytest.mark.parametrize("name,value,rule", [
+        ("adam_beta1", -0.1, "in [0, 1)"),
+        ("adam_beta1", 1.0, "in [0, 1)"),
+        ("adam_beta1", 1.5, "in [0, 1)"),
+        ("adam_beta2", 1.0, "in [0, 1)"),
+        ("adam_beta2", math.nan, "in [0, 1)"),
+        ("adam_eps", 0.0, "> 0"),
+        ("adam_eps", -1.0, "> 0"),
+        ("adam_eps", math.nan, "> 0"),
+    ])
+    def test_out_of_range_is_rejected(self, name, value, rule):
+        with pytest.raises(ValueError) as err:
+            TrainingConfig(**{name: value})
+        assert str(err.value) == f"{name} must be {rule}, got {value}"
+
+    def test_edges_inside_the_range_are_kept(self):
+        cfg = TrainingConfig(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-30)
+        assert (cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps) == (0.0, 0.0, 1e-30)
