@@ -13,7 +13,10 @@ other route uses (post-norm, no clipping, other pretraining and masking
 rates), a warm rerun, and each CLI subcommand once, plus a second
 `cipher-fixture` at the benchmark's size and bigram weight with split
 noise and dictionary dropout, so that every draw path of the generator is
-compared, and a second `ibm1` on a subsample of the bundle's pairs. Every job
+compared, a second `ibm1` on a subsample of the bundle's pairs, and the
+word chain (`subword-vectors` without `--codes` onto the vectors route's
+vocabularies, `translation-matrix`, `init-embeddings`); a tree that cannot
+run a step of that chain writes its JSON error and skips the rest. Every job
 writes into one fixed run directory, which is then moved aside, so paths
 that outputs record are the same on both sides. The CLI's JSON lines are
 kept as files too.
@@ -75,17 +78,19 @@ def make_inputs(tree: Path, inputs: Path) -> None:
     (inputs / "seed.tsv").write_text("\n".join(seed) + "\n", encoding="utf-8")
 
 
-def cli(tree: Path, run: Path, name: str, *argv: str) -> None:
-    """One CLI call with `tree`'s code; its stdout goes to run/cli/NAME.json."""
+def cli(tree: Path, run: Path, name: str, *argv: str, check: bool = True) -> bool:
+    """One CLI call with `tree`'s code; its stdout goes to run/cli/NAME.json.
+    A failed call ends the script, or with `check` False returns False."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     env.pop("LANGXFER_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-m", "langxfer.cli", *argv], env=env,
                           capture_output=True, text=True, cwd=run)
     (run / "cli").mkdir(parents=True, exist_ok=True)
     (run / "cli" / f"{name}.json").write_text(proc.stdout, encoding="utf-8")
-    if proc.returncode != 0:
+    if proc.returncode != 0 and check:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{tree}: `langxfer {' '.join(argv)}` exited {proc.returncode}")
+    return proc.returncode == 0
 
 
 def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
@@ -158,6 +163,27 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
     cli(tree, run, "subword-vectors", "subword-vectors", "--vectors", i["en.vec"],
         "--corpus", i["en_train.txt"], "--vocab", str(run / "vocab_bpe_en.txt"),
         "--codes", str(run / "codes_en.txt"), "--output", str(run / "subword_en.vec"))
+    # the word chain, onto the vectors route's vocabularies and pretrained
+    # model; a tree whose subword-vectors needs --codes fails at its first
+    # step, which ends the chain
+    words = run / "vectors"
+    vectors = {"fg": str(run / "aligned.vec"), "en": i["en.vec"]}
+    chain = {f"word-vectors-{side}": [
+        "subword-vectors", "--vectors", vec, "--vocab", str(words / f"vocab_{side}.txt"),
+        "--output", str(run / f"word_{side}.vec")] for side, vec in vectors.items()}
+    chain["word-translation-matrix"] = [
+        "translation-matrix", "--foreign-vectors", str(run / "word_fg.vec"),
+        "--english-vectors", str(run / "word_en.vec"), "--output", str(run / "word_tm.txt")]
+    chain["word-init-embeddings"] = [
+        "init-embeddings", "--translation-matrix", str(run / "word_tm.txt"),
+        "--checkpoint", str(words / "pretrain" / "checkpoints"
+                            / f"step_{RUN_ALL['pretrain_updates']:07d}"),
+        "--foreign-vocab", str(words / "vocab_fg.txt"), "--seed", str(RUN_ALL["seed"]),
+        "--output-emb", str(run / "word_init_emb.bin"),
+        "--output-bias", str(run / "word_init_bias.bin")]
+    for name, argv in chain.items():
+        if not cli(tree, run, name, *argv, check=False):
+            break
 
     write_flat(run / "train.cfg", TRAIN)
     model = [f"--{k.replace('_', '-')}={v}" for k, v in MODEL.items()]

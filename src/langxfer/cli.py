@@ -41,13 +41,13 @@ from .embeddings import (
 from .pipeline import (
     PipelineConfig,
     align_parallel,
-    corpus_subword_vectors,
     init_foreign,
     load_config,
     load_flat_dataclass,
     load_tokenizer,
     pack_corpus,
     run_all,
+    vocab_vectors,
     write_config,
 )
 from .tiny_mlm import ModelConfig, init_model, load_checkpoint
@@ -164,13 +164,14 @@ def cmd_parse_fastalign(
 
 
 def cmd_subword_vectors(
-    *, vectors: str, corpus: Annotated[str, "monolingual text for unigram weights"],
-    vocab: Annotated[str, "subword vocabulary"], codes: str,
-    limit: int = PipelineConfig.word_limit, output: str,
+    *, vectors: str,
+    corpus: Annotated[str | None, "monolingual text for unigram weights, with --codes"] = None,
+    vocab: Annotated[str, "model vocabulary: words, or subwords with --codes"],
+    codes: str | None = None, limit: int = PipelineConfig.word_limit, output: str,
 ) -> int:
-    """aggregate word vectors into subword vectors"""
+    """put word vectors on a model vocabulary: words, or BPE subwords"""
     tok = load_tokenizer(vocab, codes)
-    table = corpus_subword_vectors(load_vectors(vectors, limit), corpus, tok)
+    table = vocab_vectors(load_vectors(vectors, limit), tok, corpus)
     save_vectors(table.emb, output, format="text")
     return _emit({"subwords": len(tok.vocab), "covered": int(np.sum(table.support > 0)),
                   "output": output})

@@ -10,6 +10,7 @@ set explicitly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from collections.abc import Iterator
@@ -164,7 +165,7 @@ def save_vectors(emb: EmbeddingMatrix, path: str | Path, format: str = "text") -
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(f"{len(emb.vocab) - NUM_SPECIALS} {emb.dim}\n")
                 for i in range(NUM_SPECIALS, len(emb.vocab)):
-                    values = " ".join(f"{v:.7e}" for v in emb.data[i])
+                    values = " ".join(f"{v:.8e}" for v in emb.data[i])
                     fh.write(f"{emb.vocab.tokens[i]} {values}\n")
 
 
@@ -208,12 +209,30 @@ def write_array(path: str | Path, arr: np.ndarray, tokens: list[str] | None = No
         fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def json_object(path: str | Path, value, keys: tuple[str, ...], what: str) -> dict:
+    """`value`, read from `path`, when it is a JSON object holding every key
+    in `keys`; otherwise a ValueError that names `path` and `what`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {what} is not a JSON object")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ValueError(f"{path}: {what} lacks {', '.join(map(repr, missing))}")
+    return value
+
+
 def read_array(path: str | Path) -> tuple[np.ndarray, list[str] | None]:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        header = json_object(path, json.loads(fh.readline().decode("utf-8")),
+                             ("row_count", "dim", "shape"), "binary header")
         if header.get("dtype") != "float32" or header.get("byte_order") != "little":
             raise ValueError(f"{path}: unsupported binary header: {header}")
-        count = header["row_count"] * header["dim"]
+        rows, dim, shape = header["row_count"], header["dim"], header["shape"]
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0
+                                                for n in [rows, dim, *shape])
+                and math.prod(shape) == rows * dim):
+            raise ValueError(f"{path}: binary header sizes are not counts that agree: "
+                             f"row_count {rows}, dim {dim}, shape {shape}")
+        count = rows * dim
         raw = fh.read(count * 4)
     if len(raw) != count * 4:
         raise ValueError(f"{path}: truncated binary data")

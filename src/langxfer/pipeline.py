@@ -189,17 +189,25 @@ def _parse_scalar(text: str, like) -> object:
 
 
 def load_flat_dataclass(path: str | Path, cls):
-    """Parse a flat "key = value" config file ('#' starts a comment)."""
+    """Parse a flat "key = value" config file ('#' starts a comment). A
+    value in double quotes is read up to its closing quote, '#' and all."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     values: dict[str, object] = {}
     for n, raw in enumerate(iter_lines(path), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        key, eq, value = raw.partition("=")
+        if "#" in key:  # a comment starts before any '='
+            key, eq = key.split("#", 1)[0], ""
+        if not key.strip() and not eq:
             continue
-        if "=" not in line:
+        if not eq:
             raise ValueError(f"{path}: line {n}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip().strip('"')
+        key, value = key.strip(), value.strip()
+        if value.startswith('"'):
+            value, closed, rest = value[1:].partition('"')
+            if not closed or rest.strip()[:1] not in ("", "#"):
+                raise ValueError(f"{path}: line {n}: a quoted value must end in '\"'")
+        else:
+            value = value.split("#", 1)[0].strip()
         if key not in fields:
             raise ValueError(f"{path}: line {n}: unknown config key {key!r}")
         f = fields[key]
@@ -220,10 +228,21 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def write_config(cfg, path: str | Path) -> None:
-    """Write a config dataclass as the flat file `load_flat_dataclass` reads."""
+    """Write a config dataclass as the flat file `load_flat_dataclass` reads.
+    A string holding '#' or with whitespace at either end is double-quoted;
+    one holding a line break or a '"' cannot be written."""
+    lines = []
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, str):
+            if any(c in value for c in '\n\r"'):
+                raise ValueError(f"{f.name}: a config value cannot hold a line break or "
+                                 f"'\"': {value!r}")
+            if "#" in value or value != value.strip():
+                value = f'"{value}"'
+        lines.append(f"{f.name} = {value}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for f in dataclasses.fields(cfg):
-            fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
+        fh.writelines(lines)
 
 
 def _hash_file(path: str | Path) -> str:
@@ -353,12 +372,27 @@ def align_parallel(corpus: ParallelCorpus, vocab_fg: Vocabulary, vocab_en: Vocab
     return translation_matrix_from_alignment(model, vocab_fg, vocab_en), info
 
 
-def corpus_subword_vectors(word_emb: EmbeddingMatrix, corpus: str | Path,
-                           tok: Tokenizer) -> SubwordVectorTable:
-    """Subword vectors of `tok`, weighted by the corpus's word unigram counts."""
-    words = build_vocab(iter_tokens(corpus), max_size=1 << 30)
-    unigrams = unigram_probs(iter_tokens(corpus), words)
-    return subword_vectors(word_emb, unigrams, tok.vocab, tok.codes)
+def vocab_vectors(vectors: EmbeddingMatrix, tok: Tokenizer,
+                  corpus: str | Path | None = None) -> SubwordVectorTable:
+    """A loaded vector table put on `tok`'s vocabulary. Without BPE codes
+    each word takes its own vector, or zeros with support 0 when absent;
+    with codes, each subword takes its words' vectors weighted by the
+    corpus's word unigram counts. A corpus goes with codes, and only with them."""
+    if (corpus is None) != (tok.codes is None):
+        raise ValueError("BPE codes and a corpus go together: give both or neither")
+    vocab = tok.vocab
+    if corpus is not None:
+        words = build_vocab(iter_tokens(corpus), max_size=1 << 30)
+        return subword_vectors(vectors, unigram_probs(iter_tokens(corpus), words), vocab,
+                               tok.codes)
+    out = np.zeros((len(vocab), vectors.dim), dtype=np.float32)
+    support = np.zeros(len(vocab), dtype=np.int64)
+    for i in range(corpus_mod.NUM_SPECIALS, len(vocab)):
+        j = vectors.vocab.index.get(vocab.tokens[i])
+        if j is not None and j >= corpus_mod.NUM_SPECIALS:
+            out[i] = vectors.data[j]
+            support[i] = 1
+    return SubwordVectorTable(EmbeddingMatrix(vocab, out), support)
 
 
 def init_foreign(tm_path: str | Path, checkpoint: str | Path, vocab_fg: str | Path,
@@ -374,16 +408,6 @@ def init_foreign(tm_path: str | Path, checkpoint: str | Path, vocab_fg: str | Pa
     write_array(emb_path, emb.data, tokens=vocab_fg.tokens)
     write_array(bias_path, bias)
     return report
-
-
-def _vocab_ref(vec_emb: EmbeddingMatrix, vocab: Vocabulary) -> EmbeddingMatrix:
-    """Re-index a loaded vector table onto a model vocabulary (zeros if absent)."""
-    out = np.zeros((len(vocab), vec_emb.dim), dtype=np.float32)
-    for i in range(corpus_mod.NUM_SPECIALS, len(vocab)):
-        j = vec_emb.vocab.index.get(vocab.tokens[i])
-        if j is not None and j >= corpus_mod.NUM_SPECIALS:
-            out[i] = vec_emb.data[j]
-    return EmbeddingMatrix(vocab, out)
 
 
 SIDES = ("en", "fg")
@@ -425,29 +449,18 @@ def _translation_route(cfg: PipelineConfig, corpora: dict[str, Path],
 
         return dictionary, {**vocabs, "dictionary": Path(cfg.dictionary)}, []
 
-    def aligned(f) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-        en_vec = load_vectors(f["en_vectors"], cfg.word_limit)
-        fg_vec = load_vectors(f["fg_vectors"], cfg.word_limit)
-        return align_to(fg_vec, en_vec, f.get("seed_dictionary"))[0], en_vec
-
-    def word_vectors(f, tok) -> TranslationMatrix:
-        fg_vec, en_vec = aligned(f)
-        return translation_matrix_from_vectors(_vocab_ref(fg_vec, tok["fg"].vocab),
-                                               _vocab_ref(en_vec, tok["en"].vocab))
-
-    def bpe_vectors(f, tok) -> TranslationMatrix:  # subword vectors, weighted by the corpora
-        fg_vec, en_vec = aligned(f)
-        en_sub = corpus_subword_vectors(en_vec, f["en_train"], tok["en"])
-        fg_sub = corpus_subword_vectors(fg_vec, f["fg_train"], tok["fg"])
-        return translation_matrix_from_vectors(fg_sub.emb, en_sub.emb)
+    def vectors(f, tok) -> TranslationMatrix:  # f names the corpora only under BPE
+        vec = {s: load_vectors(f[f"{s}_vectors"], cfg.word_limit) for s in SIDES}
+        vec["fg"] = align_to(vec["fg"], vec["en"], f.get("seed_dictionary"))[0]
+        fg, en = (vocab_vectors(vec[s], tok[s], f.get(f"{s}_train")).emb for s in ("fg", "en"))
+        return translation_matrix_from_vectors(fg, en)
 
     files = {**vocabs, "en_vectors": Path(cfg.en_vectors), "fg_vectors": Path(cfg.fg_vectors)}
     if cfg.seed_dictionary:
         files["seed_dictionary"] = Path(cfg.seed_dictionary)
-    if not codes:
-        return word_vectors, files, []
-    files.update(en_train=corpora["en_train"], fg_train=corpora["fg_train"], **codes)
-    return bpe_vectors, files, []
+    if codes:
+        files.update(en_train=corpora["en_train"], fg_train=corpora["fg_train"], **codes)
+    return vectors, files, []
 
 
 def run_all(cfg: PipelineConfig) -> dict:

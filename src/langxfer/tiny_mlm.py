@@ -27,13 +27,13 @@ import json
 import math
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import MASK_ID, NUM_SPECIALS, Vocabulary
-from .embeddings import read_array, write_array
+from .embeddings import json_object, read_array, write_array
 
 PARAM_GROUPS = ("emb_en", "emb_fg", "pos_emb", "encoder", "out_bias_en", "out_bias_fg")
 
@@ -576,13 +576,19 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, int, dict | None]:
     path = Path(path)
-    with open(path / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    cfg = ModelConfig(**manifest["config"])
+    file = path / "manifest.json"
+    with open(file, encoding="utf-8") as fh:
+        manifest = json_object(file, json.load(fh), ("step", "config", "params"), "manifest")
+    config = json_object(file, manifest["config"], (), "config")
+    unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ValueError(f"{file}: config keys that ModelConfig does not have: {unknown}")
+    cfg = ModelConfig(**config)
     vocab_en = Vocabulary.load(path / "vocab_en.txt")
     vocab_fg = Vocabulary.load(path / "vocab_fg.txt")
     params = {}
-    for name, meta in manifest["params"].items():
+    for name, meta in json_object(file, manifest["params"], (), "params").items():
+        meta = json_object(file, meta, ("file", "shape"), f"params entry {name!r}")
         arr, _ = read_array(path / meta["file"])
         params[name] = arr.reshape(meta["shape"])
     state = ModelState(cfg, vocab_en, vocab_fg, params)

@@ -352,7 +352,7 @@ def translation_matrix_from_alignment(
 def subsample(corpus: ParallelCorpus, n: int, seed: int) -> ParallelCorpus:
     """Uniform sample of n pairs without replacement, original order kept."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"subsample size must be >= 1, got {n}")
     if n >= len(corpus.pairs):
         return ParallelCorpus(list(corpus.pairs), dropped=corpus.dropped)
     rng = np.random.default_rng(seed)

@@ -121,6 +121,20 @@ class TestBasicCommands:
         cfg = load_config(out["config"])
         assert cfg.route == "parallel"
 
+    def test_cipher_fixture_config_in_a_hash_directory_reads_back(self, capsys, tmp_path):
+        from langxfer.pipeline import load_config
+
+        out_dir = tmp_path / "a#b" / "bundle"
+        code, out = run_cli(capsys, "cipher-fixture", "--vocab-size", "15",
+                            "--sentences", "30", "--heldout", "5", "--out-dir", str(out_dir))
+        assert code == 0
+        cfg = load_config(out["config"])
+        assert cfg.out_dir == str(out_dir / "pipeline")
+        assert cfg.dictionary == str(out_dir / "noisy_dictionary.tsv")
+        for name in ("en_train", "en_heldout", "fg_train", "fg_heldout"):
+            assert getattr(cfg, name) == str(out_dir / f"{name}.txt")
+            assert Path(getattr(cfg, name)).is_file()
+
 
 class TestAlignmentCommands:
     def test_ibm1(self, bundle, capsys):
@@ -172,7 +186,7 @@ class TestAlignmentCommands:
                             "--output", str(tmp_path / "tm.txt"))
         assert code == 1
         assert out == {"status": "error", "stage": "ibm1", "code": "invalid_input",
-                       "message": "n must be >= 1"}
+                       "message": f"subsample size must be >= 1, got {subsample}"}
         assert not (tmp_path / "tm.txt").exists()
 
     def test_parse_fastalign(self, bundle, capsys, tmp_path):
@@ -437,6 +451,107 @@ class TestCommandsShareRunAllStages:
             assert (tmp_path / "xfer" / rel).read_bytes() == (
                 work / "transfer" / rel).read_bytes(), rel
 
+    def test_word_chain_matches_run_all_vectors_route(self, bundle, capsys, tmp_path):
+        """README's word chain on 300-d vectors that hold a word outside the
+        model vocabulary writes run-all's matrix, embeddings and bias."""
+        from langxfer.pipeline import PipelineConfig, run_all
+
+        _, paths = bundle
+        pairs = [line.split("\t") for line in
+                 Path(paths["dictionary.tsv"]).read_text().splitlines()]
+        # small values, so that sparsemax rows hold several entries and the
+        # matrix shows the last bits of the aligned vectors
+        rng = np.random.default_rng(3)
+        for side, words in (("en", [en for en, _ in pairs]), ("fg", [fg for _, fg in pairs])):
+            rows = [f"{w} " + " ".join(f"{x:.6f}" for x in rng.normal(0, 0.05, 300))
+                    for w in [*words, f"{side}_not_in_any_corpus"]]
+            (tmp_path / f"{side}.vec").write_text(f"{len(rows)} 300\n" + "\n".join(rows) + "\n")
+        (tmp_path / "seed.tsv").write_text("".join(f"{fg}\t{en}\n" for en, fg in pairs))
+        cfg = PipelineConfig(
+            out_dir=str(tmp_path / "ra"), en_train=paths["en_train.txt"],
+            en_heldout=paths["en_heldout.txt"], fg_train=paths["fg_train.txt"],
+            fg_heldout=paths["fg_heldout.txt"], route="vectors",
+            en_vectors=str(tmp_path / "en.vec"), fg_vectors=str(tmp_path / "fg.vec"),
+            seed_dictionary=str(tmp_path / "seed.tsv"), dim=16, layers=1, heads=2,
+            ffn_dim=32, pretrain_updates=6, pretrain_warmup=2, total_updates=4,
+            warmup_updates=1, freeze_phase_updates=2, seq_len=16, checkpoint_every=4, seed=5,
+        )
+        with pytest.warns(UserWarning, match="underdetermined"):
+            run_all(cfg)
+        work = tmp_path / "ra"
+        with pytest.warns(UserWarning, match="underdetermined"):
+            code, _ = run_cli(capsys, "align-vectors",
+                              "--foreign-vectors", str(tmp_path / "fg.vec"),
+                              "--english-vectors", str(tmp_path / "en.vec"),
+                              "--dictionary", str(tmp_path / "seed.tsv"),
+                              "--output", str(tmp_path / "fg_aligned.vec"))
+        assert code == 0
+        for side, vec in (("fg", "fg_aligned.vec"), ("en", "en.vec")):
+            code, out = run_cli(capsys, "subword-vectors", "--vectors", str(tmp_path / vec),
+                                "--vocab", str(work / f"vocab_{side}.txt"),
+                                "--output", str(tmp_path / f"{side}_vocab.vec"))
+            assert code == 0 and out["covered"] == len(pairs), out
+        code, _ = run_cli(capsys, "translation-matrix",
+                          "--foreign-vectors", str(tmp_path / "fg_vocab.vec"),
+                          "--english-vectors", str(tmp_path / "en_vocab.vec"),
+                          "--output", str(tmp_path / "tm.txt"))
+        assert code == 0
+        code, _ = run_cli(capsys, "init-embeddings", "--translation-matrix",
+                          str(tmp_path / "tm.txt"), "--checkpoint",
+                          str(work / "pretrain" / "checkpoints" / "step_0000006"),
+                          "--foreign-vocab", str(work / "vocab_fg.txt"), "--seed", "5",
+                          "--output-emb", str(tmp_path / "emb.bin"),
+                          "--output-bias", str(tmp_path / "bias.bin"))
+        assert code == 0
+        for chain, ra in (("tm.txt", "translation_matrix.txt"), ("emb.bin", "init_emb.bin"),
+                          ("bias.bin", "init_bias.bin")):
+            assert (tmp_path / chain).read_bytes() == (work / ra).read_bytes(), chain
+
+    @pytest.mark.parametrize("flag", ["--codes", "--corpus"])
+    def test_subword_vectors_takes_codes_and_corpus_together(self, bundle, capsys, tmp_path,
+                                                             flag):
+        _, paths = bundle
+        (tmp_path / "w.vec").write_text("1 2\na 1 2\n")
+        (tmp_path / "v.txt").write_text("<pad>\n<unk>\n<mask>\n<s>\n</s>\na\n")
+        (tmp_path / "codes.txt").write_text("a b\n")
+        given = {"--codes": str(tmp_path / "codes.txt"), "--corpus": paths["en_train.txt"]}
+        code, out = run_cli(capsys, "subword-vectors", "--vectors", str(tmp_path / "w.vec"),
+                            "--vocab", str(tmp_path / "v.txt"), flag, given[flag],
+                            "--output", str(tmp_path / "out.vec"))
+        assert code == 1
+        assert out == {"status": "error", "stage": "subword-vectors", "code": "invalid_input",
+                       "message": "BPE codes and a corpus go together: give both or neither"}
+        assert not (tmp_path / "out.vec").exists()
+
+    def test_init_embeddings_rejects_a_negative_seed_with_every_row_covered(
+            self, capsys, tmp_path):
+        from langxfer.corpus import Vocabulary
+        from langxfer.tiny_mlm import ModelConfig, init_model, save_checkpoint
+
+        vocab = Vocabulary.from_tokens(["a", "b"])
+        model = init_model(ModelConfig(dim=8, layers=1, heads=2, ffn_dim=16, max_len=16),
+                           vocab, Vocabulary.from_tokens([]), 0)
+        save_checkpoint(model, tmp_path / "ck", step=0)
+        Vocabulary.from_tokens(["x", "y"]).save(tmp_path / "vfg.txt")
+        (tmp_path / "tm.txt").write_text("x a:1\ny b:0.5 a:0.5\n")
+        code, out = run_cli(capsys, "init-embeddings",
+                            "--translation-matrix", str(tmp_path / "tm.txt"),
+                            "--checkpoint", str(tmp_path / "ck"),
+                            "--foreign-vocab", str(tmp_path / "vfg.txt"), "--seed", "-1",
+                            "--output-emb", str(tmp_path / "emb.bin"),
+                            "--output-bias", str(tmp_path / "bias.bin"))
+        assert code == 1
+        assert out == {"status": "error", "stage": "init-embeddings", "code": "invalid_input",
+                       "message": "seed must be >= 0, got -1"}
+        assert not (tmp_path / "emb.bin").exists() and not (tmp_path / "bias.bin").exists()
+        code, out = run_cli(capsys, "init-embeddings",
+                            "--translation-matrix", str(tmp_path / "tm.txt"),
+                            "--checkpoint", str(tmp_path / "ck"),
+                            "--foreign-vocab", str(tmp_path / "vfg.txt"),
+                            "--output-emb", str(tmp_path / "emb.bin"),
+                            "--output-bias", str(tmp_path / "bias.bin"))
+        assert code == 0 and out["covered"] == 2 and out["fallback"] == 0
+
     def test_transfer_without_token_list_reports_it(self, bundle, capsys, tmp_path):
         from langxfer.corpus import Vocabulary
         from langxfer.embeddings import write_array
@@ -478,6 +593,77 @@ class TestCommandsShareRunAllStages:
         assert out == {"status": "error", "stage": "run-all", "code": "invalid_input",
                        "message": f"{dictionary}: no in-vocabulary dictionary pairs"}
         assert not (tmp_path / "fx" / "pipeline" / "translation_matrix.txt").exists()
+
+
+def _corrupt_manifest(ck, edit):
+    manifest = json.loads((ck / "manifest.json").read_text())
+    (ck / "manifest.json").write_text(json.dumps(edit(manifest)))
+
+
+def _corrupt_header(path, edit):
+    header, data = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + data)
+
+
+MALFORMED = {
+    "manifest-without-config": ("ck", lambda m: {"step": 1},
+                                "ck/manifest.json: manifest lacks 'config', 'params'"),
+    "manifest-not-an-object": ("ck", lambda m: [m],
+                               "ck/manifest.json: manifest is not a JSON object"),
+    "unknown-config-key": ("ck", lambda m: {**m, "config": {**m["config"], "width": 3}},
+                           "ck/manifest.json: config keys that ModelConfig does not have: "
+                           "['width']"),
+    "param-entry-without-file": (
+        "ck", lambda m: {**m, "params": {**m["params"], "emb_en": {"shape": [7, 8]}}},
+        "ck/manifest.json: params entry 'emb_en' lacks 'file'"),
+    "header-without-row-count": ("e.bin", lambda h: {k: v for k, v in h.items()
+                                                     if k != "row_count"},
+                                 "e.bin: binary header lacks 'row_count'"),
+    "header-not-an-object": ("e.bin", lambda h: [1, 2],
+                             "e.bin: binary header is not a JSON object"),
+    "header-sizes-disagree": ("e.bin", lambda h: {**h, "row_count": "7"},
+                              "e.bin: binary header sizes are not counts that agree: "
+                              "row_count 7, dim 8, shape [7, 8]"),
+    "param-header-without-dim": ("ck/emb_en.bin", lambda h: {k: v for k, v in h.items()
+                                                            if k != "dim"},
+                                 "ck/emb_en.bin: binary header lacks 'dim'"),
+}
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_checkpoint_or_header_is_the_json_error(self, bundle, capsys, tmp_path,
+                                                             case):
+        from langxfer.corpus import Vocabulary
+        from langxfer.embeddings import write_array
+        from langxfer.tiny_mlm import ModelConfig, init_model, save_checkpoint
+
+        _, paths = bundle
+        vocab = Vocabulary.from_tokens(["a", "b"])
+        model = init_model(ModelConfig(dim=8, layers=1, heads=2, ffn_dim=16, max_len=16),
+                           vocab, vocab, 0)
+        save_checkpoint(model, tmp_path / "ck", step=0)
+        write_array(tmp_path / "e.bin", np.zeros((7, 8), dtype=np.float32),
+                    tokens=vocab.tokens)
+        target, edit, message = MALFORMED[case]
+        if target == "ck":
+            _corrupt_manifest(tmp_path / "ck", edit)
+        else:
+            _corrupt_header(tmp_path / target, edit)
+        if target == "e.bin":
+            argv = ["transfer", "--checkpoint", str(tmp_path / "ck"),
+                    "--init-emb", str(tmp_path / "e.bin"), "--en-train", paths["en_train.txt"],
+                    "--fg-train", paths["fg_train.txt"], "--out-dir", str(tmp_path / "run")]
+        else:
+            argv = ["eval", "--checkpoint", str(tmp_path / "ck"),
+                    "--corpus", paths["en_heldout.txt"], "--language", "en"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and "Traceback" not in captured.err
+        out = json.loads(captured.out)
+        assert (out["status"], out["stage"], out["code"]) == ("error", argv[0], "invalid_input")
+        assert out["message"] == f"{tmp_path}/{message}"
+        assert not (tmp_path / "run").exists()
 
 
 class TestBadSizesFailEarly:
@@ -748,9 +934,9 @@ PARSER_TABLE = {
     ],
     "subword-vectors": [
         ("--vectors", "vectors", S, None, REQ, None, False),
-        ("--corpus", "corpus", S, None, REQ, None, False),
+        ("--corpus", "corpus", S, None, False, None, False),
         ("--vocab", "vocab", S, None, REQ, None, False),
-        ("--codes", "codes", S, None, REQ, None, False),
+        ("--codes", "codes", S, None, False, None, False),
         ("--limit", "limit", int, 50000, False, None, False),
         ("--output", "output", S, None, REQ, None, False),
     ],

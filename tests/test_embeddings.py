@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from langxfer.corpus import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary
 from langxfer.embeddings import (
@@ -52,6 +53,17 @@ def procrustes_2x2_oracle(x, y):
         [[math.cos(phi), math.sin(phi)], [math.sin(phi), -math.cos(phi)]]
     )
     return rot if np.trace(rot.T @ m) >= np.trace(refl.T @ m) else refl
+
+
+F32 = np.finfo(np.float32)
+FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+SUBNORMAL32 = st.floats(-float(F32.tiny), float(F32.tiny), width=32, exclude_min=True,
+                        exclude_max=True)
+LARGE32 = st.floats(float(F32.max) / 8, float(F32.max), width=32).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+# just above a power of ten, where 8 significant digits do not tell float32s apart
+DECADE32 = st.tuples(st.floats(1.0, 1.3), st.integers(-37, 38)).map(
+    lambda t: float(np.float32(min(t[0] * 10.0 ** t[1], float(F32.max)))))
 
 
 class TestVectorIO:
@@ -105,6 +117,25 @@ class TestVectorIO:
         orig = emb.data[NUM_SPECIALS:]
         got = loaded.data[NUM_SPECIALS:]
         assert np.max(np.abs(orig - got) / np.maximum(np.abs(orig), 1e-12)) <= 1e-5
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                           elements=st.one_of(FLOAT32, SUBNORMAL32, LARGE32, DECADE32)))
+    def test_text_roundtrip_bit_exact(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("vec") / "e.vec"
+        emb = make_emb([f"w{i}" for i in range(len(data))], data)
+        save_vectors(emb, path, format="text")
+        assert load_vectors(path).data.view(np.uint32).tobytes() == \
+            emb.data.view(np.uint32).tobytes()
+
+    def test_text_roundtrip_of_float32_edges_bit_exact(self, tmp_path):
+        edges = np.array([F32.max, -F32.max, F32.tiny, F32.smallest_subnormal, -0.0,
+                          np.nextafter(F32.tiny, 0, dtype=np.float32),
+                          0.10490011423826218, 8.589973e9], dtype=np.float32)
+        emb = make_emb(["edge"], edges[None, :])
+        save_vectors(emb, tmp_path / "e.vec", format="text")
+        assert load_vectors(tmp_path / "e.vec").data.view(np.uint32).tobytes() == \
+            emb.data.view(np.uint32).tobytes()
 
     def test_unwritable_path_raises(self, tmp_path):
         emb = make_emb(["x"], [[1.0]])

@@ -154,6 +154,13 @@ class TestInitForeignEmbeddings:
         b, _ = init_foreign_embeddings(tm, src, tgt_vocab, seed=9)
         assert np.array_equal(a.data, b.data)
 
+    def test_negative_seed_rejected_with_every_row_covered(self):
+        src = source_embeddings()
+        tgt_vocab = Vocabulary.from_tokens(["f0"])
+        tm = dictionary_translation_matrix([(NUM_SPECIALS, 7)], tgt_vocab, src.vocab)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            init_foreign_embeddings(tm, src, tgt_vocab, seed=-1)
+
     def test_size_mismatch_rejected(self):
         src = source_embeddings()
         tgt_vocab = Vocabulary.from_tokens(["f0"])
@@ -235,6 +242,10 @@ class TestRandomInit:
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             random_init(Vocabulary.from_tokens(["a"]), d=0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            random_init(Vocabulary.from_tokens(["a"]), d=4, seed=-1)
 
 
 class TestInitReport:

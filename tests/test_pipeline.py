@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langxfer.cipher import generate_cipher_fixture, write_fixture
 from langxfer.pipeline import (
@@ -67,6 +69,53 @@ class TestConfigFile:
         loaded = load_config(tmp_path / "p.cfg")
         assert loaded.seed == 3
         assert isinstance(loaded.peak_lr, float)
+
+    @settings(max_examples=150, deadline=None)
+    @given(names=st.lists(st.text(st.sampled_from("ab/#= \t._-é"), max_size=12),
+                          min_size=7, max_size=7))
+    def test_write_load_roundtrip_of_paths_with_hash_equals_and_spaces(
+            self, tmp_path_factory, names):
+        fields = ("out_dir", "en_train", "en_heldout", "fg_train", "fg_heldout",
+                  "dictionary", "seed_dictionary")
+        cfg = PipelineConfig(**dict(zip(fields, names)))
+        path = tmp_path_factory.mktemp("cfg") / "p.cfg"
+        write_config(cfg, path)
+        assert load_config(path) == cfg
+
+    def test_plain_values_keep_their_bytes(self, tmp_path):
+        cfg = PipelineConfig(out_dir="o u/t", en_train="a=b", en_heldout="c", fg_train="d",
+                             fg_heldout="e")
+        write_config(cfg, tmp_path / "p.cfg")
+        text = (tmp_path / "p.cfg").read_text()
+        assert "out_dir = o u/t\nen_train = a=b\n" in text and '"' not in text
+
+    @pytest.mark.parametrize("value", ['a"b', "a\nb", "a\rb"])
+    def test_unwritable_value_rejected(self, tmp_path, value):
+        cfg = PipelineConfig(out_dir=value, en_train="a", en_heldout="b", fg_train="c",
+                             fg_heldout="d")
+        with pytest.raises(ValueError, match="out_dir: a config value cannot hold"):
+            write_config(cfg, tmp_path / "p.cfg")
+        assert not (tmp_path / "p.cfg").exists()
+
+    @pytest.mark.parametrize("line,value", [
+        ('route = "vectors" # comment', "vectors"),
+        ('dictionary = "a # b"', "a # b"),
+        ('dictionary = " a"#c', " a"),
+        ("dictionary = a # b", "a"),
+        ("dictionary = # b", ""),
+    ])
+    def test_quoted_values_and_comments(self, tmp_path, line, value):
+        (tmp_path / "p.cfg").write_text(
+            "out_dir = o\nen_train = a\nen_heldout = b\nfg_train = c\nfg_heldout = d\n"
+            f"{line}\n# a = comment\n")
+        key = line.split("=")[0].strip()
+        assert getattr(load_config(tmp_path / "p.cfg"), key) == value
+
+    @pytest.mark.parametrize("line", ['dictionary = "a', 'dictionary = "a" b'])
+    def test_bad_quoted_value_rejected(self, tmp_path, line):
+        (tmp_path / "p.cfg").write_text(f"out_dir = o\n{line}\n")
+        with pytest.raises(ValueError, match="line 2: a quoted value must end in"):
+            load_config(tmp_path / "p.cfg")
 
     def test_default_word_limit_is_fifty_thousand(self, fixture_paths, tmp_path):
         paths, _ = fixture_paths
