@@ -16,7 +16,11 @@ noise and dictionary dropout, so that every draw path of the generator is
 compared, a second `ibm1` on a subsample of the bundle's pairs, and the
 word chain (`subword-vectors` without `--codes` onto the vectors route's
 vocabularies, `translation-matrix`, `init-embeddings`); a tree that cannot
-run a step of that chain writes its JSON error and skips the rest. Every job
+run a step of that chain writes its JSON error and skips the rest. Last come
+inputs that must be rejected, so that a changed error message shows as a
+differing JSON line: a `run-all` config value out of range, of the wrong
+type and outside its choices, a checkpoint manifest whose `config` holds a
+value of the wrong type, and `eval --seed -1`. Every job
 writes into one fixed run directory, which is then moved aside, so paths
 that outputs record are the same on both sides. The CLI's JSON lines are
 kept as files too.
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import random
 import shutil
@@ -206,6 +211,25 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
     cli(tree, run, "eval", "eval", "--checkpoint",
         str(run / "transfer_5" / "checkpoints" / f"step_{TRAIN['total_updates']:07d}"),
         "--corpus", i["fg_heldout.txt"], "--language", "fg")
+
+    # rejected inputs: only their JSON error lines are kept
+    base = {"out_dir": str(run / "rejected"), **RUN_ALL,
+            **{n: i[f"{n}.txt"] for n in ("en_train", "en_heldout", "fg_train", "fg_heldout")}}
+    bad_values = {"range": ("mask_prob", 1.5), "type": ("dim", "abc"),
+                  "choice": ("norm", "mid"), "choice-route": ("route", "bogus")}
+    for name, (key, value) in bad_values.items():
+        write_flat(run / f"bad-{name}.cfg", {**base, key: value})
+        cli(tree, run, f"bad-config-{name}", "run-all", "--config",
+            str(run / f"bad-{name}.cfg"), check=False)
+    shutil.copytree(checkpoint, run / "bad_manifest")
+    manifest = json.loads((run / "bad_manifest" / "manifest.json").read_text())
+    manifest["config"]["dim"] = "x"
+    (run / "bad_manifest" / "manifest.json").write_text(json.dumps(manifest))
+    held = ["--corpus", i["en_heldout.txt"], "--language", "en"]
+    cli(tree, run, "bad-manifest", "eval", "--checkpoint", str(run / "bad_manifest"), *held,
+        check=False)
+    cli(tree, run, "bad-eval-seed", "eval", "--checkpoint", checkpoint, *held, "--seed", "-1",
+        check=False)
 
 
 def comparable(path: Path) -> bytes | list[str]:

@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import require
+
 _CONSONANTS = list("bcdfghjklmnprstvz")
 _VOWELS = list("aeiou")
 
@@ -100,22 +102,15 @@ def generate_cipher_fixture(
     bigram_alpha: float = 0.25,
 ) -> CipherFixture:
     """Deterministic corpus bundle for the cipher-transfer experiment."""
-    if vocab_size < 10:
-        raise ValueError("vocab_size must be >= 10")
-    if sentences < 1:
-        raise ValueError(f"sentences must be >= 1, got {sentences}")
-    if heldout < 0:
-        raise ValueError(f"heldout must be >= 0, got {heldout}")
-    if min_len < 1:
-        raise ValueError(f"min_len must be >= 1, got {min_len}")
+    require("vocab_size", vocab_size, ">= 10")
+    require("sentences", sentences, ">= 1")
+    require("heldout", heldout, ">= 0")
+    require("min_len", min_len, ">= 1")
     if max_len < min_len:
         raise ValueError(f"max_len must be >= min_len, got {max_len} < {min_len}")
-    if not 0.0 <= dict_dropout < 1.0:
-        raise ValueError("dict_dropout must be in [0, 1)")
-    if not 0.0 <= split_prob <= 1.0:
-        raise ValueError(f"split_prob must be in [0, 1], got {split_prob}")
-    if not bigram_alpha > 0.0:
-        raise ValueError(f"bigram_alpha must be > 0, got {bigram_alpha}")
+    require("dict_dropout", dict_dropout, "in [0, 1)")
+    require("split_prob", split_prob, "in [0, 1]")
+    require("bigram_alpha", bigram_alpha, "> 0")
     rng = np.random.default_rng(seed)
 
     taken: set[str] = set()

@@ -7,18 +7,65 @@ marker attached to the final character of each word ("b" -> "b</w>").
 
 from __future__ import annotations
 
+import functools
 import heapq
+import operator
+import typing
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Literal
 
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<mask>", "<s>", "</s>")
 PAD_ID, UNK_ID, MASK_ID, BOS_ID, EOS_ID = range(5)
 NUM_SPECIALS = len(SPECIAL_TOKENS)
 
 WORD_END = "</w>"
+
+# the test at each end of a rule: ">= a", "> a", "in [a, b)", "in (a, b]", ...
+_ENDS = {">=": operator.ge, ">": operator.gt, "[": operator.ge, "(": operator.gt,
+         "]": operator.le, ")": operator.lt}
+_KINDS = {int: "an int", float: "a float", bool: "a bool", str: "a str", type(None): "None"}
+_type_hints = functools.cache(typing.get_type_hints)  # a class's resolved annotations
+
+
+def require(name: str, value, rule: str) -> None:
+    """Raise ValueError "{name} must be {rule}, got {value}" unless `value`
+    meets `rule`: ">= a", "> a", or an interval "in [a, b)", "in (a, b]" or
+    "in [a, b]". NaN meets no rule."""
+    if rule.startswith("in "):
+        low, high = rule[4:-1].split(", ")
+        ends = ((rule[3], low), (rule[-1], high))
+    else:
+        ends = (rule.split(" "),)
+    if not all(_ENDS[op](value, float(bound)) for op, bound in ends):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def ruled(default, rule: str):
+    """A config field whose values `check_fields` holds to `rule` (`require`)."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def check_fields(obj) -> None:
+    """Check each field of a config dataclass against its annotation, then
+    against its `ruled` rule. A Literal field takes one of its values; any
+    other takes a value of its types, where a float field also takes an int
+    and only a bool field takes a bool (None only with `| None`)."""
+    hints = _type_hints(type(obj))
+    for f in fields(obj):
+        value, kind = getattr(obj, f.name), hints[f.name]
+        kinds = typing.get_args(kind) or (kind,)
+        if typing.get_origin(kind) is Literal:
+            if value not in kinds:
+                raise ValueError(f"unknown {f.name}: {value!r}")
+        elif (isinstance(value, bool) != (bool in kinds)
+              or not isinstance(value, kinds + ((int,) if float in kinds else ()))):
+            raise ValueError(f"{f.name} must be {' or '.join(map(_KINDS.get, kinds))}, "
+                             f"got {value!r}")
+        elif "rule" in f.metadata:
+            require(f.name, value, f.metadata["rule"])
 
 
 @dataclass
@@ -162,8 +209,7 @@ def learn_bpe(lines: Iterable[str], num_codes: int) -> BpeCodes:
     ties are broken by lexicographically smallest pair. If the corpus runs out
     of mergeable pairs early, the result carries `exhausted=True`.
     """
-    if num_codes < 0:
-        raise ValueError("num_codes must be >= 0")
+    require("num_codes", num_codes, ">= 0")
     word_freq: Counter = Counter()
     for line in lines:
         word_freq.update(line.split())

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary
+from .corpus import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary, require
 
 
 @dataclass
@@ -73,8 +73,8 @@ def load_vectors(path: str | Path, limit: int | None = None) -> EmbeddingMatrix:
     than `limit` rows were kept, the file must hold exactly as many data
     lines as its header says.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit is not None:
+        require("limit", limit, ">= 1")
     tokens: list[str] = []
     rests: list[str] = []  # every line read, after its token
     kept: list[int] = []  # positions in `rests` of the rows kept

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NUM_SPECIALS, Vocabulary
+from .corpus import NUM_SPECIALS, Vocabulary, require
 from .embeddings import EmbeddingMatrix
 from .translation import TranslationMatrix
 
@@ -56,11 +56,6 @@ def _row_rng(seed: int, row: int) -> np.random.Generator:
 
 def _gaussian_row(seed: int, row: int, d: int) -> np.ndarray:
     return _row_rng(seed, row).normal(0.0, 1.0 / d, size=d).astype(np.float32)
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:  # checked up front, whether or not a row falls back
-        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _check_size(tm: TranslationMatrix, tgt_vocab: Vocabulary) -> None:
@@ -107,7 +102,7 @@ def init_foreign_embeddings(
     one-hot row reproduces the source vector bit-exactly. Uncovered rows fall
     back to N(0, 1/d^2).
     """
-    _check_seed(seed)
+    require("seed", seed, ">= 0")  # whether or not a row falls back
     _check_size(tm, tgt_vocab)
     first = tm.indptr[NUM_SPECIALS]
     beyond = np.flatnonzero(tm.indices[first:] >= len(src_emb.vocab))
@@ -151,9 +146,8 @@ def init_foreign_bias(
 
 def random_init(tgt_vocab: Vocabulary, d: int, seed: int) -> EmbeddingMatrix:
     """Every row i.i.d. N(0, 1/d^2); the random-initialization baseline."""
-    _check_seed(seed)
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    require("seed", seed, ">= 0")
+    require("dimension", d, ">= 1")
     out = np.empty((len(tgt_vocab), d), dtype=np.float32)
     for i in range(len(tgt_vocab)):
         out[i] = _gaussian_row(seed, i, d)

@@ -18,6 +18,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -27,10 +28,12 @@ from .corpus import (
     Tokenizer,
     Vocabulary,
     build_vocab,
+    check_fields,
     iter_lines,
     iter_tokens,
     learn_bpe,
     read_parallel,
+    ruled,
     unigram_probs,
 )
 from .embeddings import (
@@ -106,19 +109,19 @@ class PipelineConfig:
     en_heldout: str
     fg_train: str
     fg_heldout: str
-    route: str = "parallel"  # parallel | dictionary | vectors
+    route: Literal["parallel", "dictionary", "vectors"] = "parallel"
     dictionary: str = ""  # TSV (english<TAB>foreign) for route=dictionary
     en_vectors: str = ""  # .vec files for route=vectors
     fg_vectors: str = ""
     seed_dictionary: str = ""  # optional TSV (foreign<TAB>english) for Procrustes
-    tokenization: str = "word"  # word | bpe
-    bpe_codes: int = 300
+    tokenization: Literal["word", "bpe"] = "word"
+    bpe_codes: int = ruled(300, ">= 0")
     vocab_size_en: int = 8000
     vocab_size_fg: int = 8000
-    word_limit: int = 50000
-    align_pairs: int = 2000000
-    ibm1_iterations: int = 10
-    ibm1_prune: float = 1e-4
+    word_limit: int = ruled(50000, ">= 1")
+    align_pairs: int = ruled(2000000, ">= 1")
+    ibm1_iterations: int = ruled(10, ">= 1")
+    ibm1_prune: float = ruled(1e-4, ">= 0")
     dim: int = 48
     layers: int = 2
     heads: int = 4
@@ -139,15 +142,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.route not in ("parallel", "dictionary", "vectors"):
-            raise ValueError(f"unknown route: {self.route!r}")
-        if self.tokenization not in ("word", "bpe"):
-            raise ValueError(f"unknown tokenization: {self.tokenization!r}")
         # fail on bad sizes, a bad schedule or model now, before any output exists
-        for name, low in (("word_limit", 1), ("align_pairs", 1), ("ibm1_iterations", 1),
-                          ("bpe_codes", 0), ("ibm1_prune", 0)):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_fields(self)
         for name in ("vocab_size_en", "vocab_size_fg"):
             if getattr(self, name) <= corpus_mod.NUM_SPECIALS:
                 raise ValueError(
@@ -175,17 +171,13 @@ class PipelineConfig:
 
 
 def _parse_scalar(text: str, like) -> object:
-    if isinstance(like, bool):
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
-    if isinstance(like, int):
-        return int(text)
-    if isinstance(like, float):
-        return float(text)
-    return text
+    if not isinstance(like, bool):
+        return type(like)(text)  # int, float or str
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def load_flat_dataclass(path: str | Path, cls):
@@ -212,12 +204,12 @@ def load_flat_dataclass(path: str | Path, cls):
             raise ValueError(f"{path}: line {n}: unknown config key {key!r}")
         f = fields[key]
         default = f.default if f.default is not dataclasses.MISSING else ""
-        values[key] = _parse_scalar(value, default)
-    missing = [
-        f.name
-        for f in dataclasses.fields(cls)
-        if f.default is dataclasses.MISSING and f.name not in values
-    ]
+        try:
+            values[key] = _parse_scalar(value, default)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {key}: {exc}") from None
+    missing = [name for name, f in fields.items()
+               if f.default is dataclasses.MISSING and name not in values]
     if missing:
         raise ValueError(f"{path}: missing required keys: {missing}")
     return cls(**values)

@@ -29,10 +29,11 @@ import os
 import shutil
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
-from .corpus import MASK_ID, NUM_SPECIALS, Vocabulary
+from .corpus import MASK_ID, NUM_SPECIALS, Vocabulary, check_fields, require, ruled
 from .embeddings import json_object, read_array, write_array
 
 PARAM_GROUPS = ("emb_en", "emb_fg", "pos_emb", "encoder", "out_bias_en", "out_bias_fg")
@@ -45,23 +46,18 @@ def param_group(name: str) -> str:
 
 @dataclass
 class ModelConfig:
-    dim: int = 64
-    layers: int = 2
-    heads: int = 4
-    ffn_dim: int = 256
-    max_len: int = 64
-    norm: str = "pre"  # "pre" (default) or "post" layer norm
+    dim: int = ruled(64, ">= 1")
+    layers: int = ruled(2, ">= 0")
+    heads: int = ruled(4, ">= 1")
+    ffn_dim: int = ruled(256, ">= 1")
+    max_len: int = ruled(64, ">= 1")
+    norm: Literal["pre", "post"] = "pre"  # layer norm placement
     ln_eps: float = 1e-5
 
     def __post_init__(self) -> None:
-        for name, low in (("dim", 1), ("layers", 0), ("heads", 1), ("ffn_dim", 1),
-                          ("max_len", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_fields(self)
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
-        if self.norm not in ("pre", "post"):
-            raise ValueError(f"unknown norm placement: {self.norm!r}")
 
 
 @dataclass
@@ -188,8 +184,7 @@ def make_masked_batch(
     MASK when `eighty_ten_ten` is off). If nothing got selected, the single
     lowest-draw position is forced. Deterministic given the seed.
     """
-    if not 0.0 < mask_prob <= 1.0:
-        raise ValueError("mask_prob must be in (0, 1]")
+    require("mask_prob", mask_prob, "in (0, 1]")
     if vocab_size <= NUM_SPECIALS:
         raise ValueError(f"the {language} vocabulary has no non-special tokens")
     sequences = np.asarray(sequences)
@@ -583,7 +578,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, int, dict | None]:
     unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"{file}: config keys that ModelConfig does not have: {unknown}")
-    cfg = ModelConfig(**config)
+    try:
+        cfg = ModelConfig(**config)
+    except ValueError as exc:
+        raise ValueError(f"{file}: config: {exc}") from None
     vocab_en = Vocabulary.load(path / "vocab_en.txt")
     vocab_fg = Vocabulary.load(path / "vocab_fg.txt")
     params = {}

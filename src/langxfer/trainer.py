@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import EOS_ID
+from .corpus import EOS_ID, check_fields, require, ruled
 from .embeddings import EmbeddingMatrix
 from .tiny_mlm import (
     PARAM_GROUPS,
@@ -40,42 +40,27 @@ EVAL_SEED_OFFSET = 0x5EED
 @dataclass
 class TrainingConfig:
     total_updates: int = 5000
-    warmup_updates: int = 400
-    peak_lr: float = 1e-3
-    floor_lr: float = 1e-7
-    batch_size: int = 16  # even; half per language in bilingual mode
-    seq_len: int = 64
-    mask_prob: float = 0.15
+    warmup_updates: int = ruled(400, ">= 1")
+    peak_lr: float = ruled(1e-3, "> 0")
+    floor_lr: float = ruled(1e-7, ">= 0")
+    batch_size: int = ruled(16, ">= 2")  # even; half per language in bilingual mode
+    seq_len: int = ruled(64, ">= 1")
+    mask_prob: float = ruled(0.15, "in (0, 1]")
     eighty_ten_ten: bool = True
-    freeze_phase_updates: int = 500
-    seed: int = 0
-    checkpoint_every: int = 1000
+    freeze_phase_updates: int = ruled(500, ">= 0")
+    seed: int = ruled(0, ">= 0")
+    checkpoint_every: int = ruled(1000, ">= 1")
     grad_clip: float | None = 1.0  # None, 0 or less: no clipping
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    adam_beta1: float = ruled(0.9, "in [0, 1)")
+    adam_beta2: float = ruled(0.999, "in [0, 1)")
+    adam_eps: float = ruled(1e-8, "> 0")
 
     def __post_init__(self) -> None:
-        for name, low in (("batch_size", 2), ("seq_len", 1), ("seed", 0),
-                          ("freeze_phase_updates", 0), ("floor_lr", 0)):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name, ok, rule in (("peak_lr", self.peak_lr > 0.0, "> 0"),
-                               ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
-                               ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
-                               ("adam_eps", self.adam_eps > 0.0, "> 0")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+        check_fields(self)
         if self.batch_size % 2 != 0:
             raise ValueError("batch_size must be even")
         if self.warmup_updates > self.total_updates:
             raise ValueError("warmup_updates must not exceed total_updates")
-        if self.warmup_updates < 1:
-            raise ValueError("warmup_updates must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if not 0.0 < self.mask_prob <= 1.0:
-            raise ValueError("mask_prob must be in (0, 1]")
         if self.grad_clip is not None and math.isnan(self.grad_clip):
             raise ValueError("grad_clip must not be NaN (0 or less means no clipping)")
         if self.grad_clip is not None and self.grad_clip <= 0:
@@ -97,8 +82,7 @@ class TrainingConfig:
 
 def lr_schedule(step: int, cfg: TrainingConfig) -> float:
     """Linear warmup from the floor to peak, then peak * sqrt(warmup/step)."""
-    if step < 0:
-        raise ValueError("step must be >= 0")
+    require("step", step, ">= 0")
     if step == cfg.warmup_updates:
         return cfg.peak_lr  # exact joint between warmup and decay
     if step < cfg.warmup_updates:
@@ -358,6 +342,7 @@ def evaluate_mlm(
     Evaluation corruption is pure-MASK (no 80/10/10 randomization) with a
     fixed seed, so repeated calls return identical numbers.
     """
+    require("seed", seed, ">= 0")
     vocab_size = len(state.vocab(language))
     total_nll = 0.0
     total_correct = 0

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ParallelCorpus, Vocabulary
+from .corpus import ParallelCorpus, Vocabulary, require
 from .translation import TranslationMatrix
 
 NULL_ID = -1
@@ -227,10 +227,8 @@ def train_ibm1(
     """
     if not corpus.pairs:
         raise ValueError("cannot train an aligner on an empty corpus")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if not prune >= 0.0:  # NaN too: no entry compares >= NaN
-        raise ValueError(f"prune must be >= 0, got {prune}")
+    require("iterations", iterations, ">= 1")
+    require("prune", prune, ">= 0")  # NaN too: no entry compares >= NaN
 
     blocks = _blocks(corpus, BLOCK_LINKS)
     width = max(int(block.seg_e.max()) for block in blocks) + 2
@@ -351,8 +349,7 @@ def translation_matrix_from_alignment(
 
 def subsample(corpus: ParallelCorpus, n: int, seed: int) -> ParallelCorpus:
     """Uniform sample of n pairs without replacement, original order kept."""
-    if n < 1:
-        raise ValueError(f"subsample size must be >= 1, got {n}")
+    require("subsample size", n, ">= 1")
     if n >= len(corpus.pairs):
         return ParallelCorpus(list(corpus.pairs), dropped=corpus.dropped)
     rng = np.random.default_rng(seed)

@@ -229,13 +229,13 @@ class TestChainOnBoundaries:
 
 class TestBadFixtureSizes:
     @pytest.mark.parametrize("override,message", [
-        ({"vocab_size": 9}, "vocab_size must be >= 10"),
+        ({"vocab_size": 9}, "vocab_size must be >= 10, got 9"),
         ({"sentences": 0}, "sentences must be >= 1, got 0"),
         ({"sentences": -4}, "sentences must be >= 1, got -4"),
         ({"heldout": -3}, "heldout must be >= 0, got -3"),
         ({"min_len": 0}, "min_len must be >= 1, got 0"),
         ({"min_len": 5, "max_len": 4}, "max_len must be >= min_len, got 4 < 5"),
-        ({"dict_dropout": 1.0}, "dict_dropout must be in [0, 1)"),
+        ({"dict_dropout": 1.0}, "dict_dropout must be in [0, 1), got 1.0"),
         ({"split_prob": -0.1}, "split_prob must be in [0, 1], got -0.1"),
         ({"split_prob": 1.5}, "split_prob must be in [0, 1], got 1.5"),
         ({"split_prob": float("nan")}, "split_prob must be in [0, 1], got nan"),

@@ -330,6 +330,7 @@ class TestRunAllCommand:
 class TestConfigValidation:
     @pytest.mark.parametrize("key,value", [
         ("checkpoint_every", "0"), ("mask_prob", "1.5"), ("mask_prob", "0.0"),
+        ("dim", "abc"), ("grad_clip", "none"),
     ])
     def test_run_all_rejects_bad_schedule_before_any_output(self, capsys, tmp_path,
                                                             key, value):
@@ -358,7 +359,7 @@ class TestConfigValidation:
         ("align_pairs", "0", "align_pairs must be >= 1, got 0"),
         ("bpe_codes", "-1", "bpe_codes must be >= 0, got -1"),
         ("heads", "5", "model: dim must be divisible by heads"),
-        ("norm", "mid", "model: unknown norm placement: 'mid'"),
+        ("norm", "mid", "model: unknown norm: 'mid'"),
     ])
     def test_run_all_rejects_bad_size_or_model_before_any_output(self, capsys, tmp_path,
                                                                  key, value, message):
@@ -544,6 +545,13 @@ class TestCommandsShareRunAllStages:
         assert out == {"status": "error", "stage": "init-embeddings", "code": "invalid_input",
                        "message": "seed must be >= 0, got -1"}
         assert not (tmp_path / "emb.bin").exists() and not (tmp_path / "bias.bin").exists()
+        (tmp_path / "text.txt").write_text("a b a\n" * 8)
+        code, out = run_cli(capsys, "eval", "--checkpoint", str(tmp_path / "ck"),
+                            "--corpus", str(tmp_path / "text.txt"), "--language", "en",
+                            "--seed", "-1")
+        assert code == 1
+        assert out == {"status": "error", "stage": "eval", "code": "invalid_input",
+                       "message": "seed must be >= 0, got -1"}
         code, out = run_cli(capsys, "init-embeddings",
                             "--translation-matrix", str(tmp_path / "tm.txt"),
                             "--checkpoint", str(tmp_path / "ck"),
@@ -613,6 +621,16 @@ MALFORMED = {
     "unknown-config-key": ("ck", lambda m: {**m, "config": {**m["config"], "width": 3}},
                            "ck/manifest.json: config keys that ModelConfig does not have: "
                            "['width']"),
+    **{f"config-{key}-{value}": (
+        "ck", lambda m, key=key, value=value: {**m, "config": {**m["config"], key: value}},
+        f"ck/manifest.json: config: {message}")
+       for key, value, message in [
+           ("dim", "x", "dim must be an int, got 'x'"),
+           ("dim", True, "dim must be an int, got True"),
+           ("ln_eps", "x", "ln_eps must be a float, got 'x'"),
+           ("norm", 5, "unknown norm: 5"),
+           ("layers", -1, "layers must be >= 0, got -1"),
+       ]},
     "param-entry-without-file": (
         "ck", lambda m: {**m, "params": {**m["params"], "emb_en": {"shape": [7, 8]}}},
         "ck/manifest.json: params entry 'emb_en' lacks 'file'"),

@@ -13,9 +13,11 @@ from langxfer.pipeline import (
     PipelineConfig,
     StageCache,
     load_config,
+    load_flat_dataclass,
     run_all,
     write_config,
 )
+from langxfer.trainer import TrainingConfig
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,19 @@ class TestConfigFile:
         (tmp_path / "p.cfg").write_text(f"out_dir = o\n{line}\n")
         with pytest.raises(ValueError, match="line 2: a quoted value must end in"):
             load_config(tmp_path / "p.cfg")
+
+    @pytest.mark.parametrize("cls,line,message", [
+        (PipelineConfig, "dim = abc", "dim: invalid literal for int() with base 10: 'abc'"),
+        (PipelineConfig, "grad_clip = none",
+         "grad_clip: could not convert string to float: 'none'"),
+        (TrainingConfig, "eighty_ten_ten = maybe",
+         "eighty_ten_ten: expected a boolean, got 'maybe'"),
+    ])
+    def test_value_that_does_not_parse_names_its_line(self, tmp_path, cls, line, message):
+        (tmp_path / "p.cfg").write_text(f"seed = 1\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            load_flat_dataclass(tmp_path / "p.cfg", cls)
+        assert str(err.value) == f"{tmp_path / 'p.cfg'}: line 2: {message}"
 
     def test_default_word_limit_is_fifty_thousand(self, fixture_paths, tmp_path):
         paths, _ = fixture_paths
