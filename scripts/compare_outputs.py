@@ -13,10 +13,13 @@ other route uses (post-norm, no clipping, other pretraining and masking
 rates), a warm rerun, and each CLI subcommand once, plus a second
 `cipher-fixture` at the benchmark's size and bigram weight with split
 noise and dictionary dropout, so that every draw path of the generator is
-compared, a second `ibm1` on a subsample of the bundle's pairs, and the
-word chain (`subword-vectors` without `--codes` onto the vectors route's
-vocabularies, `translation-matrix`, `init-embeddings`); a tree that cannot
-run a step of that chain writes its JSON error and skips the rest. Last come
+compared, a second `ibm1` on a subsample of the bundle's pairs, a
+`pretrain` and an `eval` whose vocabulary holds 8,000 unseen tokens
+besides the corpus's, so that the masked positions of one eval chunk span
+several of the loss's row slices, and the word chain (`subword-vectors`
+without `--codes` onto the vectors route's vocabularies,
+`translation-matrix`, `init-embeddings`); a tree that cannot run a step of
+that chain writes its JSON error and skips the rest. Last come
 inputs that must be rejected, so that a changed error message shows as a
 differing JSON line: a `run-all` config value out of range, of the wrong
 type and outside its choices, a checkpoint manifest whose `config` holds a
@@ -59,6 +62,7 @@ RUN_ALL = {**MODEL, "pretrain_updates": 10, "pretrain_warmup": 2, "total_updates
            "warmup_updates": 3, "seq_len": 16, "checkpoint_every": 6, "seed": 3,
            "ibm1_iterations": 3, "bpe_codes": 30}
 VEC_DIM = 8
+BIG_VOCAB = 8000  # tokens added to a vocabulary: 65 float32 rows fill a 2 MB slice
 
 
 def write_flat(path: Path, values: dict) -> None:
@@ -211,6 +215,17 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
     cli(tree, run, "eval", "eval", "--checkpoint",
         str(run / "transfer_5" / "checkpoints" / f"step_{TRAIN['total_updates']:07d}"),
         "--corpus", i["fg_heldout.txt"], "--language", "fg")
+    # a vocabulary far past the corpus's, so that an eval chunk's masked
+    # positions span several of the loss's row slices
+    (run / "vocab_big_en.txt").write_text(
+        (run / "vocab_en.txt").read_text(encoding="utf-8")
+        + "".join(f"unseen{k}\n" for k in range(BIG_VOCAB)), encoding="utf-8")
+    cli(tree, run, "pretrain-big-vocab", "pretrain", "--corpus", i["en_train.txt"],
+        "--heldout", i["en_heldout.txt"], "--vocab", str(run / "vocab_big_en.txt"), *model,
+        "--config", str(run / "train.cfg"), "--out-dir", str(run / "pretrain_big_vocab"))
+    cli(tree, run, "eval-big-vocab", "eval", "--checkpoint",
+        str(run / "pretrain_big_vocab" / "checkpoints" / f"step_{TRAIN['total_updates']:07d}"),
+        "--corpus", i["en_train.txt"], "--language", "en")
 
     # rejected inputs: only their JSON error lines are kept
     base = {"out_dir": str(run / "rejected"), **RUN_ALL,

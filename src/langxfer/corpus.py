@@ -306,7 +306,7 @@ def detokenize(subwords: Iterable[str]) -> str:
 def build_vocab(tokens: Iterable[str], max_size: int) -> Vocabulary:
     """Frequency-ordered vocabulary (ties lexicographic), truncated to max_size."""
     if max_size <= NUM_SPECIALS:
-        raise ValueError(f"max_size must exceed the {NUM_SPECIALS} special tokens")
+        raise ValueError(f"max_size must exceed the {NUM_SPECIALS} special tokens, got {max_size}")
     counts = Counter(tokens)
     for special in SPECIAL_TOKENS:
         counts.pop(special, None)

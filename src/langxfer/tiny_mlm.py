@@ -35,6 +35,7 @@ import numpy as np
 
 from .corpus import MASK_ID, NUM_SPECIALS, Vocabulary, check_fields, require, ruled
 from .embeddings import json_object, read_array, write_array
+from .translation import SLICE_BYTES
 
 PARAM_GROUPS = ("emb_en", "emb_fg", "pos_emb", "encoder", "out_bias_en", "out_bias_fg")
 
@@ -52,7 +53,7 @@ class ModelConfig:
     ffn_dim: int = ruled(256, ">= 1")
     max_len: int = ruled(64, ">= 1")
     norm: Literal["pre", "post"] = "pre"  # layer norm placement
-    ln_eps: float = 1e-5
+    ln_eps: float = ruled(1e-5, "> 0")
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -336,26 +337,32 @@ def _forward(state: ModelState, ids: np.ndarray, language: str, want_cache: bool
     x = emb[ids] + p["pos_emb"][:t][None, :, :]
     caches = []
     for l in range(cfg.layers):
-        n = f"enc.{l}."
-        if cfg.norm == "pre":
-            h1, ln1 = _layer_norm(x, p[n + "ln1_g"], p[n + "ln1_b"], cfg.ln_eps)
-            attn_out, attn = _attention(h1, p[n + "wq"], p[n + "wk"], p[n + "wv"],
-                                        p[n + "wo"], cfg.heads)
-            x_mid = x + attn_out
-            h2, ln2 = _layer_norm(x_mid, p[n + "ln2_g"], p[n + "ln2_b"], cfg.ln_eps)
-            ffn_out, ffn = _ffn(h2, p[n + "w1"], p[n + "w2"])
-            x = x_mid + ffn_out
-        else:
-            attn_out, attn = _attention(x, p[n + "wq"], p[n + "wk"], p[n + "wv"],
-                                        p[n + "wo"], cfg.heads)
-            x_mid, ln1 = _layer_norm(x + attn_out, p[n + "ln1_g"], p[n + "ln1_b"],
-                                     cfg.ln_eps)
-            ffn_out, ffn = _ffn(x_mid, p[n + "w1"], p[n + "w2"])
-            x, ln2 = _layer_norm(x_mid + ffn_out, p[n + "ln2_g"], p[n + "ln2_b"],
-                                 cfg.ln_eps)
+        x, cache = _encoder_layer(x, p, f"enc.{l}.", cfg)
         if want_cache:
-            caches.append((ln1, attn, ln2, ffn))
+            caches.append(cache)
+        del cache  # without the cache, no layer's intermediates outlive it
     return x, caches
+
+
+def _encoder_layer(x, p, n, cfg: ModelConfig):
+    """One encoder layer on `x`; returns its output and its backward cache."""
+    if cfg.norm == "pre":
+        h1, ln1 = _layer_norm(x, p[n + "ln1_g"], p[n + "ln1_b"], cfg.ln_eps)
+        attn_out, attn = _attention(h1, p[n + "wq"], p[n + "wk"], p[n + "wv"],
+                                    p[n + "wo"], cfg.heads)
+        x_mid = x + attn_out
+        h2, ln2 = _layer_norm(x_mid, p[n + "ln2_g"], p[n + "ln2_b"], cfg.ln_eps)
+        ffn_out, ffn = _ffn(h2, p[n + "w1"], p[n + "w2"])
+        x = x_mid + ffn_out
+    else:
+        attn_out, attn = _attention(x, p[n + "wq"], p[n + "wk"], p[n + "wv"],
+                                    p[n + "wo"], cfg.heads)
+        x_mid, ln1 = _layer_norm(x + attn_out, p[n + "ln1_g"], p[n + "ln1_b"],
+                                 cfg.ln_eps)
+        ffn_out, ffn = _ffn(x_mid, p[n + "w1"], p[n + "w2"])
+        x, ln2 = _layer_norm(x_mid + ffn_out, p[n + "ln2_g"], p[n + "ln2_b"],
+                             cfg.ln_eps)
+    return x, (ln1, attn, ln2, ffn)
 
 
 def encode(state: ModelState, batch: MaskedBatch) -> np.ndarray:
@@ -368,10 +375,14 @@ def _masked_logits(state: ModelState, ctx: np.ndarray, batch: MaskedBatch):
     emb = state.params["emb_en" if batch.language == "en" else "emb_fg"]
     bias = state.params["out_bias_en" if batch.language == "en" else "out_bias_fg"]
     cm = ctx[batch.mask_rows, batch.mask_cols]
-    return cm @ emb.T + bias, cm
+    # one vocabulary-sized array: the bias is added in place (never slice
+    # this GEMM: a row slice of `cm` can change the product's bits)
+    logits = cm @ emb.T
+    logits += bias
+    return logits, cm
 
 
-def _exact_row_sums(ex: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _exact_row_sums(ex: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row sums of `ex`, whose entries lie in [0, 1], in any column order.
 
     Each entry is rounded to the nearest multiple of 2^-k, for V columns
@@ -381,11 +392,12 @@ def _exact_row_sums(ex: np.ndarray, overwrite: bool = False) -> np.ndarray:
     The result is the same bit for bit under any permutation of the
     columns; before its one rounding to `ex`'s dtype it lies within
     V * 2^-(k+1) of the exact sum, and the term errors have either sign.
-    With `overwrite`, `ex` itself holds the rounded terms afterwards;
-    otherwise one temporary of its dtype is allocated.
+    The rounded terms go to `out` (which may be `ex` itself), an array of
+    `ex`'s shape and dtype; without it, one temporary that size is made.
+    Besides that, the memory used is one value per row.
     """
     scale = 2.0 ** (53 - max(ex.shape[1] - 1, 1).bit_length())
-    q = np.multiply(ex, scale, out=ex if overwrite else None)
+    q = np.multiply(ex, scale, out=out)
     np.rint(q, out=q)
     return (q.sum(axis=1, dtype=np.float64) / scale).astype(ex.dtype)
 
@@ -400,26 +412,35 @@ def _loss_from_logits(logits: np.ndarray, labels: np.ndarray, probs: bool = Fals
     overwritten by the softmax probabilities (normalised in place) and
     those are returned; otherwise the second value is None and `logits` is
     left as it is.
+
+    Rows are normalised in slices of at most `SLICE_BYTES` (one row, if a
+    row is larger) through one scratch slice, so beyond `logits` the memory
+    used is that slice plus a few values per row. Every step is per row or
+    per element, and the row sums are exact, so the slicing changes no bit.
     """
-    m = logits.max(axis=1, keepdims=True)
-    picked = logits[np.arange(logits.shape[0]), labels]
-    ex = np.subtract(logits, m, out=logits if probs else None)
-    np.exp(ex, out=ex)
-    # without `probs`, `ex` is a scratch copy: round it in place
-    denom = _exact_row_sums(ex, overwrite=not probs)
-    nll = -(picked - m[:, 0] - np.log(denom))
-    if not probs:
-        return nll.mean(), None
-    ex /= denom[:, None]
-    return nll.mean(), ex
+    n, v = logits.shape
+    step = max(1, SLICE_BYTES // (logits.itemsize * v))
+    scratch = np.empty((min(step, n), v), dtype=logits.dtype)
+    nll = np.empty(n, dtype=logits.dtype)
+    for a in range(0, n, step):
+        rows = logits[a : a + step]
+        sc = scratch[: len(rows)]
+        m = rows.max(axis=1, keepdims=True)
+        picked = rows[np.arange(len(rows)), labels[a : a + step]]
+        ex = np.subtract(rows, m, out=rows if probs else sc)
+        np.exp(ex, out=ex)
+        denom = _exact_row_sums(ex, out=sc)
+        nll[a : a + step] = -(picked - m[:, 0] - np.log(denom))
+        if probs:
+            ex /= denom[:, None]
+    return nll.mean(), (logits if probs else None)
 
 
 def mlm_loss(state: ModelState, batch: MaskedBatch) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over masked positions; returns (loss, masked logits)."""
     if batch.n_masked == 0:
         raise ValueError("batch has no masked positions")
-    ctx, _ = _forward(state, batch.token_ids, batch.language, want_cache=False)
-    logits, _ = _masked_logits(state, ctx, batch)
+    logits, _ = _masked_logits(state, encode(state, batch), batch)
     loss, _ = _loss_from_logits(logits, batch.labels)
     return float(loss), logits
 

@@ -356,6 +356,7 @@ def evaluate_mlm(
         total_nll += loss * batch.n_masked
         total_correct += int(np.sum(np.argmax(logits, axis=1) == batch.labels))
         total += batch.n_masked
+        del logits  # before the next chunk's forward pass
     return total_nll / total, total_correct / total
 
 

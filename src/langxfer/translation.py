@@ -21,7 +21,7 @@ from .embeddings import EmbeddingMatrix, replacing
 
 UNIGRAM_FLOOR = 1e-9
 SPARSEMAX_TOP_K = 64  # width of the first partial sort in `sparsemax`
-SLICE_BYTES = 1 << 21  # float64 scores per row slice normalised at once (2 MB)
+SLICE_BYTES = 1 << 21  # bytes of one row slice normalised at once (2 MB)
 # the dense softmax ablation stores every (row, column) entry as CSR, 16 bytes
 # each: 2^24 entries are 268 MB; 8000 x 8000 would be about 1 GB
 SOFTMAX_MAX_ENTRIES = 1 << 24

@@ -9,6 +9,7 @@ contiguous ranges, so every comparison is bit for bit.
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from langxfer.trainer import (
     pretrain,
     run_transfer,
 )
+from langxfer.translation import SLICE_BYTES
+from test_lean_step import oracle_loss_from_logits
 
 FREEZE_SETS = [
     frozenset(),
@@ -355,7 +358,7 @@ def test_max_last_axis_matches_max(dtype):
 
 
 # ---------------------------------------------------------------------------
-# the loss without probabilities sorts its scratch copy in place
+# the loss, normalised in row slices
 
 
 def test_loss_without_probs_matches_the_sorted_copy_and_keeps_logits():
@@ -377,4 +380,45 @@ def test_loss_without_probs_matches_the_sorted_copy_and_keeps_logits():
     # bound at V = 8000 (32 ulps) plus one ulp of rounding
     sorted_denom = np.sort(ex, axis=1).sum(axis=1)
     assert np.all(np.abs(denom - sorted_denom) <= 33 * np.spacing(denom))
-    assert loss == _loss_from_logits(logits.copy(), labels, probs=True)[0]
+    # with probabilities, several slices in place, bit for bit the oracle's
+    assert 300 > SLICE_BYTES // logits[0].nbytes
+    loss_p, probs = _loss_from_logits(logits.copy(), labels, probs=True)
+    want_loss, want_probs = oracle_loss_from_logits(logits, labels)
+    assert loss_p == loss == want_loss
+    assert np.array_equal(probs, want_probs)
+
+
+def test_float64_loss_over_several_slices_matches_the_oracle():
+    rng = np.random.default_rng(8)
+    v = 3000
+    n = 3 * (SLICE_BYTES // (8 * v)) + 5  # three whole float64 slices and a part
+    logits = rng.normal(0, 4, (n, v))
+    labels = rng.integers(0, v, n)
+    before = logits.copy()
+    want_loss, want_probs = oracle_loss_from_logits(logits, labels)
+    loss, none = _loss_from_logits(logits, labels)
+    assert none is None and np.array_equal(logits, before)
+    loss_p, probs = _loss_from_logits(logits, labels, probs=True)
+    assert probs is logits and probs.dtype == np.float64
+    assert loss == loss_p == want_loss
+    assert np.array_equal(probs, want_probs)
+
+
+def test_evaluation_holds_one_vocabulary_sized_array():
+    """evaluate_mlm's traced peak stays near one chunk's masked logits: the
+    logits, one scratch slice, and at most one layer's activations."""
+    v, chunk, mask_prob, seed = 8000, 64, 0.15, 3
+    cfg = ModelConfig(dim=48, layers=2, heads=4, ffn_dim=192, max_len=32)
+    state = init_model(cfg, vocab_of(v, "e"), vocab_of(v, "f"), 0)
+    held = np.random.default_rng(1).integers(NUM_SPECIALS, v, size=(250, 32))
+    largest = max(
+        tiny_mlm.make_masked_batch(held[a:a + chunk], mask_prob, (seed, a), v, "en",
+                                   eighty_ten_ten=False).n_masked
+        for a in range(0, len(held), chunk))
+    tracemalloc.start()
+    try:
+        trainer.evaluate_mlm(state, held, "en", seed, mask_prob, chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * largest * v * 4

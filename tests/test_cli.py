@@ -630,6 +630,8 @@ MALFORMED = {
            ("ln_eps", "x", "ln_eps must be a float, got 'x'"),
            ("norm", 5, "unknown norm: 5"),
            ("layers", -1, "layers must be >= 0, got -1"),
+           ("ln_eps", float("nan"), "ln_eps must be > 0, got nan"),
+           ("ln_eps", -1, "ln_eps must be > 0, got -1"),
        ]},
     "param-entry-without-file": (
         "ck", lambda m: {**m, "params": {**m["params"], "emb_en": {"shape": [7, 8]}}},
@@ -706,6 +708,16 @@ class TestBadSizesFailEarly:
         assert out == {"status": "error", "stage": "run-all", "code": "invalid_input",
                        "message": message}
         assert not (tmp_path / "fx" / "pipeline").exists()
+
+
+    def test_vocab_rejects_max_size_within_the_specials(self, bundle, capsys, tmp_path):
+        _, paths = bundle
+        code, out = run_cli(capsys, "vocab", "--input", paths["en_train.txt"],
+                            "--max-size", "3", "--output", str(tmp_path / "v.txt"))
+        assert code == 1
+        assert out == {"status": "error", "stage": "vocab", "code": "invalid_input",
+                       "message": "max_size must exceed the 5 special tokens, got 3"}
+        assert not (tmp_path / "v.txt").exists()
 
 
 class TestSenselessValuesFailEarly:
