@@ -16,7 +16,9 @@ noise and dictionary dropout, so that every draw path of the generator is
 compared, a second `ibm1` on a subsample of the bundle's pairs, a
 `pretrain` and an `eval` whose vocabulary holds 8,000 unseen tokens
 besides the corpus's, so that the masked positions of one eval chunk span
-several of the loss's row slices, and the word chain (`subword-vectors`
+several of the loss's row slices, a `subword-vectors` table of as many
+rows, a `translation-matrix` from it that spans several of the writer's
+blocks and an `init-embeddings` on that matrix, and the word chain (`subword-vectors`
 without `--codes` onto the vectors route's vocabularies,
 `translation-matrix`, `init-embeddings`); a tree that cannot run a step of
 that chain writes its JSON error and skips the rest. Last come
@@ -63,6 +65,8 @@ RUN_ALL = {**MODEL, "pretrain_updates": 10, "pretrain_warmup": 2, "total_updates
            "ibm1_iterations": 3, "bpe_codes": 30}
 VEC_DIM = 8
 BIG_VOCAB = 8000  # tokens added to a vocabulary: 65 float32 rows fill a 2 MB slice
+BIG_FOREIGN, BIG_DIM = 2000, 16  # foreign words and dimension of the big vectors job
+NUM_SPECIALS = 5  # the special tokens that open every vocabulary file
 
 
 def write_flat(path: Path, values: dict) -> None:
@@ -226,6 +230,7 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
     cli(tree, run, "eval-big-vocab", "eval", "--checkpoint",
         str(run / "pretrain_big_vocab" / "checkpoints" / f"step_{TRAIN['total_updates']:07d}"),
         "--corpus", i["en_train.txt"], "--language", "en")
+    big_vectors(tree, run)
 
     # rejected inputs: only their JSON error lines are kept
     base = {"out_dir": str(run / "rejected"), **RUN_ALL,
@@ -245,6 +250,38 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
         check=False)
     cli(tree, run, "bad-eval-seed", "eval", "--checkpoint", checkpoint, *held, "--seed", "-1",
         check=False)
+
+
+def big_vectors(tree: Path, run: Path) -> None:
+    """`subword-vectors` onto the 8,000-token english vocabulary (a
+    `save_vectors` table of that many rows), then `translation-matrix` from
+    BIG_FOREIGN foreign vectors small enough that sparsemax rows hold about
+    150 entries (several of the writer's 131,072-entry blocks), then
+    `init-embeddings` on the big-vocabulary checkpoint."""
+    rng = random.Random(11)
+    tokens = (run / "vocab_big_en.txt").read_text(encoding="utf-8").split()
+    specials, en_words = tokens[:NUM_SPECIALS], tokens[NUM_SPECIALS:]
+    fg_words = [f"big{k}" for k in range(BIG_FOREIGN)]
+    (run / "vocab_big_fg.txt").write_text(
+        "".join(t + "\n" for t in specials + fg_words), encoding="utf-8")
+    for name, words, sigma in (("big_en_words.vec", en_words, 0.1),
+                               ("big_fg.vec", fg_words, 0.05)):
+        lines = [f"{len(words)} {BIG_DIM}"]
+        lines += [w + "".join(f" {rng.gauss(0.0, sigma):.6f}" for _ in range(BIG_DIM))
+                  for w in words]
+        (run / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cli(tree, run, "big-vectors-en", "subword-vectors", "--vectors",
+        str(run / "big_en_words.vec"), "--vocab", str(run / "vocab_big_en.txt"),
+        "--output", str(run / "big_en.vec"))
+    cli(tree, run, "big-translation-matrix", "translation-matrix",
+        "--foreign-vectors", str(run / "big_fg.vec"), "--english-vectors",
+        str(run / "big_en.vec"), "--output", str(run / "big_tm.txt"))
+    cli(tree, run, "big-init-embeddings", "init-embeddings",
+        "--translation-matrix", str(run / "big_tm.txt"), "--checkpoint",
+        str(run / "pretrain_big_vocab" / "checkpoints" / f"step_{TRAIN['total_updates']:07d}"),
+        "--foreign-vocab", str(run / "vocab_big_fg.txt"), "--seed", "6",
+        "--output-emb", str(run / "big_init_emb.bin"),
+        "--output-bias", str(run / "big_init_bias.bin"))
 
 
 def comparable(path: Path) -> bytes | list[str]:

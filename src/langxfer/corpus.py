@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import operator
 import typing
 import warnings
@@ -342,10 +343,8 @@ class Tokenizer:
 
     def encode_line(self, line: str) -> list[int]:
         """Token ids of a line, UNK for tokens outside the vocabulary."""
-        get = self.vocab.index.get
-        if self.codes is None:
-            return [get(w, UNK_ID) for w in line.split()]
-        return [get(t, UNK_ID) for t in self.tokenize_line(line)]
+        tokens = line.split() if self.codes is None else self.tokenize_line(line)
+        return list(map(self.vocab.index.get, tokens, itertools.repeat(UNK_ID)))
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:

@@ -162,11 +162,11 @@ def save_vectors(emb: EmbeddingMatrix, path: str | Path, format: str = "text") -
         if format == "binary":
             write_array(tmp, emb.data, tokens=emb.vocab.tokens)
         else:
+            pattern = "%s " + " ".join(["%.8e"] * emb.dim) + "\n"  # one % per row
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(f"{len(emb.vocab) - NUM_SPECIALS} {emb.dim}\n")
-                for i in range(NUM_SPECIALS, len(emb.vocab)):
-                    values = " ".join(f"{v:.8e}" for v in emb.data[i])
-                    fh.write(f"{emb.vocab.tokens[i]} {values}\n")
+                for token, row in zip(emb.vocab.tokens[NUM_SPECIALS:], emb.data[NUM_SPECIALS:]):
+                    fh.write(pattern % (token, *row.tolist()))
 
 
 @contextmanager

@@ -224,9 +224,12 @@ def make_masked_batch(
 
 
 def _layer_norm(x, g, b, eps):
-    mu = x.mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / d is `.mean(axis=-1, keepdims=True)` bit for bit
+    # without its Python wrapper, about half the cost at these sizes
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return g * xhat + b, (xhat, inv, g)
@@ -240,8 +243,9 @@ def _layer_norm_backward(dy, cache, weights=True):
         dg = (dy * xhat).sum(axis=(0, 1))
         db = dy.sum(axis=(0, 1))
     dxhat = dy * g
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    d = dxhat.shape[-1]
+    mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
     dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
     return dx, dg, db
 

@@ -101,6 +101,9 @@ class TranslationMatrix:
             raise ValueError("indptr, indices and weights disagree on the entry count")
         counts = np.diff(ptr)
         row_of = np.repeat(np.arange(len(counts)), counts)
+        bad = np.flatnonzero(self.indices < 0)
+        if len(bad):
+            raise ValueError(f"row {row_of[bad[0]]}: source indices must be non-negative")
         same_row = row_of[1:] == row_of[:-1]
         bad = np.flatnonzero(same_row & (self.indices[1:] <= self.indices[:-1]))
         if len(bad):
@@ -338,19 +341,34 @@ def write_translation_matrix(
 ) -> None:
     """Text format: 'tgt_token src1:w1 src2:w2 ...'; bare token if uncovered.
 
+    Each block of rows is formatted by one `%` operation on the pattern
+    "%s" + " %s:%.9g" * count + "\n" per row; tokens are values, not
+    pattern, so a '%' in a token needs no escaping. A block holds at most
+    SLICE_BYTES // 16 entries (2 MB of CSR entries), so only one block's
+    text is held at a time; a longer row is a block of its own.
+
     The lines go to a temporary file beside `path`, which then replaces
     `path`; a write that fails leaves the previous file as it was.
     """
     if len(tm) != len(tgt_vocab):
         raise ValueError("translation matrix size does not match target vocabulary")
-    tokens = src_vocab.tokens
-    entries = [
-        f" {tokens[j]}:{w:.9g}" for j, w in zip(tm.indices.tolist(), tm.weights.tolist())
-    ]
-    bounds = tm.indptr.tolist()
+    ptr, counts = tm.indptr, np.diff(tm.indptr).tolist()
+    sources = np.array(src_vocab.tokens, dtype=object)
     with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            fh.write(tgt_vocab.tokens[i] + "".join(entries[a:b]) + "\n")
+        a = 0
+        while a < len(tm):
+            b = max(a + 1, int(np.searchsorted(ptr, ptr[a] + SLICE_BYTES // 16, "right")) - 1)
+            lo, hi = ptr[a], ptr[b]
+            # the values of the rows' pattern: each target token, then its
+            # source tokens and weights in turn
+            values = np.empty(b - a + 2 * (hi - lo), dtype=object)
+            values[2 * (ptr[a:b] - lo) + np.arange(b - a)] = tgt_vocab.tokens[a:b]
+            at = 2 * np.arange(hi - lo) + np.repeat(np.arange(1, b - a + 1), counts[a:b])
+            values[at] = sources[tm.indices[lo:hi]]
+            values[at + 1] = tm.weights[lo:hi]
+            pattern = "".join(["%s" + " %s:%.9g" * c + "\n" for c in counts[a:b]])
+            fh.write(pattern % tuple(values.tolist()))
+            a = b
 
 
 def read_translation_matrix(
@@ -403,7 +421,7 @@ def read_translation_matrix(
     keep_line[list(last_line.values())] = True
     keep = np.repeat(keep_line, counts)
     rows, indices, weights = np.repeat(targets, counts)[keep], indices[keep], weights[keep]
-    order = np.lexsort((indices, rows))
+    order = np.argsort(rows * len(src_vocab) + indices, kind="stable")
     indptr = np.zeros(len(tgt_vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=len(tgt_vocab)), out=indptr[1:])
     return TranslationMatrix(indptr, indices[order], weights[order])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from langxfer.corpus import (
     NUM_SPECIALS,
     SPECIAL_TOKENS,
+    UNK_ID,
     BpeCodes,
     Tokenizer,
     Vocabulary,
@@ -247,6 +248,34 @@ class TestEncodeLine:
         ):
             for line in lines + ["", "  <unk> <pad>\tnever-seen "]:
                 assert tokenizer.encode_line(line) == self.per_token_encode(tokenizer, line)
+
+    @staticmethod
+    def comprehension_encode(tokenizer, line):
+        """Oracle: encode_line as one list comprehension over dict.get, before
+        it mapped dict.get over the tokens."""
+        get = tokenizer.vocab.index.get
+        if tokenizer.codes is None:
+            return [get(w, UNK_ID) for w in line.split()]
+        return [get(t, UNK_ID) for t in tokenizer.tokenize_line(line)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vocab_words=st.lists(WORDS, max_size=8, unique=True),
+        pieces=st.lists(st.one_of(WORDS, st.sampled_from(
+            [" ", "\t", "\u00a0", "\u2003", "\u3000", "\u2028", "\x0b", "\x1c", "\n"])),
+            max_size=12),
+    )
+    def test_matches_comprehension(self, vocab_words, pieces):
+        line = "".join(pieces)
+        codes = learn_bpe(["low lower newest widest", line], 10)
+        words = [w for w in vocab_words if w not in SPECIAL_TOKENS]
+        for tokenizer in (
+            Tokenizer(Vocabulary.from_tokens(words)),
+            Tokenizer(Vocabulary.from_tokens(words + [w for w in ("lo", "e") if w not in words]),
+                      codes),
+        ):
+            for text in (line, line + " never-seen\t<unk>"):
+                assert tokenizer.encode_line(text) == self.comprehension_encode(tokenizer, text)
 
     def test_unknown_words_are_unk(self):
         tokenizer = _word_tokenizer("un", "chien")

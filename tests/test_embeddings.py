@@ -27,6 +27,16 @@ def make_emb(tokens, data):
     )
 
 
+def value_loop_save_vectors(emb, path):
+    """Oracle: the text writer that formatted one value at a time, before
+    save_vectors formatted each row with one % operation."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(emb.vocab) - NUM_SPECIALS} {emb.dim}\n")
+        for i in range(NUM_SPECIALS, len(emb.vocab)):
+            values = " ".join(f"{v:.8e}" for v in emb.data[i])
+            fh.write(f"{emb.vocab.tokens[i]} {values}\n")
+
+
 def random_orthogonal(d, rng):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
@@ -136,6 +146,28 @@ class TestVectorIO:
         save_vectors(emb, tmp_path / "e.vec", format="text")
         assert load_vectors(tmp_path / "e.vec").data.view(np.uint32).tobytes() == \
             emb.data.view(np.uint32).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                        max_side=6),
+                           elements=st.one_of(FLOAT32, SUBNORMAL32, LARGE32, DECADE32)))
+    def test_text_bytes_match_value_loop(self, tmp_path_factory, data):
+        tmp = tmp_path_factory.mktemp("vec")
+        emb = make_emb([f"w%{i}é" for i in range(len(data))], data)
+        save_vectors(emb, tmp / "rows.vec", format="text")
+        value_loop_save_vectors(emb, tmp / "values.vec")
+        assert (tmp / "rows.vec").read_bytes() == (tmp / "values.vec").read_bytes()
+
+    def test_text_bytes_of_float32_edges_match_value_loop(self, tmp_path):
+        edges = np.array([F32.max, -F32.max, F32.tiny, -F32.tiny, F32.smallest_subnormal,
+                          -F32.smallest_subnormal, -0.0, 0.0,
+                          np.nextafter(F32.tiny, 0, dtype=np.float32), 1.0, -1.0],
+                         dtype=np.float32)
+        emb = make_emb(["a", "%s", "100%"], np.stack([edges, -edges, edges[::-1]]))
+        save_vectors(emb, tmp_path / "rows.vec", format="text")
+        value_loop_save_vectors(emb, tmp_path / "values.vec")
+        assert (tmp_path / "rows.vec").read_bytes() == (tmp_path / "values.vec").read_bytes()
+        assert "-0.00000000e+00" in (tmp_path / "rows.vec").read_text()
 
     def test_unwritable_path_raises(self, tmp_path):
         emb = make_emb(["x"], [[1.0]])

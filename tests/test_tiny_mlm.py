@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from langxfer import tiny_mlm
 from langxfer.corpus import MASK_ID, NUM_SPECIALS, Vocabulary
 from langxfer.tiny_mlm import (
     MaskedBatch,
     ModelConfig,
+    _layer_norm,
+    _layer_norm_backward,
     backward,
     encode,
     init_model,
@@ -78,6 +84,71 @@ class TestGradients:
         _, grads = backward(state, batch, freeze={"encoder"})
         assert all(np.all(grads[k] == 0) for k in grads if k.startswith("enc."))
         assert np.any(grads["emb_en"] != 0)
+
+
+def mean_layer_norm(x, g, b, eps):
+    """Oracle: `_layer_norm` as it was, with `ndarray.mean` for its means."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def mean_layer_norm_backward(dy, cache, weights=True):
+    """Oracle: `_layer_norm_backward` as it was, with `ndarray.mean`."""
+    xhat, inv, g = cache
+    dg = db = None
+    if weights:
+        dg = (dy * xhat).sum(axis=(0, 1))
+        db = dy.sum(axis=(0, 1))
+    dxhat = dy * g
+    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    return dx, dg, db
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLayerNormMeans:
+    """The layer norms' `np.add.reduce(...) / d` means against `.mean`, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           shape=hnp.array_shapes(min_dims=3, max_dims=3, max_side=6).flatmap(
+               lambda s: st.sampled_from([1, 3, 7, 48, 129, 300]).map(lambda d: (*s[:2], d))),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_primitives_match_mean(self, dtype, shape, seed, scale):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(0, scale, shape) + rng.normal(0, scale)).astype(dtype)
+        g, b = (rng.normal(1, 0.5, shape[-1]).astype(dtype) for _ in range(2))
+        dy = rng.normal(0, 1, shape).astype(dtype)
+        y, cache = _layer_norm(x, g, b, 1e-5)
+        y_want, cache_want = mean_layer_norm(x, g, b, 1e-5)
+        assert same_bits(y, y_want)
+        assert all(same_bits(u, v) for u, v in zip(cache, cache_want))
+        for weights in (True, False):
+            got = _layer_norm_backward(dy, cache, weights)
+            want = mean_layer_norm_backward(dy, cache_want, weights)
+            assert all(u is v is None or same_bits(u, v) for u, v in zip(got, want))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("norm", ["pre", "post"])
+    def test_backward_matches_mean_layer_norms(self, monkeypatch, norm, dtype):
+        state = small_model(dim=12, layers=2, heads=3, ffn=20, v=30, max_len=9,
+                            norm=norm).astype(dtype)
+        batch = batch_for(30, (4, 9), seed=5)
+        loss, grads = backward(state, batch)
+        monkeypatch.setattr(tiny_mlm, "_layer_norm", mean_layer_norm)
+        monkeypatch.setattr(tiny_mlm, "_layer_norm_backward", mean_layer_norm_backward)
+        loss_want, grads_want = backward(state, batch)
+        assert loss == loss_want
+        assert grads.keys() == grads_want.keys()
+        assert all(same_bits(grads[k], grads_want[k]) for k in grads)
 
 
 class TestEncode:

@@ -1,5 +1,6 @@
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from langxfer import translation
 from langxfer.corpus import NUM_SPECIALS, BpeCodes, UnigramTable, Vocabulary
 from langxfer.embeddings import EmbeddingMatrix
 from langxfer.translation import (
@@ -148,6 +150,39 @@ def tm_files(draw):
     return text, tgt_vocab, src_vocab
 
 
+# 9 significant digits then a 5: "%.9g" rounds this value, or one ulp either
+# side of it, to nearest-even at the tenth digit
+BOUNDARY_WEIGHTS = st.tuples(st.integers(10**8, 10**9 - 1), st.sampled_from([-1, 0, 1])).map(
+    lambda t: float(np.nextafter(t[0] * 1e-10 + 5e-11, math.inf * t[1])) if t[1]
+    else t[0] * 1e-10 + 5e-11)
+SMALL_WEIGHTS = st.one_of(
+    BOUNDARY_WEIGHTS,
+    st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True),  # subnormal
+    st.floats(1e-9, 0.05),
+)
+
+
+@st.composite
+def written_matrices(draw):
+    """(matrix, target vocabulary, source vocabulary): tokens holding '%',
+    ':' and non-ASCII characters; rows of a lone 1.0, or of subnormal,
+    rounding-boundary and ordinary weights with the rest of the mass last."""
+    src_vocab = Vocabulary.from_tokens(
+        ["a", "%", "%s", "100%", "%.9g", "b:c", "::", "é", "日本", "x%%d"])
+    tgt_vocab = Vocabulary.from_tokens(
+        draw(st.lists(st.sampled_from(["t", "%", "%s:1", "ü", "t:", "%(x)s", "ø%"]),
+                      max_size=7, unique=True)))
+    rows = []
+    for _ in range(len(tgt_vocab)):
+        chosen = draw(st.lists(st.integers(NUM_SPECIALS, len(src_vocab) - 1),
+                               max_size=6, unique=True))
+        weights = draw(st.lists(SMALL_WEIGHTS, min_size=max(len(chosen) - 1, 0),
+                                max_size=max(len(chosen) - 1, 0)))
+        weights += [1.0 - math.fsum(weights)] if chosen else []
+        rows.append(list(zip(sorted(chosen), weights)))
+    return TranslationMatrix.from_rows(rows), tgt_vocab, src_vocab
+
+
 FINITE_VECTORS = arrays(
     np.float64,
     st.integers(min_value=1, max_value=5),
@@ -277,6 +312,8 @@ class TestTranslationMatrixValidation:
         ([(NUM_SPECIALS, 0.5), (NUM_SPECIALS, 0.5)], "strictly increasing"),
         ([(NUM_SPECIALS, 0.5), (NUM_SPECIALS + 1, 0.4)], "sum to"),
         ([(NUM_SPECIALS, 1.5), (NUM_SPECIALS + 1, -0.5)], "positive"),
+        ([(-1, 1.0)], "non-negative"),
+        ([(-3, 0.5), (NUM_SPECIALS, 0.5)], "non-negative"),
     ])
     def test_bad_row_named(self, row, message):
         rows = [[] for _ in range(NUM_SPECIALS + 1)] + [row, []]
@@ -547,6 +584,32 @@ class TestSerialization:
             assert (tmp_path / f"csr{n}.txt").read_bytes() == (
                 tmp_path / f"rows{n}.txt"
             ).read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=written_matrices(), block=st.sampled_from([1, 2, 3, 7, SLICE_BYTES // 16]))
+    def test_writer_bytes_match_rows_writer_over_blocks(self, tmp_path_factory, case, block):
+        tm, tgt_vocab, src_vocab = case
+        tmp = tmp_path_factory.mktemp("tm")
+        # a block of `block` entries puts block boundaries mid-matrix
+        with mock.patch.object(translation, "SLICE_BYTES", 16 * block):
+            write_translation_matrix(tm, tgt_vocab, src_vocab, tmp / "csr.txt")
+        rows_writer(tm.rows, tgt_vocab, src_vocab, tmp / "rows.txt")
+        assert (tmp / "csr.txt").read_bytes() == (tmp / "rows.txt").read_bytes()
+
+    def test_read_sorts_rows_past_a_32_bit_key(self, tmp_path):
+        # len(tgt) x len(src) > 2^32: a row-major key of row and source
+        # index overflows 32 bits
+        src_vocab = Vocabulary.from_tokens([f"s{i}" for i in range(70_000)])
+        tgt_vocab = Vocabulary.from_tokens([f"t{i}" for i in range(70_000)])
+        assert len(tgt_vocab) * len(src_vocab) > 2**32
+        lines = ["t69999 s69999:0.5 s3:0.25 s40000:0.25", "t100 s69998:1",
+                 "t40000 s1:0.5 s65000:0.5", "t61357 s2:0.75 s69000:0.25",
+                 "t100 s5:0.5 s69990:0.5"]
+        (tmp_path / "tm.txt").write_text("\n".join(lines) + "\n")
+        got = read_translation_matrix(tmp_path / "tm.txt", tgt_vocab, src_vocab)
+        want = line_loop_read_translation_matrix(tmp_path / "tm.txt", tgt_vocab, src_vocab)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_read_round_trip_lossless(self, tmp_path):
         tm, tgt_vocab, src_vocab = self._make_tm()
