@@ -18,7 +18,8 @@ compared, a second `ibm1` on a subsample of the bundle's pairs, a
 besides the corpus's, so that the masked positions of one eval chunk span
 several of the loss's row slices, a `subword-vectors` table of as many
 rows, a `translation-matrix` from it that spans several of the writer's
-blocks and an `init-embeddings` on that matrix, and the word chain (`subword-vectors`
+blocks, an odd number of score blocks and two foreign words without a
+vector, and an `init-embeddings` on that matrix, and the word chain (`subword-vectors`
 without `--codes` onto the vectors route's vocabularies,
 `translation-matrix`, `init-embeddings`); a tree that cannot run a step of
 that chain writes its JSON error and skips the rest. Last come
@@ -65,7 +66,9 @@ RUN_ALL = {**MODEL, "pretrain_updates": 10, "pretrain_warmup": 2, "total_updates
            "ibm1_iterations": 3, "bpe_codes": 30}
 VEC_DIM = 8
 BIG_VOCAB = 8000  # tokens added to a vocabulary: 65 float32 rows fill a 2 MB slice
-BIG_FOREIGN, BIG_DIM = 2000, 16  # foreign words and dimension of the big vectors job
+# foreign words (five score blocks of 512 rows, an odd count) and dimension
+# of the big vectors job, and the foreign words in it without a vector
+BIG_FOREIGN, BIG_DIM, BIG_ZERO = 2100, 16, (7, 1500)
 NUM_SPECIALS = 5  # the special tokens that open every vocabulary file
 
 
@@ -256,18 +259,22 @@ def big_vectors(tree: Path, run: Path) -> None:
     """`subword-vectors` onto the 8,000-token english vocabulary (a
     `save_vectors` table of that many rows), then `translation-matrix` from
     BIG_FOREIGN foreign vectors small enough that sparsemax rows hold about
-    150 entries (several of the writer's 131,072-entry blocks), then
+    150 entries (several of the writer's 131,072-entry blocks), in five
+    score blocks split unevenly between the two workers, and with the
+    BIG_ZERO words' vectors all zero (rows left uncovered), then
     `init-embeddings` on the big-vocabulary checkpoint."""
     rng = random.Random(11)
     tokens = (run / "vocab_big_en.txt").read_text(encoding="utf-8").split()
     specials, en_words = tokens[:NUM_SPECIALS], tokens[NUM_SPECIALS:]
     fg_words = [f"big{k}" for k in range(BIG_FOREIGN)]
+    zero = {fg_words[k] for k in BIG_ZERO}
     (run / "vocab_big_fg.txt").write_text(
         "".join(t + "\n" for t in specials + fg_words), encoding="utf-8")
     for name, words, sigma in (("big_en_words.vec", en_words, 0.1),
                                ("big_fg.vec", fg_words, 0.05)):
         lines = [f"{len(words)} {BIG_DIM}"]
-        lines += [w + "".join(f" {rng.gauss(0.0, sigma):.6f}" for _ in range(BIG_DIM))
+        lines += [w + (" 0" * BIG_DIM if w in zero else
+                       "".join(f" {rng.gauss(0.0, sigma):.6f}" for _ in range(BIG_DIM)))
                   for w in words]
         (run / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     cli(tree, run, "big-vectors-en", "subword-vectors", "--vectors",

@@ -104,15 +104,7 @@ def init_foreign_embeddings(
     """
     require("seed", seed, ">= 0")  # whether or not a row falls back
     _check_size(tm, tgt_vocab)
-    first = tm.indptr[NUM_SPECIALS]
-    beyond = np.flatnonzero(tm.indices[first:] >= len(src_emb.vocab))
-    if len(beyond):
-        k = first + beyond[0]
-        row = int(np.searchsorted(tm.indptr, k, side="right")) - 1
-        raise ValueError(
-            f"row {row} references source index {tm.indices[k]} beyond "
-            f"the source vocabulary"
-        )
+    tm.check_sources(len(src_emb.vocab), first_row=NUM_SPECIALS)
     d = src_emb.dim
     out = np.zeros((len(tgt_vocab), d), dtype=np.float32)
     out[:NUM_SPECIALS] = src_emb.data[:NUM_SPECIALS]

@@ -10,6 +10,7 @@ a row; they are handled separately at initialization time.
 from __future__ import annotations
 
 import itertools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -153,6 +154,19 @@ class TranslationMatrix:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
+    def check_sources(self, n_src: int, first_row: int = 0) -> None:
+        """Raise ValueError naming the first row, from `first_row` on, that
+        holds a source index of `n_src` (the source vocabulary's size) or more."""
+        first = self.indptr[first_row]
+        beyond = np.flatnonzero(self.indices[first:] >= n_src)
+        if len(beyond):
+            k = first + beyond[0]
+            row = int(np.searchsorted(self.indptr, k, side="right")) - 1
+            raise ValueError(
+                f"row {row} references source index {self.indices[k]} beyond "
+                f"the source vocabulary"
+            )
+
 
 def translation_matrix_from_vectors(
     tgt_aligned: EmbeddingMatrix,
@@ -171,9 +185,16 @@ def translation_matrix_from_vectors(
     bits of a GEMM result depend on its shape (BLAS picks kernels and
     summation order by size), so the matrix's last bits depend on `chunk`.
     sparsemax and softmax are exact per row, so they run on row slices of
-    about `SLICE_BYTES`, which stay in cache. One helper thread normalises
-    block b while this thread computes the GEMM of block b + 1; NumPy drops
-    the interpreter lock in both, and at most two score blocks exist at once.
+    about `SLICE_BYTES`, which stay in cache; a row without a vector scores
+    every column the same, so it is left out of its slice rather than
+    normalised. A slice's entries are read off one boolean mask of its
+    positive probabilities. Two workers, this thread and one helper, take
+    alternate blocks (0, 2, 4, ... and 1, 3, 5, ...), each running its
+    block's GEMM into its own score buffer and then normalising the block;
+    NumPy drops the interpreter lock in both, and no more than the two
+    buffers' score blocks exist at once. The parts are joined in block
+    order. An exception in either worker stops the other after its current
+    block and propagates once both have ended.
     """
     if tgt_aligned.dim != src.dim:
         raise ValueError(f"dimension mismatch: {tgt_aligned.dim} vs {src.dim}")
@@ -189,18 +210,33 @@ def translation_matrix_from_vectors(
             )
     src_data = src.data[NUM_SPECIALS:].astype(np.float64)
     n_tgt = len(tgt_aligned.vocab)
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    starts = range(NUM_SPECIALS, n_tgt, chunk)
+    failed = threading.Event()
+    # one score buffer per worker, allocated once here: no block pays fresh
+    # page faults, and the helper's allocator never holds a score block
+    buffers = [np.empty((min(chunk, n_tgt), len(src_data))) for _ in range(2)]
+
+    def blocks(first: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        out = []
+        try:
+            for start in starts[first::2]:
+                if failed.is_set():
+                    break
+                block = tgt_aligned.data[start:start + chunk].astype(np.float64)
+                nonzero = np.any(block != 0.0, axis=1)
+                scores = np.matmul(block, src_data.T, out=buffers[first][:len(block)])
+                out.append(_block_entries(scores, nonzero, mode))
+        except BaseException:
+            failed.set()
+            raise
+        return out
+
     with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = None
-        for start in range(NUM_SPECIALS, n_tgt, chunk):
-            block = tgt_aligned.data[start:start + chunk].astype(np.float64)
-            nonzero = np.any(block != 0.0, axis=1)
-            scores = block @ src_data.T
-            if pending is not None:
-                parts.append(pending.result())
-            pending = helper.submit(_block_entries, scores, nonzero, mode)
-        if pending is not None:
-            parts.append(pending.result())
+        odd = helper.submit(blocks, 1)
+        even = blocks(0)
+        odd = odd.result()
+    parts: list = [None] * len(starts)
+    parts[0::2], parts[1::2] = even, odd
     counts = np.zeros(n_tgt, dtype=np.int64)
     counts[NUM_SPECIALS:] = np.concatenate([c for c, _, _ in parts] or [counts[:0]])
     indptr = np.zeros(n_tgt + 1, dtype=np.int64)
@@ -218,25 +254,35 @@ def _block_entries(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row counts, source indices, weights) of one score block, in row order.
 
-    Rows of `scores` with `nonzero` false get no entries.
+    Rows of `scores` with `nonzero` false get no entries and are not
+    normalised. A row's entries are its positive probabilities, found
+    through one boolean mask that every slice of the block reuses.
     """
     n = scores.shape[1]
     step = max(1, SLICE_BYTES // (8 * max(n, 1)))
-    counts, indices, weights = [], [], []
+    mask = np.empty((min(step, len(scores)), n), dtype=bool)
+    empty = np.zeros(0, dtype=np.int64)
+    rows, indices, weights = [empty], [empty], [np.zeros(0)]
     for a in range(0, len(scores), step):
         z = scores[a:a + step]
+        live = np.flatnonzero(nonzero[a:a + step])
+        if not len(live):
+            continue
+        if len(live) < len(z):
+            z = z[live]
         if mode == "sparsemax":
             probs = sparsemax(z)
         else:
             e = np.exp(z - z.max(axis=1, keepdims=True))
             probs = e / e.sum(axis=1, keepdims=True)
-        probs[~nonzero[a:a + step]] = 0.0
-        flat = np.flatnonzero(probs)
+        flat = np.flatnonzero(np.greater(probs, 0.0, out=mask[:len(z)]))
         r, c = np.divmod(flat, n)
-        counts.append(np.bincount(r, minlength=len(z)))
+        rows.append(a + live[r])
         indices.append(c + NUM_SPECIALS)
         weights.append(probs.ravel()[flat])
-    return np.concatenate(counts), np.concatenate(indices), np.concatenate(weights)
+        del probs, z  # before the next slice's sparsemax
+    counts = np.bincount(np.concatenate(rows), minlength=len(scores))
+    return counts, np.concatenate(indices), np.concatenate(weights)
 
 
 def dictionary_translation_matrix(
@@ -347,11 +393,14 @@ def write_translation_matrix(
     SLICE_BYTES // 16 entries (2 MB of CSR entries), so only one block's
     text is held at a time; a longer row is a block of its own.
 
-    The lines go to a temporary file beside `path`, which then replaces
-    `path`; a write that fails leaves the previous file as it was.
+    A source index past `src_vocab` is a ValueError that names its row,
+    raised before any file is opened. The lines go to a temporary file
+    beside `path`, which then replaces `path`; a write that fails leaves
+    the previous file as it was.
     """
     if len(tm) != len(tgt_vocab):
         raise ValueError("translation matrix size does not match target vocabulary")
+    tm.check_sources(len(src_vocab))
     ptr, counts = tm.indptr, np.diff(tm.indptr).tolist()
     sources = np.array(src_vocab.tokens, dtype=object)
     with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -469,6 +470,59 @@ class TestPipelinedTranslationMatrix:
         translation_matrix_from_vectors(tgt, src, chunk=16)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("row", [5, 20])  # in block 0 (this thread) and block 1 (the helper)
+    def test_non_finite_target_in_either_workers_block_raises(self, row):
+        tgt, src = self.vectors(300, 60)
+        before = threading.active_count()
+        tgt.data[NUM_SPECIALS + row] = np.nan
+        with pytest.raises(ValueError) as exc:
+            translation_matrix_from_vectors(tgt, src, chunk=16)
+        assert str(exc.value) == "sparsemax requires finite input"
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("mode", ["sparsemax", "softmax"])
+    def test_odd_block_count_with_a_part_filled_last_block(self, mode):
+        tgt, src = self.vectors(300, 70)
+        chunk = 16  # blocks of 16, 16, 16, 16 and 6 rows: three for this thread, two for the helper
+        got = translation_matrix_from_vectors(tgt, src, mode=mode, chunk=chunk)
+        want = nonzero_translation_matrix_from_vectors(tgt, src, mode=mode, chunk=chunk)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("mode", ["sparsemax", "softmax"])
+    def test_rows_without_vectors_do_not_reach_the_normaliser(self, mode):
+        tgt, src = self.vectors(300, 60)
+        tgt.data[NUM_SPECIALS + 8:NUM_SPECIALS + 12] = 0.0  # one whole slice of 4 rows
+        seen = []  # (rows, all-zero rows) of each sparsemax call
+
+        def recording_sparsemax(z):
+            seen.append((len(z), int(np.count_nonzero(np.all(z == 0.0, axis=1)))))
+            return sparsemax(z)
+
+        with mock.patch.object(translation, "sparsemax", recording_sparsemax), \
+                mock.patch.object(translation, "SLICE_BYTES", 4 * 8 * 300):
+            got = translation_matrix_from_vectors(tgt, src, mode=mode, chunk=16)
+        want = nonzero_translation_matrix_from_vectors(tgt, src, mode=mode, chunk=16)
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        if mode == "sparsemax":
+            live = np.count_nonzero(np.any(tgt.data[NUM_SPECIALS:] != 0.0, axis=1))
+            assert sum(rows for rows, _ in seen) == live == 60 - 7
+            assert not any(zero for _, zero in seen)
+
+    def test_at_most_two_score_blocks_at_once(self):
+        n_src, chunk, dim = 2000, 1024, 8
+        rng = np.random.default_rng(13)  # unit scores: a few entries a row
+        src = emb_over([f"s{i}" for i in range(n_src)], rng.normal(0, 1, (n_src, dim)))
+        tgt = emb_over([f"t{i}" for i in range(4 * chunk)], rng.normal(0, 1, (4 * chunk, dim)))
+        tracemalloc.start()
+        try:
+            translation_matrix_from_vectors(tgt, src, chunk=chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 * chunk * n_src * 8
+
 
 class TestSubwordVectors:
     def test_single_contributor_identity(self):
@@ -689,6 +743,23 @@ class TestSerialization:
         got = read_translation_matrix(path, tgt_vocab, src_vocab)
         for name in ("indptr", "indices", "weights"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("row,entries", [
+        (NUM_SPECIALS + 1, [(9, 1.0)]),
+        (NUM_SPECIALS + 1, [(NUM_SPECIALS, 0.5), (NUM_SPECIALS + 2, 0.5)]),
+        (2, [(NUM_SPECIALS, 0.25), (40, 0.75)]),  # special rows are written too
+    ])
+    def test_write_names_a_row_beyond_the_source_vocabulary(self, tmp_path, row, entries):
+        vocab = Vocabulary.from_tokens(["a", "b"])
+        rows = [[] for _ in range(len(vocab))]
+        rows[row] = entries
+        tm = TranslationMatrix.from_rows(rows)
+        message = (f"row {row} references source index {entries[-1][0]} beyond "
+                   f"the source vocabulary")
+        with mock.patch.object(translation, "replacing") as replacing, \
+                pytest.raises(ValueError, match=f"^{message}$"):
+            write_translation_matrix(tm, vocab, vocab, tmp_path / "tm.txt")
+        replacing.assert_not_called()
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         tm, tgt_vocab, src_vocab = self._make_tm()
