@@ -5,7 +5,9 @@
 
 Each tree's code (imported from TREE/src, in a subprocess) runs the same
 small jobs on the same inputs: every `run_all` route (parallel and
-vectors, each with word and with BPE tokens, and dictionary), the parallel
+vectors, each with word and with BPE tokens, and dictionary, once more on a
+dictionary that lists one foreign word twice, with different english
+words, and holds a line outside both vocabularies), the parallel
 word route with an embedding-only phase of none, some and all of the
 updates, and once with the settings that `PipelineConfig` renames on their
 way into its sub-configs, or that a sub-config converts, set to values no
@@ -115,6 +117,12 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
         "en_train.txt", "en_heldout.txt", "fg_train.txt", "fg_heldout.txt",
         "dictionary.tsv", "en.vec", "fg.vec", "seed.tsv")}
     sides = {"en": "en_train.txt", "fg": "fg_train.txt"}
+    # english<TAB>foreign: the first foreign word again, with the second
+    # english word (the later pair wins), and a line in neither vocabulary
+    entries = Path(i["dictionary.tsv"]).read_text(encoding="utf-8").splitlines()
+    (_, fg0), (en1, _) = (line.split("\t") for line in entries[:2])
+    (run / "dictionary_repeat.tsv").write_text(
+        "\n".join([*entries, "nope\tnada", f"{en1}\t{fg0}"]) + "\n", encoding="utf-8")
 
     # run_all: every route, the embedding-only phase for none, some and all
     # updates, and the mapped settings at values of their own
@@ -127,6 +135,8 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
                                  "mask_prob": 0.25},
         "parallel-bpe": {"route": "parallel", "tokenization": "bpe"},
         "dictionary": {"route": "dictionary", "dictionary": i["dictionary.tsv"]},
+        "dictionary-repeat": {"route": "dictionary",
+                              "dictionary": str(run / "dictionary_repeat.tsv")},
         "vectors": {"route": "vectors", "en_vectors": i["en.vec"], "fg_vectors": i["fg.vec"],
                     "seed_dictionary": i["seed.tsv"]},
         "vectors-bpe": {"route": "vectors", "tokenization": "bpe", "en_vectors": i["en.vec"],

@@ -124,10 +124,7 @@ def _read_aligned_parallel(foreign, english, parallel, foreign_vocab, english_vo
         raise ValueError("give --parallel alone, or both --foreign and --english")
     tok_fg = load_tokenizer(foreign_vocab, foreign_codes)
     tok_en = load_tokenizer(english_vocab, english_codes)
-    if parallel:
-        corpus = read_parallel(parallel, None, tok_fg, tok_en)
-    else:
-        corpus = read_parallel(foreign, english, tok_fg, tok_en)
+    corpus = read_parallel(parallel or foreign, None if parallel else english, tok_fg, tok_en)
     if corpus.dropped:
         _log(f"dropped {corpus.dropped} empty pairs")
     return corpus, tok_fg.vocab, tok_en.vocab

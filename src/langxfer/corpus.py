@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Literal
 
+import numpy as np
+
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<mask>", "<s>", "</s>")
 PAD_ID, UNK_ID, MASK_ID, BOS_ID, EOS_ID = range(5)
 NUM_SPECIALS = len(SPECIAL_TOKENS)
@@ -96,6 +98,11 @@ class Vocabulary:
         """Index of `token`, or the UNK index if absent."""
         return self.index.get(token, UNK_ID)
 
+    def indices(self, tokens: list[str]) -> np.ndarray:
+        """The int64 index of each token, -1 where absent."""
+        return np.fromiter(map(self.index.get, tokens, itertools.repeat(-1)),
+                           dtype=np.int64, count=len(tokens))
+
     @classmethod
     def from_tokens(cls, content_tokens: Iterable[str]) -> "Vocabulary":
         """Build a vocabulary from non-special tokens, prepending the specials."""
@@ -106,8 +113,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        tokens = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(tokens)
+        try:
+            return cls(Path(path).read_text(encoding="utf-8").splitlines())
+        except ValueError as exc:  # bad UTF-8 too
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

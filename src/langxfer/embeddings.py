@@ -82,7 +82,7 @@ def load_vectors(path: str | Path, limit: int | None = None) -> EmbeddingMatrix:
     with open(path, encoding="utf-8") as fh:
         line = fh.readline()
         header = line.split()
-        if len(header) != 2:
+        if not (len(header) == 2 and all(n.isdecimal() for n in header)):
             raise ValueError(f"{path}: expected 'row_count dim' header")
         count, dim = int(header[0]), int(header[1])
         for line in fh:
@@ -129,7 +129,7 @@ def _parse_rows(rests: list[str], kept: list[int], dim: int, path: str | Path) -
             values = values[kept]
             if np.all(np.isfinite(values)):
                 return values
-    values = np.zeros((len(kept), max(dim, 0)), dtype=np.float32)  # dim < 0 fails below
+    values = np.zeros((len(kept), dim), dtype=np.float32)
     row_of = {i: r for r, i in enumerate(kept)}
     for i, rest in enumerate(rests):
         n = i + 2  # line number, after the header
@@ -220,10 +220,21 @@ def json_object(path: str | Path, value, keys: tuple[str, ...], what: str) -> di
     return value
 
 
+def parse_json_object(path: str | Path, text: str | bytes, keys: tuple[str, ...],
+                      what: str) -> dict:
+    """`json_object` of `text` parsed as JSON; text that does not parse (or
+    is not UTF-8) is not a JSON object."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = None
+    return json_object(path, value, keys, what)
+
+
 def read_array(path: str | Path) -> tuple[np.ndarray, list[str] | None]:
     with open(path, "rb") as fh:
-        header = json_object(path, json.loads(fh.readline().decode("utf-8")),
-                             ("row_count", "dim", "shape"), "binary header")
+        header = parse_json_object(path, fh.readline(), ("row_count", "dim", "shape"),
+                                   "binary header")
         if header.get("dtype") != "float32" or header.get("byte_order") != "little":
             raise ValueError(f"{path}: unsupported binary header: {header}")
         rows, dim, shape = header["row_count"], header["dim"], header["shape"]
@@ -244,11 +255,9 @@ def identical_word_dictionary(
     src: Vocabulary, tgt: Vocabulary
 ) -> list[tuple[int, int]]:
     """Pairs of (src index, tgt index) for byte-identical tokens, specials excluded."""
-    pairs = []
-    for i in range(NUM_SPECIALS, len(src)):
-        j = tgt.index.get(src.tokens[i])
-        if j is not None and j >= NUM_SPECIALS:
-            pairs.append((i, j))
+    j = tgt.indices(src.tokens)
+    i = np.flatnonzero(j >= NUM_SPECIALS)
+    pairs = list(zip(i.tolist(), j[i].tolist()))
     if not pairs:
         raise ValueError(
             "no identical words between the two vocabularies; "

@@ -377,14 +377,11 @@ def vocab_vectors(vectors: EmbeddingMatrix, tok: Tokenizer,
         words = build_vocab(iter_tokens(corpus), max_size=1 << 30)
         return subword_vectors(vectors, unigram_probs(iter_tokens(corpus), words), vocab,
                                tok.codes)
+    j = vectors.vocab.indices(vocab.tokens)
+    found = j >= corpus_mod.NUM_SPECIALS  # a model special's row stays zero
     out = np.zeros((len(vocab), vectors.dim), dtype=np.float32)
-    support = np.zeros(len(vocab), dtype=np.int64)
-    for i in range(corpus_mod.NUM_SPECIALS, len(vocab)):
-        j = vectors.vocab.index.get(vocab.tokens[i])
-        if j is not None and j >= corpus_mod.NUM_SPECIALS:
-            out[i] = vectors.data[j]
-            support[i] = 1
-    return SubwordVectorTable(EmbeddingMatrix(vocab, out), support)
+    out[found] = vectors.data[j[found]]
+    return SubwordVectorTable(EmbeddingMatrix(vocab, out), found)
 
 
 def init_foreign(tm_path: str | Path, checkpoint: str | Path, vocab_fg: str | Path,

@@ -34,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from .corpus import MASK_ID, NUM_SPECIALS, Vocabulary, check_fields, require, ruled
-from .embeddings import json_object, read_array, write_array
+from .embeddings import json_object, parse_json_object, read_array, write_array
 from .translation import SLICE_BYTES
 
 PARAM_GROUPS = ("emb_en", "emb_fg", "pos_emb", "encoder", "out_bias_en", "out_bias_fg")
@@ -350,23 +350,37 @@ def _forward(state: ModelState, ids: np.ndarray, language: str, want_cache: bool
 
 def _encoder_layer(x, p, n, cfg: ModelConfig):
     """One encoder layer on `x`; returns its output and its backward cache."""
-    if cfg.norm == "pre":
-        h1, ln1 = _layer_norm(x, p[n + "ln1_g"], p[n + "ln1_b"], cfg.ln_eps)
-        attn_out, attn = _attention(h1, p[n + "wq"], p[n + "wk"], p[n + "wv"],
-                                    p[n + "wo"], cfg.heads)
-        x_mid = x + attn_out
-        h2, ln2 = _layer_norm(x_mid, p[n + "ln2_g"], p[n + "ln2_b"], cfg.ln_eps)
-        ffn_out, ffn = _ffn(h2, p[n + "w1"], p[n + "w2"])
-        x = x_mid + ffn_out
-    else:
-        attn_out, attn = _attention(x, p[n + "wq"], p[n + "wk"], p[n + "wv"],
-                                    p[n + "wo"], cfg.heads)
-        x_mid, ln1 = _layer_norm(x + attn_out, p[n + "ln1_g"], p[n + "ln1_b"],
-                                 cfg.ln_eps)
-        ffn_out, ffn = _ffn(x_mid, p[n + "w1"], p[n + "w2"])
-        x, ln2 = _layer_norm(x_mid + ffn_out, p[n + "ln2_g"], p[n + "ln2_b"],
-                             cfg.ln_eps)
+    x, ln1, attn = _sublayer(x, lambda h: _attention(h, p[n + "wq"], p[n + "wk"], p[n + "wv"],
+                                                     p[n + "wo"], cfg.heads),
+                             p[n + "ln1_g"], p[n + "ln1_b"], cfg)
+    x, ln2, ffn = _sublayer(x, lambda h: _ffn(h, p[n + "w1"], p[n + "w2"]),
+                            p[n + "ln2_g"], p[n + "ln2_b"], cfg)
     return x, (ln1, attn, ln2, ffn)
+
+
+def _sublayer(x, f, g, b, cfg: ModelConfig):
+    """A residual sublayer: x + f(LN(x)) under pre-norm, LN(x + f(x)) under
+    post-norm. Returns its output, the layer norm's cache and f's cache."""
+    if cfg.norm == "pre":
+        h, ln = _layer_norm(x, g, b, cfg.ln_eps)
+        out, cache = f(h)
+        return x + out, ln, cache
+    out, cache = f(x)
+    y, ln = _layer_norm(x + out, g, b, cfg.ln_eps)
+    return y, ln, cache
+
+
+def _sublayer_backward(dout, ln, f_backward, cfg: ModelConfig, weights: bool):
+    """The input gradient of `_sublayer` and its weight gradients: the layer
+    norm's (dg, db), then f's. `f_backward` maps the gradient at f's output
+    to the one at its input followed by f's weight gradients."""
+    if cfg.norm == "pre":
+        dh, *dw = f_backward(dout)
+        dx_ln, dg, db = _layer_norm_backward(dh, ln, weights)
+        return dout + dx_ln, (dg, db, *dw)
+    dsum, dg, db = _layer_norm_backward(dout, ln, weights)
+    dh, *dw = f_backward(dsum)
+    return dsum + dh, (dg, db, *dw)
 
 
 def encode(state: ModelState, batch: MaskedBatch) -> np.ndarray:
@@ -508,32 +522,15 @@ def backward(
         n = f"enc.{l}."
         ln1, attn, ln2, ffn = caches[l]
         w = train_enc  # weight and layer-norm gradients
-        if cfg.norm == "pre":
-            # x_out = x_mid + FFN(LN2(x_mid));  x_mid = x_in + Attn(LN1(x_in))
-            dh2, dw1, dw2 = _ffn_backward(dx, ffn, p[n + "w1"], p[n + "w2"], w)
-            dx_mid_ln, dg2, db2 = _layer_norm_backward(dh2, ln2, w)
-            dx_mid = dx + dx_mid_ln
-            dh1, dwq, dwk, dwv, dwo = _attention_backward(
-                dx_mid, attn, p[n + "wq"], p[n + "wk"], p[n + "wv"], p[n + "wo"],
-                cfg.heads, w,
-            )
-            dx_in_ln, dg1, db1 = _layer_norm_backward(dh1, ln1, w)
-            dx = dx_mid + dx_in_ln
-        else:
-            # x_out = LN2(x_mid + FFN(x_mid));  x_mid = LN1(x_in + Attn(x_in))
-            dsum2, dg2, db2 = _layer_norm_backward(dx, ln2, w)
-            dffn_in, dw1, dw2 = _ffn_backward(dsum2, ffn, p[n + "w1"], p[n + "w2"], w)
-            dx_mid = dsum2 + dffn_in
-            dsum1, dg1, db1 = _layer_norm_backward(dx_mid, ln1, w)
-            dattn_in, dwq, dwk, dwv, dwo = _attention_backward(
-                dsum1, attn, p[n + "wq"], p[n + "wk"], p[n + "wv"], p[n + "wo"],
-                cfg.heads, w,
-            )
-            dx = dsum1 + dattn_in
+        dx, ffn_grads = _sublayer_backward(
+            dx, ln2, lambda d: _ffn_backward(d, ffn, p[n + "w1"], p[n + "w2"], w), cfg, w)
+        dx, attn_grads = _sublayer_backward(
+            dx, ln1, lambda d: _attention_backward(d, attn, p[n + "wq"], p[n + "wk"],
+                                                   p[n + "wv"], p[n + "wo"], cfg.heads, w),
+            cfg, w)
         if train_enc:
-            for name, g in (("ln1_g", dg1), ("ln1_b", db1), ("ln2_g", dg2),
-                            ("ln2_b", db2), ("wq", dwq), ("wk", dwk), ("wv", dwv),
-                            ("wo", dwo), ("w1", dw1), ("w2", dw2)):
+            for name, g in zip(("ln2_g", "ln2_b", "w1", "w2", "ln1_g", "ln1_b", "wq", "wk",
+                                "wv", "wo"), ffn_grads + attn_grads):
                 grads[n + name] += g
 
     if train_emb:
@@ -597,8 +594,8 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[ModelState, int, dict | None]:
     path = Path(path)
     file = path / "manifest.json"
-    with open(file, encoding="utf-8") as fh:
-        manifest = json_object(file, json.load(fh), ("step", "config", "params"), "manifest")
+    manifest = parse_json_object(file, file.read_bytes(), ("step", "config", "params"),
+                                 "manifest")
     config = json_object(file, manifest["config"], (), "config")
     unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
     if unknown:

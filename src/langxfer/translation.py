@@ -9,7 +9,6 @@ a row; they are handled separately at initialization time.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -124,16 +123,20 @@ class TranslationMatrix:
             raise ValueError(f"row {row_of[bad[0]]}: weights must be positive")
 
     @classmethod
+    def from_entries(cls, n_rows: int, rows, indices, weights) -> "TranslationMatrix":
+        """Build an `n_rows`-row matrix from entries (rows[k], indices[k],
+        weights[k]) listed in row order; a row without entries is uncovered."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) and (rows[0] < 0 or rows[-1] >= n_rows or np.any(rows[1:] < rows[:-1])):
+            raise ValueError(f"entries must be in row order, in rows 0 to {n_rows - 1}")
+        return cls(np.searchsorted(rows, np.arange(n_rows + 1)), indices, weights)
+
+    @classmethod
     def from_rows(cls, rows: list[list[tuple[int, float]]]) -> "TranslationMatrix":
         """Build from one (source index, weight) list per row."""
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=indptr[1:])
-        entries = list(itertools.chain.from_iterable(rows))
-        return cls(
-            indptr,
-            np.array([j for j, _ in entries], dtype=np.int64),
-            np.array([w for _, w in entries], dtype=np.float64),
-        )
+        row_of = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        return cls.from_entries(len(rows), row_of, [j for row in rows for j, _ in row],
+                                [w for row in rows for _, w in row])
 
     @property
     def rows(self) -> list[list[tuple[int, float]]]:
@@ -225,7 +228,7 @@ def translation_matrix_from_vectors(
                 block = tgt_aligned.data[start:start + chunk].astype(np.float64)
                 nonzero = np.any(block != 0.0, axis=1)
                 scores = np.matmul(block, src_data.T, out=buffers[first][:len(block)])
-                out.append(_block_entries(scores, nonzero, mode))
+                out.append(_block_entries(scores, nonzero, mode, start))
         except BaseException:
             failed.set()
             raise
@@ -237,22 +240,15 @@ def translation_matrix_from_vectors(
         odd = odd.result()
     parts: list = [None] * len(starts)
     parts[0::2], parts[1::2] = even, odd
-    counts = np.zeros(n_tgt, dtype=np.int64)
-    counts[NUM_SPECIALS:] = np.concatenate([c for c, _, _ in parts] or [counts[:0]])
-    indptr = np.zeros(n_tgt + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    empty = np.zeros(0)
-    return TranslationMatrix(
-        indptr,
-        np.concatenate([j for _, j, _ in parts] or [empty]),
-        np.concatenate([w for _, _, w in parts] or [empty]),
-    )
+    return TranslationMatrix.from_entries(
+        n_tgt, *(np.concatenate([part[k] for part in parts] or [np.zeros(0)]) for k in range(3)))
 
 
 def _block_entries(
-    scores: np.ndarray, nonzero: np.ndarray, mode: str
+    scores: np.ndarray, nonzero: np.ndarray, mode: str, start: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row counts, source indices, weights) of one score block, in row order.
+    """(target rows, source indices, weights) of the score block whose first
+    row is target row `start`, in row order.
 
     Rows of `scores` with `nonzero` false get no entries and are not
     normalised. A row's entries are its positive probabilities, found
@@ -277,26 +273,29 @@ def _block_entries(
             probs = e / e.sum(axis=1, keepdims=True)
         flat = np.flatnonzero(np.greater(probs, 0.0, out=mask[:len(z)]))
         r, c = np.divmod(flat, n)
-        rows.append(a + live[r])
+        rows.append(start + a + live[r])
         indices.append(c + NUM_SPECIALS)
         weights.append(probs.ravel()[flat])
         del probs, z  # before the next slice's sparsemax
-    counts = np.bincount(np.concatenate(rows), minlength=len(scores))
-    return counts, np.concatenate(indices), np.concatenate(weights)
+    return np.concatenate(rows), np.concatenate(indices), np.concatenate(weights)
 
 
 def dictionary_translation_matrix(
     pairs: list[tuple[int, int]], tgt_vocab: Vocabulary, src_vocab: Vocabulary
 ) -> TranslationMatrix:
-    """One-hot rows from (tgt index, src index) ground-truth pairs."""
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(len(tgt_vocab))]
-    for i, j in pairs:
-        if not (NUM_SPECIALS <= i < len(tgt_vocab)):
-            raise ValueError(f"target index {i} out of range")
-        if not (NUM_SPECIALS <= j < len(src_vocab)):
-            raise ValueError(f"source index {j} out of range")
-        rows[i] = [(j, 1.0)]
-    return TranslationMatrix.from_rows(rows)
+    """One-hot rows from (tgt index, src index) ground-truth pairs; a later
+    pair for a target replaces an earlier one. The first pair with an index
+    out of range, its target checked first, is the error."""
+    tgt, src = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2).T
+    bad_tgt = (tgt < NUM_SPECIALS) | (tgt >= len(tgt_vocab))
+    bad = np.flatnonzero(bad_tgt | (src < NUM_SPECIALS) | (src >= len(src_vocab)))
+    if len(bad):
+        k = bad[0]
+        raise ValueError(f"target index {tgt[k]} out of range" if bad_tgt[k]
+                         else f"source index {src[k]} out of range")
+    rows, last = np.unique(tgt[::-1], return_index=True)  # each target's last pair
+    return TranslationMatrix.from_entries(len(tgt_vocab), rows, src[::-1][last],
+                                          np.ones(len(rows)))
 
 
 @dataclass
@@ -436,15 +435,11 @@ def read_translation_matrix(
     if lines[-1] == "":
         lines.pop()
     heads = [line.partition(" ") for line in lines]
-    targets = np.fromiter(
-        map(tgt_vocab.index.get, [token for token, _, _ in heads], itertools.repeat(-1)),
-        dtype=np.int64, count=len(lines),
-    )
+    targets = tgt_vocab.indices([token for token, _, _ in heads])
     counts = np.array([rest.count(" ") + 1 if sep else 0 for _, sep, rest in heads],
                       dtype=np.int64)
     src, weight_text = _split_entries([rest for _, sep, rest in heads if sep])
-    indices = np.fromiter(map(src_vocab.index.get, src, itertools.repeat(-1)),
-                          dtype=np.int64, count=len(src))
+    indices = src_vocab.indices(src)
     line_of = np.repeat(np.arange(len(lines)), counts)
     errors = []  # (line index, rank within a line, message)
     bad = np.flatnonzero(targets < 0)
@@ -471,9 +466,8 @@ def read_translation_matrix(
     keep = np.repeat(keep_line, counts)
     rows, indices, weights = np.repeat(targets, counts)[keep], indices[keep], weights[keep]
     order = np.argsort(rows * len(src_vocab) + indices, kind="stable")
-    indptr = np.zeros(len(tgt_vocab) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(tgt_vocab)), out=indptr[1:])
-    return TranslationMatrix(indptr, indices[order], weights[order])
+    return TranslationMatrix.from_entries(len(tgt_vocab), rows[order], indices[order],
+                                          weights[order])
 
 
 def _split_entries(rests: list[str]) -> tuple[list[str], list[str]]:

@@ -342,9 +342,7 @@ def translation_matrix_from_alignment(
     mass = np.bincount(f, weights=p, minlength=n_tgt)
     covered = mass[f] > 0.0  # a row with only NULL mass stays uncovered
     f, e, p = f[covered], e[covered], p[covered]
-    indptr = np.zeros(n_tgt + 1, dtype=np.int64)
-    np.cumsum(np.bincount(f, minlength=n_tgt), out=indptr[1:])
-    return TranslationMatrix(indptr, e, p / mass[f])
+    return TranslationMatrix.from_entries(n_tgt, f, e, p / mass[f])
 
 
 def subsample(corpus: ParallelCorpus, n: int, seed: int) -> ParallelCorpus:

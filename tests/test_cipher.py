@@ -46,6 +46,12 @@ class TestCipherFixture:
         assert len(fx.noisy_dictionary) < 50
         assert set(fx.noisy_dictionary) <= set(fx.dictionary)
 
+    def test_dropout_of_every_entry_keeps_the_first_pair(self):
+        # each entry survives with probability 1e-4: all 20 are dropped
+        fx = generate_cipher_fixture(vocab_size=20, sentences=10, seed=4,
+                                     dict_dropout=0.9999)
+        assert fx.noisy_dictionary == fx.dictionary[:1]
+
     def test_split_noise_creates_two_token_words(self):
         fx = generate_cipher_fixture(vocab_size=40, sentences=60, seed=5,
                                      split_prob=0.5)

@@ -189,6 +189,31 @@ class TestAlignmentCommands:
                        "message": f"subsample size must be >= 1, got {subsample}"}
         assert not (tmp_path / "tm.txt").exists()
 
+    def test_ibm1_parallel_file_matches_two_files(self, bundle, capsys, tmp_path):
+        tmp, paths = bundle
+        for side in ("en", "fg"):
+            run_cli(capsys, "vocab", "--input", paths[f"{side}_train.txt"],
+                    "--max-size", "100", "--output", str(tmp_path / f"v_{side}.txt"))
+        fg = Path(paths["fg_train.txt"]).read_text().splitlines()[:60] + ["", "x y"]
+        en = Path(paths["en_train.txt"]).read_text().splitlines()[:60] + ["a b", ""]
+        (tmp_path / "fg.txt").write_text("\n".join(fg) + "\n")
+        (tmp_path / "en.txt").write_text("\n".join(en) + "\n")
+        (tmp_path / "p.tsv").write_text("".join(f"{f}\t{e}\n" for f, e in zip(fg, en)))
+        vocabs = ["--foreign-vocab", str(tmp_path / "v_fg.txt"),
+                  "--english-vocab", str(tmp_path / "v_en.txt"), "--iterations", "3"]
+        outputs = {}
+        for name, corpus in (("two", ["--foreign", str(tmp_path / "fg.txt"),
+                                      "--english", str(tmp_path / "en.txt")]),
+                             ("tsv", ["--parallel", str(tmp_path / "p.tsv")])):
+            code = main(["ibm1", *corpus, *vocabs, "--output", str(tmp_path / f"{name}.txt")])
+            captured = capsys.readouterr()
+            assert code == 0 and "dropped 2 empty pairs" in captured.err
+            outputs[name] = json.loads(captured.out)
+        assert outputs["two"]["pairs"] == 60
+        assert {k: v for k, v in outputs["two"].items() if k != "output"} == {
+            k: v for k, v in outputs["tsv"].items() if k != "output"}
+        assert (tmp_path / "two.txt").read_bytes() == (tmp_path / "tsv.txt").read_bytes()
+
     def test_parse_fastalign(self, bundle, capsys, tmp_path):
         tmp, paths = bundle
         (tmp_path / "f.txt").write_text("aa bb\n")
@@ -603,14 +628,19 @@ class TestCommandsShareRunAllStages:
         assert not (tmp_path / "fx" / "pipeline" / "translation_matrix.txt").exists()
 
 
+def _edited(text, edit):
+    """`edit` applied to JSON text: raw bytes replace it, a function edits its value."""
+    return edit if isinstance(edit, bytes) else json.dumps(edit(json.loads(text))).encode()
+
+
 def _corrupt_manifest(ck, edit):
-    manifest = json.loads((ck / "manifest.json").read_text())
-    (ck / "manifest.json").write_text(json.dumps(edit(manifest)))
+    (ck / "manifest.json").write_bytes(_edited((ck / "manifest.json").read_bytes(), edit))
 
 
 def _corrupt_header(path, edit):
+    """Edit the first line: a binary file's header, or a vocabulary's first token."""
     header, data = path.read_bytes().split(b"\n", 1)
-    path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + data)
+    path.write_bytes(_edited(header, edit) + b"\n" + data)
 
 
 MALFORMED = {
@@ -647,6 +677,18 @@ MALFORMED = {
     "param-header-without-dim": ("ck/emb_en.bin", lambda h: {k: v for k, v in h.items()
                                                             if k != "dim"},
                                  "ck/emb_en.bin: binary header lacks 'dim'"),
+    # raw bytes in place of the JSON: text that does not parse, or is not UTF-8
+    "manifest-not-json": ("ck", b'{"step": 0,', "ck/manifest.json: manifest is not a JSON object"),
+    "manifest-not-utf8": ("ck", b"\xff{}", "ck/manifest.json: manifest is not a JSON object"),
+    "header-not-json": ("e.bin", b"float32 7 8", "e.bin: binary header is not a JSON object"),
+    "param-header-not-json": ("ck/emb_en.bin", b"",
+                              "ck/emb_en.bin: binary header is not a JSON object"),
+    "vocab-without-specials": ("ck/vocab_en.txt", b"a",
+                               "ck/vocab_en.txt: vocabulary must start with the special "
+                               "tokens ('<pad>', '<unk>', '<mask>', '<s>', '</s>')"),
+    "vocab-duplicate": ("ck/vocab_fg.txt", b"<pad>\n<unk>\n<mask>\n<s>\n</s>\na",
+                        "ck/vocab_fg.txt: duplicate tokens in vocabulary: "
+                        "['<unk>', '<mask>', '<s>', '</s>', 'a']"),
 }
 
 
@@ -684,6 +726,55 @@ class TestMalformedArtifacts:
         assert (out["status"], out["stage"], out["code"]) == ("error", argv[0], "invalid_input")
         assert out["message"] == f"{tmp_path}/{message}"
         assert not (tmp_path / "run").exists()
+
+
+class TestTransferInputs:
+    @pytest.fixture()
+    def artifacts(self, tmp_path):
+        """A checkpoint `ck` of max_len 16 and its init embeddings `e.bin`."""
+        from langxfer.corpus import Vocabulary
+        from langxfer.embeddings import write_array
+        from langxfer.tiny_mlm import ModelConfig, init_model, save_checkpoint
+
+        vocab = Vocabulary.from_tokens(["a", "b"])
+        model = init_model(ModelConfig(dim=8, layers=1, heads=2, ffn_dim=16, max_len=16),
+                           vocab, vocab, 0)
+        save_checkpoint(model, tmp_path / "ck", step=0)
+        write_array(tmp_path / "e.bin", np.zeros((7, 8), dtype=np.float32),
+                    tokens=vocab.tokens)
+
+    def transfer(self, capsys, tmp_path, paths, *extra):
+        code, out = run_cli(capsys, "transfer", "--checkpoint", str(tmp_path / "ck"),
+                            "--init-emb", str(tmp_path / "e.bin"),
+                            "--en-train", paths["en_train.txt"],
+                            "--fg-train", paths["fg_train.txt"],
+                            "--out-dir", str(tmp_path / "run"), *extra)
+        assert code == 1 and not (tmp_path / "run").exists()
+        assert (out["status"], out["stage"], out["code"]) == ("error", "transfer",
+                                                              "invalid_input")
+        return out["message"]
+
+    def test_seq_len_past_the_model_max_len(self, bundle, artifacts, capsys, tmp_path):
+        (tmp_path / "t.cfg").write_text("seq_len = 17\n")
+        assert self.transfer(capsys, tmp_path, bundle[1], "--config",
+                             str(tmp_path / "t.cfg")) == "seq_len exceeds the model's max_len"
+
+    def test_truncated_init_emb(self, bundle, artifacts, capsys, tmp_path):
+        path = tmp_path / "e.bin"
+        path.write_bytes(path.read_bytes()[:-4])
+        assert self.transfer(capsys, tmp_path, bundle[1]) == f"{path}: truncated binary data"
+
+
+@pytest.mark.parametrize("header", ["x 3", "1 -3", "3"])
+def test_vec_header_that_is_not_two_counts_is_the_json_error(capsys, tmp_path, header):
+    (tmp_path / "fg.vec").write_text(f"{header}\na 1 2 3\n")
+    (tmp_path / "en.vec").write_text("1 3\nb 1 2 3\n")
+    code, out = run_cli(capsys, "translation-matrix", "--foreign-vectors",
+                        str(tmp_path / "fg.vec"), "--english-vectors", str(tmp_path / "en.vec"),
+                        "--output", str(tmp_path / "tm.txt"))
+    assert code == 1
+    assert out == {"status": "error", "stage": "translation-matrix", "code": "invalid_input",
+                   "message": f"{tmp_path / 'fg.vec'}: expected 'row_count dim' header"}
 
 
 class TestBadSizesFailEarly:

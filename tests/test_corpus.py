@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,28 @@ class TestVocabulary:
         vocab = Vocabulary.from_tokens(["alpha", "beta"])
         vocab.save(tmp_path / "v.txt")
         assert Vocabulary.load(tmp_path / "v.txt").tokens == vocab.tokens
+
+    @pytest.mark.parametrize("text,message", [
+        ("a\nb\n", f"vocabulary must start with the special tokens {SPECIAL_TOKENS}"),
+        ("".join(t + "\n" for t in SPECIAL_TOKENS) + "a\nb\na\n",
+         "duplicate tokens in vocabulary: ['a']"),
+    ], ids=["no-specials", "duplicate"])
+    def test_bad_file_names_its_path(self, tmp_path, text, message):
+        (tmp_path / "v.txt").write_text(text)
+        with pytest.raises(ValueError) as exc:
+            Vocabulary.load(tmp_path / "v.txt")
+        assert str(exc.value) == f"{tmp_path / 'v.txt'}: {message}"
+
+    def test_file_not_utf8_names_its_path(self, tmp_path):
+        (tmp_path / "v.txt").write_bytes(b"\xff\n")
+        with pytest.raises(ValueError, match=f"^{tmp_path / 'v.txt'}: 'utf-8' codec"):
+            Vocabulary.load(tmp_path / "v.txt")
+
+    def test_indices_are_minus_one_where_absent(self):
+        vocab = Vocabulary.from_tokens(["x", "y"])
+        got = vocab.indices(["y", "<unk>", "z", "x", ""])
+        assert got.dtype == np.int64 and got.tolist() == [6, 1, -1, 5, -1]
+        assert vocab.indices([]).shape == (0,)
 
 
 class TestBuildVocab:

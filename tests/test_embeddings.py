@@ -15,8 +15,10 @@ from langxfer.embeddings import (
     load_binary_vectors,
     load_vectors,
     procrustes,
+    read_array,
     read_dictionary,
     save_vectors,
+    write_array,
 )
 
 
@@ -175,6 +177,16 @@ class TestVectorIO:
             save_vectors(emb, tmp_path / "no_such_dir" / "e.vec", format="text")
 
 
+def loop_identical_word_dictionary(src, tgt):
+    """Oracle: the per-token loop that `Vocabulary.indices` replaced."""
+    pairs = []
+    for i in range(NUM_SPECIALS, len(src)):
+        j = tgt.index.get(src.tokens[i])
+        if j is not None and j >= NUM_SPECIALS:
+            pairs.append((i, j))
+    return pairs
+
+
 class TestIdenticalWords:
     def test_shared_tokens(self):
         a = Vocabulary.from_tokens(["2020", "internet", "soleil"])
@@ -193,6 +205,20 @@ class TestIdenticalWords:
         tokens = [f"t{i}" for i in range(8)]
         v = Vocabulary.from_tokens(tokens)
         assert len(identical_word_dictionary(v, v)) == 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(src=st.lists(st.sampled_from("abcdefgh"), unique=True),
+           tgt=st.lists(st.sampled_from("abcdefgh"), unique=True))
+    def test_matches_token_loop(self, src, tgt):
+        a, b = Vocabulary.from_tokens(src), Vocabulary.from_tokens(tgt)
+        want = loop_identical_word_dictionary(a, b)
+        if not want:
+            with pytest.raises(ValueError, match="no identical words"):
+                identical_word_dictionary(a, b)
+            return
+        got = identical_word_dictionary(a, b)
+        assert got == want
+        assert all(type(i) is int and type(j) is int for i, j in got)
 
     def test_seed_dictionary_file(self, tmp_path):
         a = Vocabulary.from_tokens(["chien", "chat"])
@@ -350,7 +376,7 @@ def line_loop_load_vectors(path, limit=None):
     seen = set(SPECIAL_TOKENS)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
+        if len(header) != 2 or not all(n.isdecimal() for n in header):
             raise ValueError(f"{path}: expected 'row_count dim' header")
         _, dim = int(header[0]), int(header[1])
         for n, line in enumerate(fh, 2):
@@ -474,6 +500,15 @@ class TestLoadVectorsDifferential:
         with pytest.raises(ValueError, match=message):
             load_vectors(tmp_path / "bad.vec")
 
+    @pytest.mark.parametrize("header", ["x 3", "1 -3", "-1 2", "1 +2", "1 2.0", "1 \u00b2", "",
+                                        "3"])
+    def test_header_not_two_counts_names_the_file(self, tmp_path, header):
+        path = tmp_path / "bad.vec"
+        path.write_text(f"{header}\na 1 2 3\n")
+        with pytest.raises(ValueError) as exc:
+            load_vectors(path)
+        assert str(exc.value) == f"{path}: expected 'row_count dim' header"
+
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_below_one_rejected(self, tmp_path, limit):
         (tmp_path / "v.vec").write_text("1 2\na 1 2\n")
@@ -554,3 +589,21 @@ class TestSaveVectorsAtomic:
             save_vectors(make_emb(["z"], [[3.0]]), path, format="binary")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["e.bin"]
+
+
+class TestBinaryHeader:
+    @pytest.mark.parametrize("header", [b"not json", b'{"row_count": 1', b"\xff\xfe", b""])
+    def test_header_that_does_not_parse_names_the_file(self, tmp_path, header):
+        path = tmp_path / "e.bin"
+        write_array(path, np.zeros((2, 3), dtype=np.float32))
+        path.write_bytes(header + b"\n" + path.read_bytes().split(b"\n", 1)[1])
+        with pytest.raises(ValueError) as exc:
+            read_array(path)
+        assert str(exc.value) == f"{path}: binary header is not a JSON object"
+
+    def test_truncated_data_names_the_file(self, tmp_path):
+        path = tmp_path / "e.bin"
+        write_array(path, np.zeros((2, 3), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=f"^{path}: truncated binary data$"):
+            read_array(path)

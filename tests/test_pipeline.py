@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langxfer.cipher import generate_cipher_fixture, write_fixture
+from langxfer.corpus import NUM_SPECIALS, Tokenizer, Vocabulary
+from langxfer.embeddings import load_vectors
 from langxfer.pipeline import (
     PipelineConfig,
     StageCache,
     load_config,
     load_flat_dataclass,
     run_all,
+    vocab_vectors,
     write_config,
 )
 from langxfer.trainer import TrainingConfig
@@ -131,6 +134,13 @@ class TestConfigFile:
         with pytest.raises(ValueError) as err:
             load_flat_dataclass(tmp_path / "p.cfg", cls)
         assert str(err.value) == f"{tmp_path / 'p.cfg'}: line 2: {message}"
+
+    @pytest.mark.parametrize("text,value", [
+        ("false", False), ("No", False), ("0", False), ("TRUE", True), ("yes", True),
+        ("1", True)])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        (tmp_path / "t.cfg").write_text(f"eighty_ten_ten = {text}\n")
+        assert load_flat_dataclass(tmp_path / "t.cfg", TrainingConfig).eighty_ten_ten is value
 
     def test_default_word_limit_is_fifty_thousand(self, fixture_paths, tmp_path):
         paths, _ = fixture_paths
@@ -486,3 +496,38 @@ class TestDictionaryRoute:
             run_all(cfg)
         assert not (tmp_path / "out" / "translation_matrix.txt").exists()
         assert "translation" not in json.loads((tmp_path / "out" / "cache.json").read_text())
+
+
+def loop_vocab_vectors(vectors, vocab):
+    """Oracle: the per-token loop of `vocab_vectors`' word branch, which
+    `Vocabulary.indices` replaced."""
+    out = np.zeros((len(vocab), vectors.dim), dtype=np.float32)
+    support = np.zeros(len(vocab), dtype=np.int64)
+    for i in range(NUM_SPECIALS, len(vocab)):
+        j = vectors.vocab.index.get(vocab.tokens[i])
+        if j is not None and j >= NUM_SPECIALS:
+            out[i] = vectors.data[j]
+            support[i] = 1
+    return out, support
+
+
+class TestWordVectors:
+    @settings(max_examples=100, deadline=None)
+    @given(vec_words=st.lists(st.sampled_from(["a", "b", "c", "d", "<unk>", "</s>"]),
+                              unique=True),
+           model_words=st.lists(st.sampled_from(["a", "b", "c", "e", "f"]), unique=True),
+           values=st.lists(st.sampled_from(["-0.0", "0.0", "1.5", "-2.25e-3"]), min_size=18,
+                           max_size=18))
+    def test_matches_token_loop(self, tmp_path_factory, vec_words, model_words, values):
+        # tokens spelled like specials map onto the zero special rows; words
+        # of the model missing from the file get zeros and support 0
+        path = tmp_path_factory.mktemp("vec") / "w.vec"
+        path.write_text(f"{len(vec_words)} 3\n" + "".join(
+            f"{w} {' '.join(values[3 * k:3 * k + 3])}\n" for k, w in enumerate(vec_words)))
+        vectors = load_vectors(path)
+        vocab = Vocabulary.from_tokens(model_words)
+        table = vocab_vectors(vectors, Tokenizer(vocab))
+        want, support = loop_vocab_vectors(vectors, vocab)
+        assert table.emb.data.tobytes() == want.tobytes()
+        assert table.support.dtype == support.dtype
+        assert np.array_equal(table.support, support)

@@ -595,6 +595,10 @@ class TestEntropyReport:
         report = row_entropy_report(tm)
         assert report.mean_entropy == pytest.approx(math.log(n), abs=1e-12)
 
+    def test_no_covered_row(self):
+        report = row_entropy_report(TranslationMatrix.from_rows([[] for _ in range(7)]))
+        assert report == translation.EntropyReport(7, 0, 0.0, 0.0, 0.0, 0.0, {})
+
     def test_nonzeros_bounded(self):
         rng = np.random.default_rng(8)
         src = emb_over([f"s{i}" for i in range(40)], rng.normal(0, 1, (40, 6)))
@@ -602,6 +606,75 @@ class TestEntropyReport:
         tm = translation_matrix_from_vectors(tgt, src)
         report = row_entropy_report(tm)
         assert max(report.histogram) <= 40
+
+
+def loop_dictionary_translation_matrix(pairs, tgt_vocab, src_vocab):
+    """Oracle: the per-pair loop of row lists that the array version of
+    `dictionary_translation_matrix` replaced."""
+    rows = [[] for _ in range(len(tgt_vocab))]
+    for i, j in pairs:
+        if not (NUM_SPECIALS <= i < len(tgt_vocab)):
+            raise ValueError(f"target index {i} out of range")
+        if not (NUM_SPECIALS <= j < len(src_vocab)):
+            raise ValueError(f"source index {j} out of range")
+        rows[i] = [(j, 1.0)]
+    return TranslationMatrix.from_rows(rows)
+
+
+@st.composite
+def dictionary_cases(draw):
+    """(pairs, target size, source size): pairs over a few indices, so that
+    targets repeat, each index rarely out of range (below the specials'
+    end, or past the vocabulary)."""
+    sizes = [draw(st.integers(NUM_SPECIALS, NUM_SPECIALS + 6)) for _ in range(2)]
+
+    def index(n):
+        if n > NUM_SPECIALS and draw(st.integers(0, 30)):
+            return draw(st.integers(NUM_SPECIALS, n - 1))
+        return draw(st.sampled_from([-1, 0, NUM_SPECIALS - 1, n, n + 3]))
+
+    pairs = [(index(sizes[0]), index(sizes[1])) for _ in range(draw(st.integers(0, 20)))]
+    return pairs, *sizes
+
+
+class TestDictionaryMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(case=dictionary_cases())
+    def test_matches_pair_loop(self, case):
+        pairs, n_tgt, n_src = case
+        tgt_vocab = Vocabulary.from_tokens([f"t{k}" for k in range(n_tgt - NUM_SPECIALS)])
+        src_vocab = Vocabulary.from_tokens([f"s{k}" for k in range(n_src - NUM_SPECIALS)])
+        try:
+            want = loop_dictionary_translation_matrix(pairs, tgt_vocab, src_vocab)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                dictionary_translation_matrix(pairs, tgt_vocab, src_vocab)
+            assert str(got.value) == str(exc)
+            return
+        got = dictionary_translation_matrix(pairs, tgt_vocab, src_vocab)
+        for name in ("indptr", "indices", "weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_later_pair_wins(self):
+        vocab = Vocabulary.from_tokens(["a", "b", "c"])
+        tm = dictionary_translation_matrix(
+            [(NUM_SPECIALS, NUM_SPECIALS + 1), (NUM_SPECIALS + 2, NUM_SPECIALS),
+             (NUM_SPECIALS, NUM_SPECIALS + 2)], vocab, vocab)
+        assert tm.rows[NUM_SPECIALS:] == [[(NUM_SPECIALS + 2, 1.0)], [],
+                                          [(NUM_SPECIALS, 1.0)]]
+
+
+class TestFromEntries:
+    def test_rows_out_of_order_or_range_rejected(self):
+        for rows in ([1, 0], [0, 3], [-1, 0]):
+            with pytest.raises(ValueError, match="entries must be in row order"):
+                TranslationMatrix.from_entries(3, rows, [0, 1], [1.0, 1.0])
+
+    def test_empty_rows_are_uncovered(self):
+        tm = TranslationMatrix.from_entries(4, [1, 1, 3], [2, 5, 0], [0.5, 0.5, 1.0])
+        assert tm.indptr.tolist() == [0, 0, 2, 2, 3]
+        assert TranslationMatrix.from_entries(2, [], [], []).indptr.tolist() == [0, 0, 0]
 
 
 class TestSerialization:
