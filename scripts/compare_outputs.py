@@ -15,7 +15,10 @@ other route uses (post-norm, no clipping, other pretraining and masking
 rates), a warm rerun, and each CLI subcommand once, plus a second
 `cipher-fixture` at the benchmark's size and bigram weight with split
 noise and dictionary dropout, so that every draw path of the generator is
-compared, a second `ibm1` on a subsample of the bundle's pairs, a
+compared, a second `ibm1` on a subsample of the bundle's pairs, a third
+on its first 20 pairs, whose link keys span a wider range than there are
+links (checked before the job runs), so that the aligner ranks them by
+sorting where every other alignment job ranks by counting, a
 `pretrain` and an `eval` whose vocabulary holds 8,000 unseen tokens
 besides the corpus's, so that the masked positions of one eval chunk span
 several of the loss's row slices, a `subword-vectors` table of as many
@@ -72,6 +75,8 @@ BIG_VOCAB = 8000  # tokens added to a vocabulary: 65 float32 rows fill a 2 MB sl
 # of the big vectors job, and the foreign words in it without a vector
 BIG_FOREIGN, BIG_DIM, BIG_ZERO = 2100, 16, (7, 1500)
 NUM_SPECIALS = 5  # the special tokens that open every vocabulary file
+UNK_ID = 1  # the id of a token outside the vocabulary
+IBM1_FEW = 20  # pairs of the third ibm1 job
 
 
 def write_flat(path: Path, values: dict) -> None:
@@ -172,6 +177,10 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
     cli(tree, run, "ibm1-subsample", "ibm1", "--foreign", i["fg_train.txt"],
         "--english", i["en_train.txt"], *vocabs, "--iterations", "3",
         "--subsample", "200", "--seed", "7", "--output", str(run / "ibm1_sub_tm.txt"))
+    few = {side: run / f"{side}_few.txt" for side in sides}
+    write_few_pairs(i, few, run / "vocab_fg.txt", run / "vocab_en.txt")
+    cli(tree, run, "ibm1-few", "ibm1", "--foreign", str(few["fg"]), "--english",
+        str(few["en"]), *vocabs, "--iterations", "3", "--output", str(run / "ibm1_few_tm.txt"))
     links = [" ".join(f"{k}-{k}" for k in range(min(len(fg.split()), len(en.split()))))
              for fg, en in zip(Path(i["fg_train.txt"]).read_text().splitlines(),
                                Path(i["en_train.txt"]).read_text().splitlines())]
@@ -263,6 +272,30 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
         check=False)
     cli(tree, run, "bad-eval-seed", "eval", "--checkpoint", checkpoint, *held, "--seed", "-1",
         check=False)
+
+
+def write_few_pairs(i: dict[str, str], few: dict[str, Path], vocab_fg: Path,
+                    vocab_en: Path) -> None:
+    """The bundle's first IBM1_FEW training pairs, after checking that the
+    largest key of their IBM-1 links, foreign id x (largest english id + 2)
+    + english id + 1, is at least their link count."""
+    lines = {side: Path(i[f"{side}_train.txt"]).read_text(encoding="utf-8").splitlines()
+             for side in few}
+    index = {side: {t: k for k, t in enumerate(path.read_text(encoding="utf-8").splitlines())}
+             for side, path in (("fg", vocab_fg), ("en", vocab_en))}
+    pairs = [([index["fg"].get(t, UNK_ID) for t in fg.split()],
+              [index["en"].get(t, UNK_ID) for t in en.split()])
+             for fg, en in zip(lines["fg"][:IBM1_FEW], lines["en"][:IBM1_FEW])]
+    pairs = [(fg, en) for fg, en in pairs if fg and en]
+    n_links = sum(len(fg) * (len(en) + 1) for fg, en in pairs)
+    width = max(max(en) for _, en in pairs) + 2
+    top_key = max(max(fg) * width + max(en) + 1 for fg, en in pairs)
+    if top_key < n_links:
+        raise SystemExit(f"the first {IBM1_FEW} pairs have {n_links} links, more "
+                         f"than their largest link key {top_key}")
+    for side, path in few.items():
+        path.write_text("".join(line + "\n" for line in lines[side][:IBM1_FEW]),
+                        encoding="utf-8")
 
 
 def big_vectors(tree: Path, run: Path) -> None:

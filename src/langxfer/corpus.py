@@ -7,6 +7,7 @@ marker attached to the final character of each word ("b" -> "b</w>").
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import itertools
@@ -151,7 +152,7 @@ class BpeCodes:
     @classmethod
     def load(cls, path: str | Path) -> "BpeCodes":
         merges = []
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for n, line in enumerate(fh, 1):
                 parts = line.rstrip("\n").split(" ")
                 if len(parts) != 2:
@@ -356,8 +357,19 @@ class Tokenizer:
         return list(map(self.vocab.index.get, tokens, itertools.repeat(UNK_ID)))
 
 
-def iter_lines(path: str | Path) -> Iterator[str]:
+@contextlib.contextmanager
+def open_text(path: str | Path) -> Iterator[typing.TextIO]:
+    """A UTF-8 text file open for reading. Bytes that are not UTF-8, met
+    anywhere in the `with` body, raise a ValueError that names the file."""
     with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def iter_lines(path: str | Path) -> Iterator[str]:
+    with open_text(path) as fh:
         for line in fh:
             yield line.rstrip("\n")
 

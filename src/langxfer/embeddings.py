@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary, require
+from .corpus import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary, open_text, require
 
 
 @dataclass
@@ -79,7 +79,7 @@ def load_vectors(path: str | Path, limit: int | None = None) -> EmbeddingMatrix:
     rests: list[str] = []  # every line read, after its token
     kept: list[int] = []  # positions in `rests` of the rows kept
     seen = set(SPECIAL_TOKENS)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         line = fh.readline()
         header = line.split()
         if not (len(header) == 2 and all(n.isdecimal() for n in header)):
@@ -272,7 +272,7 @@ def read_dictionary(
     """Load a two-column TSV seed dictionary as (src index, tgt index) pairs."""
     pairs = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for n, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NUM_SPECIALS, BpeCodes, UnigramTable, Vocabulary, apply_bpe
+from .corpus import NUM_SPECIALS, BpeCodes, UnigramTable, Vocabulary, apply_bpe, open_text
 from .embeddings import EmbeddingMatrix, replacing
 
 UNIGRAM_FLOOR = 1e-9
@@ -430,7 +430,7 @@ def read_translation_matrix(
     bad line: an unknown target token, an unknown source token or a weight
     that float() does not read, in that order within a line.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ParallelCorpus, Vocabulary, require
+from .corpus import ParallelCorpus, Vocabulary, open_text, require
 from .translation import TranslationMatrix
 
 NULL_ID = -1
@@ -92,13 +92,28 @@ BLOCK_LINKS = 1 << 20
 CACHED_LINKS = 1 << 25
 
 
+def _index_dtype(bound: int) -> type:
+    """The narrower integer type that holds every value below `bound`."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
 def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values, and the position of each value among them."""
+    """Sorted distinct values, and the position of each value among them.
+
+    Values within [0, len(values)) are ranked by counting over that range,
+    any others by sorting.
+    """
+    rank_dtype = _index_dtype(len(values))
+    if len(values) and values.min() >= 0 and values.max() < len(values):
+        present = np.zeros(int(values.max()) + 1, dtype=bool)
+        present[values] = True
+        rank = np.cumsum(present, dtype=rank_dtype) - 1
+        return np.flatnonzero(present).astype(values.dtype, copy=False), rank[values]
     order = np.argsort(values)
     ordered = values[order]
     first = _run_starts(ordered)
-    inverse = np.empty(len(values), dtype=np.int32 if len(values) < 2**31 else np.int64)
-    inverse[order] = np.cumsum(first) - 1
+    inverse = np.empty(len(values), dtype=rank_dtype)
+    inverse[order] = np.cumsum(first, dtype=rank_dtype) - 1
     return ordered[first], inverse
 
 
@@ -122,18 +137,30 @@ class _Block:
         seg_sent = np.repeat(np.arange(len(fg_len)), en_len + 1)
         self.seg_size = fg_len[seg_sent]
         self.seg_start = np.cumsum(self.seg_size) - self.seg_size
-        # link k of a segment takes its sentence's k-th foreign token
-        self.seg_shift = (np.cumsum(fg_len) - fg_len)[seg_sent] - self.seg_start
+        # link k of a segment takes its sentence's k-th foreign token: each
+        # link steps one token on, but a segment's first link steps from the
+        # previous segment's last token to its sentence's first
+        fg_first = (np.cumsum(fg_len) - fg_len)[seg_sent]
+        self.seg_step = fg_first - np.append(0, fg_first + self.seg_size - 1)[:-1]
         self.log_len = np.log(self.seg_size.astype(np.float64))
         self.n_links = int(self.seg_size.sum())
         self.index: tuple[np.ndarray, np.ndarray] | None = None
 
     def link_keys(self, width: int) -> np.ndarray:
-        """Key f * width + e + 1 of each link: sorts by (f, e), NULL first."""
-        key = self.fg_ids[np.arange(self.n_links) + np.repeat(self.seg_shift, self.seg_size)]
-        key *= width
-        key += np.repeat(self.seg_e + 1, self.seg_size)
+        """Key f * width + e + 1 of each link: sorts by (f, e), NULL first.
+
+        32-bit, as are the link positions, when the links and keys fit.
+        """
+        dtype = _index_dtype(max(self.n_links, (int(np.abs(self.fg_ids).max()) + 1) * width))
+        key = (self.fg_ids.astype(dtype) * width)[self._link_positions(dtype)]
+        key += np.repeat((self.seg_e + 1).astype(dtype), self.seg_size)
         return key
+
+    def _link_positions(self, dtype: type) -> np.ndarray:
+        """Position in fg_ids of each link's foreign token."""
+        steps = np.ones(self.n_links, dtype=dtype)
+        steps[self.seg_start] = self.seg_step
+        return np.cumsum(steps, dtype=dtype, out=steps)
 
     def link_index(self, keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Pair index of each distinct (f, e) in the block, and each link's
@@ -285,7 +312,7 @@ def parse_fastalign(
     One line per corpus pair; entries are "i-j" with i the 0-based foreign
     position and j the english position. Empty lines mean no alignments.
     """
-    with open(alignments_path, encoding="utf-8") as fh:
+    with open_text(alignments_path) as fh:
         lines = fh.read().splitlines()
     if len(lines) != len(corpus.pairs):
         raise ValueError(

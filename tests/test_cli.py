@@ -72,6 +72,19 @@ class TestBasicCommands:
         body = (tmp_path / "tm.txt").read_text().splitlines()
         assert "w0 w0:1" in body[5]
 
+    @pytest.mark.parametrize("command,flag", [("translation-matrix", "--foreign-vectors"),
+                                              ("vocab", "--input")])
+    def test_file_not_utf8_is_the_json_error_naming_it(self, capsys, tmp_path, command, flag):
+        (tmp_path / "en.vec").write_text("1 2\nw 1.0 0.0\n")
+        (tmp_path / "bad.vec").write_bytes(b"1 2\n\xff 1.0 0.0\n")
+        argv = {"translation-matrix": ["--english-vectors", str(tmp_path / "en.vec")],
+                "vocab": ["--max-size", "10"]}[command]
+        code, out = run_cli(capsys, command, flag, str(tmp_path / "bad.vec"), *argv,
+                            "--output", str(tmp_path / "out.txt"))
+        assert code == 1 and out["code"] == "invalid_input"
+        assert out["message"].startswith(f"{tmp_path / 'bad.vec'}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "out.txt").exists()
+
     def test_align_vectors_identity(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         data = rng.normal(0, 1, (8, 3))

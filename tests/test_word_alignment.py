@@ -122,6 +122,16 @@ def blocks_of(block_links=word_alignment.BLOCK_LINKS,
         yield
 
 
+def argsort_unique_inverse(values):
+    """Oracle of word_alignment._unique_inverse: ranks every input by sorting."""
+    order = np.argsort(values)
+    ordered = values[order]
+    first = word_alignment._run_starts(ordered)
+    inverse = np.empty(len(values), dtype=np.int32 if len(values) < 2**31 else np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def model_from_table(table, iterations_run, final_log_likelihood):
     """An AlignmentModel holding a {f: {e: p}} table."""
     entries = sorted((f, e, p) for f, row in table.items() for e, p in row.items())
@@ -303,6 +313,78 @@ class TestTrainIbm1:
             correct += best == translation[f]
         assert checked > 0
         assert correct / checked >= 0.95
+
+
+class TestLinkIndex:
+    @pytest.mark.parametrize("values", [
+        [3, 0, 2, 2, 1, 0],  # range = count, the counting side
+        [6, 0, 2, 2, 1, 0],  # range = count + 1, the sorting side
+        [3, 3, 3, 3],  # a single distinct key, counted
+        [4, 4, 4, 4],  # a single distinct key, sorted
+        [0], [0, 0], [5, 0, 0, 5, 0, 0],  # key 0
+        [2, -1, 0],  # a negative value is sorted
+    ])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_unique_inverse_matches_argsort(self, values, dtype):
+        self.assert_matches_argsort(np.array(values, dtype=dtype))
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=40))
+    def test_unique_inverse_matches_argsort_drawn(self, values):
+        self.assert_matches_argsort(np.array(values, dtype=np.int32))
+
+    @staticmethod
+    def assert_matches_argsort(values):
+        # distinct values and ranks, each of the oracle's dtype
+        got, want = word_alignment._unique_inverse(values), argsort_unique_inverse(values)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+    def test_train_ibm1_equal_with_the_argsort_index(self):
+        # small ids in most pairs, so that most blocks count; a few pairs
+        # with large ids, so that the blocks holding them sort
+        rng = np.random.default_rng(12)
+        pairs = []
+        for n in range(150):
+            top = 400 if n % 40 == 7 else 6
+            pairs.append(([int(x) for x in rng.integers(0, top, rng.integers(1, 8))],
+                          [int(x) for x in rng.integers(0, 6, rng.integers(0, 8))]))
+        counted = []
+
+        def spy(values):
+            counted.append(int(values.max()) < len(values))
+            return unique_inverse(values)
+
+        unique_inverse = word_alignment._unique_inverse
+        with blocks_of(block_links=120, cached_links=1500), \
+                mock.patch.object(word_alignment, "_unique_inverse", spy):
+            got = train_ibm1(ParallelCorpus(pairs), iterations=4, prune=1e-3)
+        assert len(counted) > 2 * 4 and any(counted) and not all(counted)
+        with blocks_of(block_links=120, cached_links=1500), \
+                mock.patch.object(word_alignment, "_unique_inverse", argsort_unique_inverse):
+            want = train_ibm1(ParallelCorpus(pairs), iterations=4, prune=1e-3)
+        for name in ("f", "e", "p"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True)
+        assert got.log_likelihoods == want.log_likelihoods
+
+    def test_pair_keys_memory_per_link(self):
+        # one block, a key range far below its link count
+        rng = np.random.default_rng(8)
+        pairs = [([int(x) for x in rng.integers(0, 6, 60)],
+                  [int(x) for x in rng.integers(0, 6, 60)]) for _ in range(100)]
+        blocks = word_alignment._blocks(ParallelCorpus(pairs), word_alignment.BLOCK_LINKS)
+        (block,) = blocks
+        width = int(block.seg_e.max()) + 2
+        tracemalloc.start()
+        try:
+            keys = word_alignment._pair_keys(blocks, width, word_alignment.CACHED_LINKS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 32-bit key and a 32-bit rank per link, and one more 32-bit array
+        # at a time; sorting 64-bit keys took 45 bytes per link
+        assert peak < 12 * block.n_links
+        assert len(keys) == 42 and block.index[1].dtype == np.int32
 
 
 class TestParseFastalign:
