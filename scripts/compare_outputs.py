@@ -34,7 +34,9 @@ type and outside its choices, a checkpoint manifest whose `config` holds a
 value of the wrong type, and `eval --seed -1`. Every job
 writes into one fixed run directory, which is then moved aside, so paths
 that outputs record are the same on both sides. The CLI's JSON lines are
-kept as files too.
+kept as files too. Before the run directory is moved aside, the script
+checks that no job left a temporary entry of an atomic write in it (a
+name ending in `.tmp` or `.tmp.old`), and stops naming them if one did.
 
 A file differs when its bytes differ, except that the `wall_ms` column of
 `telemetry.csv` is not compared. Since both sides write into the same
@@ -385,6 +387,12 @@ def compare(a: Path, b: Path) -> tuple[list[str], int, int]:
     return report, n_diffs, len(fa & fb)
 
 
+def leftovers(run: Path) -> list[str]:
+    """The entries under `run` named like a temporary entry of an atomic write."""
+    return sorted(str(p.relative_to(run)) for p in run.rglob("*")
+                  if p.name.endswith((".tmp", ".tmp.old")))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="source tree of the parent commit")
@@ -400,6 +408,10 @@ def main() -> int:
         make_inputs(trees["parent"], inputs)
         for side, tree in trees.items():
             run_jobs(tree, inputs, work / "run")
+            left = leftovers(work / "run")
+            if left:
+                raise SystemExit(f"{tree}: temporary entries left in the run directory: "
+                                 f"{', '.join(left)}")
             shutil.move(work / "run", work / side)
         report, n_diffs, compared = compare(work / "parent", work / "change")
     for line in report:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import require
+from .corpus import replace_text, require
 
 _CONSONANTS = list("bcdfghjklmnprstvz")
 _VOWELS = list("aeiou")
@@ -179,9 +179,8 @@ def write_fixture(fixture: CipherFixture, out_dir: str | Path) -> dict[str, str]
     paths = {}
 
     def write_lines(name: str, lines: list[str]) -> None:
-        p = out / name
-        p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        paths[name] = str(p)
+        replace_text(out / name, "".join(line + "\n" for line in lines))
+        paths[name] = str(out / name)
 
     write_lines("en_train.txt", fixture.en_train)
     write_lines("en_heldout.txt", fixture.en_heldout)
@@ -193,10 +192,5 @@ def write_fixture(fixture: CipherFixture, out_dir: str | Path) -> dict[str, str]
     write_lines(
         "noisy_dictionary.tsv", [f"{en}\t{fg}" for en, fg in fixture.noisy_dictionary]
     )
-    meta_path = out / "meta.json"
-    meta_path.write_text(
-        json.dumps({"seed": fixture.seed, **fixture.meta}, indent=1) + "\n",
-        encoding="utf-8",
-    )
-    paths["meta.json"] = str(meta_path)
+    write_lines("meta.json", [json.dumps({"seed": fixture.seed, **fixture.meta}, indent=1)])
     return paths

@@ -12,6 +12,8 @@ import functools
 import heapq
 import itertools
 import operator
+import os
+import shutil
 import typing
 import warnings
 from collections import Counter, defaultdict
@@ -110,7 +112,7 @@ class Vocabulary:
         return cls(list(SPECIAL_TOKENS) + list(content_tokens))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("".join(t + "\n" for t in self.tokens), encoding="utf-8")
+        replace_text(path, "".join(t + "\n" for t in self.tokens))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -145,9 +147,7 @@ class BpeCodes:
         return len(self.merges)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for a, b in self.merges:
-                fh.write(f"{a} {b}\n")
+        replace_text(path, "".join(f"{a} {b}\n" for a, b in self.merges))
 
     @classmethod
     def load(cls, path: str | Path) -> "BpeCodes":
@@ -366,6 +366,46 @@ def open_text(path: str | Path) -> Iterator[typing.TextIO]:
             yield fh
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _remove(path: Path) -> None:
+    """Remove the file or the directory tree at `path`, if there is one."""
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path, ignore_errors=True)
+    else:
+        path.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """Yield the temporary path `.<name>.<pid>.tmp` beside `path` for the
+    block to create, as a file or a directory; once the block completes, it
+    replaces what `path` holds, if anything (a file never replaces a
+    directory: IsADirectoryError). If the block raises, `path` keeps what it
+    had. A directory takes two renames, and a crash between them leaves the
+    previous entry under the temporary name plus `.old`. Both names, as a
+    crashed process with this pid left them, are cleared first."""
+    path = Path(os.path.abspath(path))  # "." has a name to put beside
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    old = tmp.with_name(tmp.name + ".old")
+    _remove(tmp)
+    _remove(old)
+    try:
+        yield tmp
+        if tmp.is_dir() and path.exists():
+            os.replace(path, old)
+            os.replace(tmp, path)
+            _remove(old)
+        else:
+            os.replace(tmp, path)
+    finally:
+        _remove(tmp)
+
+
+def replace_text(path: str | Path, text: str) -> None:
+    """Write `text` as the UTF-8 file `path`, through `replacing`."""
+    with replacing(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary, open_text, require
+from .corpus import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary, open_text, replacing, require
 
 
 @dataclass
@@ -167,21 +164,6 @@ def save_vectors(emb: EmbeddingMatrix, path: str | Path, format: str = "text") -
                 fh.write(f"{len(emb.vocab) - NUM_SPECIALS} {emb.dim}\n")
                 for token, row in zip(emb.vocab.tokens[NUM_SPECIALS:], emb.data[NUM_SPECIALS:]):
                     fh.write(pattern % (token, *row.tolist()))
-
-
-@contextmanager
-def replacing(path: str | Path) -> Iterator[Path]:
-    """Yield a temporary path beside `path`; once the block completes, the
-    temporary file replaces `path`. If the block raises, `path` keeps its
-    previous content and the temporary file is removed.
-    """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def load_binary_vectors(path: str | Path) -> EmbeddingMatrix:

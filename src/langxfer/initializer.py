@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NUM_SPECIALS, Vocabulary, require
+from .corpus import NUM_SPECIALS, Vocabulary, replace_text, require
 from .embeddings import EmbeddingMatrix
 from .translation import TranslationMatrix
 
@@ -47,7 +47,7 @@ class InitReport:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.as_dict()) + "\n", encoding="utf-8")
+        replace_text(path, json.dumps(self.as_dict()) + "\n")
 
 
 def _row_rng(seed: int, row: int) -> np.random.Generator:

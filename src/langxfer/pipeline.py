@@ -33,6 +33,8 @@ from .corpus import (
     iter_tokens,
     learn_bpe,
     read_parallel,
+    replace_text,
+    replacing,
     ruled,
     unigram_probs,
 )
@@ -43,7 +45,7 @@ from .embeddings import (
     load_vectors,
     read_array,
     read_dictionary,
-    replacing,
+    save_vectors,
     write_array,
 )
 from .initializer import InitReport, init_foreign_bias, init_foreign_embeddings
@@ -233,8 +235,7 @@ def write_config(cfg, path: str | Path) -> None:
             if "#" in value or value != value.strip():
                 value = f'"{value}"'
         lines.append(f"{f.name} = {value}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    replace_text(path, "".join(lines))
 
 
 def _hash_file(path: str | Path) -> str:
@@ -328,11 +329,7 @@ class StageCache:
             self._save()
 
     def _save(self) -> None:
-        with replacing(self.path) as tmp:
-            tmp.write_text(
-                json.dumps(self.entries, indent=1, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+        replace_text(self.path, json.dumps(self.entries, indent=1, sort_keys=True) + "\n")
 
 
 def load_tokenizer(vocab: Vocabulary | str | Path, codes: str | Path | None = None) -> Tokenizer:
@@ -344,7 +341,10 @@ def load_tokenizer(vocab: Vocabulary | str | Path, codes: str | Path | None = No
 def pack_corpus(path: str | Path, tok: Tokenizer, seq_len: int) -> np.ndarray:
     """A text file's non-empty lines, tokenized and packed into rows."""
     ids = [tok.encode_line(line) for line in iter_lines(path)]
-    return pack_sequences([s for s in ids if s], seq_len)
+    try:
+        return pack_sequences([s for s in ids if s], seq_len)
+    except ValueError as exc:  # a decode error, raised above, names the file already
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def align_parallel(corpus: ParallelCorpus, vocab_fg: Vocabulary, vocab_en: Vocabulary,
@@ -394,8 +394,9 @@ def init_foreign(tm_path: str | Path, checkpoint: str | Path, vocab_fg: str | Pa
     src_emb = EmbeddingMatrix(model.vocab_en, model.params["emb_en"])
     emb, report = init_foreign_embeddings(tm, src_emb, vocab_fg, seed)
     bias = init_foreign_bias(tm, model.params["out_bias_en"], vocab_fg)
-    write_array(emb_path, emb.data, tokens=vocab_fg.tokens)
-    write_array(bias_path, bias)
+    save_vectors(emb, emb_path, format="binary")
+    with replacing(bias_path) as tmp:
+        write_array(tmp, bias)
     return report
 
 
@@ -420,7 +421,7 @@ def _translation_route(cfg: PipelineConfig, corpora: dict[str, Path],
             tm, info = align_parallel(pairs, tok["fg"].vocab, tok["en"].vocab,
                                       cfg.ibm1_iterations, cfg.ibm1_prune,
                                       cfg.align_pairs, cfg.seed)
-            log_path.write_text(json.dumps(info) + "\n", encoding="utf-8")
+            replace_text(log_path, json.dumps(info) + "\n")
             return tm
 
         files = {**vocabs, "fg_train": corpora["fg_train"],
@@ -509,7 +510,8 @@ def run_all(cfg: PipelineConfig) -> dict:
     def pack_all(f) -> None:
         tok = _tokenizers(f)
         for n in CORPORA:
-            np.save(packs[f"pack_{n}"], pack_corpus(f[n], tok[n[:2]], cfg.seq_len))
+            with replacing(packs[f"pack_{n}"]) as tmp, open(tmp, "wb") as fh:
+                np.save(fh, pack_corpus(f[n], tok[n[:2]], cfg.seq_len))
 
     stage("pack", {**corpora, **tok_files}, list(packs.values()), pack_all)
 
@@ -534,10 +536,8 @@ def run_all(cfg: PipelineConfig) -> dict:
         tok = _tokenizers(f)
         tm = route(f, tok)
         write_translation_matrix(tm, tok["fg"].vocab, tok["en"].vocab, tm_path)
-        report_path.write_text(
-            json.dumps(dataclasses.asdict(row_entropy_report(tm)), sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        replace_text(report_path,
+                     json.dumps(dataclasses.asdict(row_entropy_report(tm)), sort_keys=True) + "\n")
 
     stage("translation", tm_inputs, [tm_path, report_path, *tm_logs], build_translation_matrix)
 
@@ -584,9 +584,7 @@ def run_all(cfg: PipelineConfig) -> dict:
             "foreign_accuracy_final": last["eval_acc_fg"],
         }
     )
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    replace_text(out_dir / "summary.json", json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return summary
 
 

@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import shutil
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Literal
 
 import numpy as np
 
-from .corpus import MASK_ID, NUM_SPECIALS, Vocabulary, check_fields, require, ruled
+from .corpus import (MASK_ID, NUM_SPECIALS, Vocabulary, check_fields, replacing, require,
+                     ruled)
 from .embeddings import json_object, parse_json_object, read_array, write_array
 from .translation import SLICE_BYTES
 
@@ -547,22 +546,14 @@ def backward(
 def save_checkpoint(
     state: ModelState, path: str | Path, step: int = 0, rng_state: dict | None = None
 ) -> None:
-    """Write `state` as the checkpoint directory `path`, atomically.
-
-    The files go to a temporary sibling directory, which is then renamed to
-    `path`, replacing a directory already there. If a write fails, `path`
-    keeps what it had and the temporary directory is removed. A crash
-    between the two renames of a replacement leaves the previous
-    checkpoint beside `path`, under the temporary name plus `.old`.
+    """Write `state` as the checkpoint directory `path` through `replacing`:
+    the files go to a temporary sibling directory, which then replaces
+    whatever `path` holds. If a write fails, `path` keeps what it had.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    old = tmp.with_name(tmp.name + ".old")
-    for stale in (tmp, old):  # left by a crashed process with this pid
-        shutil.rmtree(stale, ignore_errors=True)
-    tmp.mkdir()
-    try:
+    with replacing(path) as tmp:
+        tmp.mkdir()
         manifest = {
             "step": step,
             "rng_state": rng_state,
@@ -581,14 +572,6 @@ def save_checkpoint(
         with open(tmp / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        if path.exists():
-            os.rename(path, old)
-            os.rename(tmp, path)
-            shutil.rmtree(old)
-        else:
-            os.rename(tmp, path)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, int, dict | None]:

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NUM_SPECIALS, BpeCodes, UnigramTable, Vocabulary, apply_bpe, open_text
-from .embeddings import EmbeddingMatrix, replacing
+from .corpus import (NUM_SPECIALS, BpeCodes, UnigramTable, Vocabulary, apply_bpe, open_text,
+                     replacing)
+from .embeddings import EmbeddingMatrix
 
 UNIGRAM_FLOOR = 1e-9
 SPARSEMAX_TOP_K = 64  # width of the first partial sort in `sparsemax`

@@ -324,7 +324,7 @@ def parse_fastalign(
     for n, (line, (fg, en)) in enumerate(zip(lines, corpus.pairs), 1):
         for entry in line.split():
             left, sep, right = entry.partition("-")
-            if not sep or not left.isdigit() or not right.isdigit():
+            if not sep or not left.isdecimal() or not right.isdecimal():
                 raise ValueError(
                     f"{alignments_path}: line {n}: malformed entry {entry!r}"
                 )

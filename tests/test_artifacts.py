@@ -128,6 +128,22 @@ class TestAtomicCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["step_0000010"]
         assert {p.name: p.read_bytes() for p in ck.iterdir()} == before
 
+    @pytest.mark.parametrize("held", ["nothing", "a file", "a directory"])
+    def test_replaces_what_the_path_holds(self, tmp_path, held):
+        ck = tmp_path / "step_0000010"
+        if held == "a file":
+            ck.write_bytes(b"not a checkpoint")
+        elif held == "a directory":
+            ck.mkdir()
+            (ck / "manifest.json").write_text("{}")
+        state = self.state()
+        save_checkpoint(state, ck, step=10)
+        assert [p.name for p in tmp_path.iterdir()] == ["step_0000010"]
+        loaded, step, _ = load_checkpoint(ck)
+        assert step == 10
+        for k, p in state.params.items():
+            assert np.array_equal(loaded.params[k], p)
+
     def test_rewrite_replaces_the_directory(self, tmp_path):
         ck = tmp_path / "step_0000010"
         ck.mkdir()

@@ -337,6 +337,31 @@ class TestTrainingCommands:
         assert out == {"status": "error", "stage": "eval", "code": "invalid_input",
                        "message": "the fg vocabulary has no non-special tokens"}
 
+    @pytest.mark.parametrize("held,message", [
+        (b"a b c\n", "corpus too small to fill one row of 16 tokens (4 tokens available)"),
+        (b"a \xff c\n", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+    ], ids=["too-small", "not-utf8"])
+    def test_corpus_that_cannot_be_packed_is_named_once(self, bundle, capsys, tmp_path, held,
+                                                        message):
+        tmp, paths = bundle
+        run_cli(capsys, "vocab", "--input", paths["en_train.txt"],
+                "--max-size", "100", "--output", str(tmp_path / "v_en.txt"))
+        (tmp_path / "train.cfg").write_text(
+            "total_updates = 2\nwarmup_updates = 1\nbatch_size = 4\n"
+            "seq_len = 16\ncheckpoint_every = 2\n"
+        )
+        (tmp_path / "tiny.txt").write_bytes(held)
+        code, out = run_cli(capsys, "pretrain",
+                            "--corpus", paths["en_train.txt"],
+                            "--heldout", str(tmp_path / "tiny.txt"),
+                            "--vocab", str(tmp_path / "v_en.txt"),
+                            "--dim", "8", "--layers", "1", "--heads", "2", "--ffn-dim", "16",
+                            "--config", str(tmp_path / "train.cfg"),
+                            "--out-dir", str(tmp_path / "pre"))
+        assert code == 1
+        assert out == {"status": "error", "stage": "pretrain", "code": "invalid_input",
+                       "message": f"{tmp_path / 'tiny.txt'}: {message}"}
+
 
 class TestRunAllCommand:
     def test_run_all_from_emitted_config(self, capsys, tmp_path):

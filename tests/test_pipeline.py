@@ -153,6 +153,16 @@ class TestConfigFile:
         with pytest.raises(FileNotFoundError, match="/no/such/file.txt"):
             run_all(cfg)
 
+    def test_corpus_too_small_to_pack_is_named(self, fixture_paths, tmp_path):
+        paths, _ = fixture_paths
+        tiny = tmp_path / "tiny.txt"
+        tiny.write_text("a b c\n", encoding="utf-8")
+        cfg = small_config(paths, tmp_path / "out", en_heldout=str(tiny))
+        with pytest.raises(ValueError) as exc:
+            run_all(cfg)
+        assert str(exc.value) == (f"{tiny}: corpus too small to fill one row of 16 tokens "
+                                  "(4 tokens available)")
+
 
 class TestRunAll:
     def test_end_to_end_and_cache(self, fixture_paths, tmp_path):

@@ -421,11 +421,16 @@ class TestParseFastalign:
         with pytest.raises(ValueError, match="line 1"):
             parse_fastalign(tmp_path / "al.txt", corpus)
 
-    def test_malformed_entry(self, tmp_path):
+    @pytest.mark.parametrize("line,entry", [("0-0 nonsense", "nonsense"),
+                                            ("\u00b2-0", "\u00b2-0")],  # a digit, not decimal
+                             ids=["word", "superscript"])
+    def test_malformed_entry(self, tmp_path, line, entry):
         vf, ve, corpus = self._corpus()
-        (tmp_path / "al.txt").write_text("0-0 nonsense\n")
-        with pytest.raises(ValueError, match="malformed"):
-            parse_fastalign(tmp_path / "al.txt", corpus)
+        path = tmp_path / "al.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            parse_fastalign(path, corpus)
+        assert str(exc.value) == f"{path}: line 1: malformed entry {entry!r}"
 
     def test_line_count_mismatch(self, tmp_path):
         vf, ve, corpus = self._corpus()
