@@ -18,7 +18,11 @@ noise and dictionary dropout, so that every draw path of the generator is
 compared, a second `ibm1` on a subsample of the bundle's pairs, a third
 on its first 20 pairs, whose link keys span a wider range than there are
 links (checked before the job runs), so that the aligner ranks them by
-sorting where every other alignment job ranks by counting, a
+sorting where every other alignment job ranks by counting, a fourth on
+the noisy bundle, whose first link block spans several of the E-step's
+chunks (checked before the job runs), an `eval` whose held-out rows leave
+a chunk that is not a whole number of the encoder's row groups (checked
+before the job runs), a
 `pretrain` and an `eval` whose vocabulary holds 8,000 unseen tokens
 besides the corpus's, so that the masked positions of one eval chunk span
 several of the loss's row slices, a `subword-vectors` table of as many
@@ -79,6 +83,8 @@ BIG_FOREIGN, BIG_DIM, BIG_ZERO = 2100, 16, (7, 1500)
 NUM_SPECIALS = 5  # the special tokens that open every vocabulary file
 UNK_ID = 1  # the id of a token outside the vocabulary
 IBM1_FEW = 20  # pairs of the third ibm1 job
+ROW_GROUP, EVAL_CHUNK = 16, 64  # rows per no-cache encoder pass and per eval chunk
+BLOCK_LINKS, E_STEP_CHUNK = 1 << 20, 1 << 16  # IBM-1 links per block and per E-step chunk
 
 
 def write_flat(path: Path, values: dict) -> None:
@@ -183,6 +189,16 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
     write_few_pairs(i, few, run / "vocab_fg.txt", run / "vocab_en.txt")
     cli(tree, run, "ibm1-few", "ibm1", "--foreign", str(few["fg"]), "--english",
         str(few["en"]), *vocabs, "--iterations", "3", "--output", str(run / "ibm1_few_tm.txt"))
+    # the noisy bundle's pairs, whose first link block spans several E-step chunks
+    noisy = {side: run / "fixture-noisy" / corpus for side, corpus in sides.items()}
+    check_chunked_block(noisy["fg"], noisy["en"])
+    for side, corpus in noisy.items():
+        cli(tree, run, f"vocab-noisy-{side}", "vocab", "--input", str(corpus),
+            "--max-size", "200", "--output", str(run / f"vocab_noisy_{side}.txt"))
+    cli(tree, run, "ibm1-noisy", "ibm1", "--foreign", str(noisy["fg"]), "--english",
+        str(noisy["en"]), "--foreign-vocab", str(run / "vocab_noisy_fg.txt"),
+        "--english-vocab", str(run / "vocab_noisy_en.txt"), "--iterations", "3",
+        "--output", str(run / "ibm1_noisy_tm.txt"))
     links = [" ".join(f"{k}-{k}" for k in range(min(len(fg.split()), len(en.split()))))
              for fg, en in zip(Path(i["fg_train.txt"]).read_text().splitlines(),
                                Path(i["en_train.txt"]).read_text().splitlines())]
@@ -240,6 +256,7 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
             "--en-heldout", i["en_heldout.txt"], "--fg-heldout", i["fg_heldout.txt"],
             "--config", str(run / f"transfer_{frozen}.cfg"),
             "--out-dir", str(run / f"transfer_{frozen}"))
+    check_eval_chunks(Path(i["fg_heldout.txt"]), TRAIN["seq_len"])
     cli(tree, run, "eval", "eval", "--checkpoint",
         str(run / "transfer_5" / "checkpoints" / f"step_{TRAIN['total_updates']:07d}"),
         "--corpus", i["fg_heldout.txt"], "--language", "fg")
@@ -298,6 +315,34 @@ def write_few_pairs(i: dict[str, str], few: dict[str, Path], vocab_fg: Path,
     for side, path in few.items():
         path.write_text("".join(line + "\n" for line in lines[side][:IBM1_FEW]),
                         encoding="utf-8")
+
+
+def check_chunked_block(fg: Path, en: Path) -> None:
+    """Stop unless the IBM-1 links of the word pairs in `fg` and `en`
+    (pairs with an empty side dropped) put more than two E-step chunks in
+    the aligner's first block."""
+    first_block = 0
+    for f, e in zip(fg.read_text(encoding="utf-8").splitlines(),
+                    en.read_text(encoding="utf-8").splitlines()):
+        n_fg, n_en = len(f.split()), len(e.split())
+        if n_fg and n_en:
+            if first_block and first_block + n_fg * (n_en + 1) > BLOCK_LINKS:
+                break
+            first_block += n_fg * (n_en + 1)
+    if first_block <= 2 * E_STEP_CHUNK:
+        raise SystemExit(f"{fg}: the first IBM-1 block holds {first_block} links, "
+                         f"not more than two E-step chunks of {E_STEP_CHUNK}")
+
+
+def check_eval_chunks(corpus: Path, seq_len: int) -> None:
+    """Stop unless packing `corpus`'s words into rows of `seq_len` leaves an
+    evaluation chunk whose row count is not a multiple of ROW_GROUP."""
+    lines = [line.split() for line in corpus.read_text(encoding="utf-8").splitlines()]
+    rows = sum(len(tokens) + 1 for tokens in lines if tokens) // seq_len
+    chunks = [min(EVAL_CHUNK, rows - a) for a in range(0, rows, EVAL_CHUNK)]
+    if all(n % ROW_GROUP == 0 for n in chunks):
+        raise SystemExit(f"{corpus}: every evaluation chunk of its {rows} rows is a "
+                         f"whole number of {ROW_GROUP}-row groups")
 
 
 def big_vectors(tree: Path, run: Path) -> None:

@@ -111,8 +111,12 @@ class Vocabulary:
         """Build a vocabulary from non-special tokens, prepending the specials."""
         return cls(list(SPECIAL_TOKENS) + list(content_tokens))
 
+    def text(self) -> str:
+        """The vocabulary file's content: one token a line."""
+        return "".join(t + "\n" for t in self.tokens)
+
     def save(self, path: str | Path) -> None:
-        replace_text(path, "".join(t + "\n" for t in self.tokens))
+        replace_text(path, self.text())
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -37,6 +37,8 @@ from .embeddings import json_object, parse_json_object, read_array, write_array
 from .translation import SLICE_BYTES
 
 PARAM_GROUPS = ("emb_en", "emb_fg", "pos_emb", "encoder", "out_bias_en", "out_bias_fg")
+# rows per encoder pass when no backward cache is kept
+ROW_GROUP = 16
 
 
 def param_group(name: str) -> str:
@@ -338,13 +340,21 @@ def _forward(state: ModelState, ids: np.ndarray, language: str, want_cache: bool
         )
     emb = p["emb_en"] if language == "en" else p["emb_fg"]
     x = emb[ids] + p["pos_emb"][:t][None, :, :]
-    caches = []
-    for l in range(cfg.layers):
-        x, cache = _encoder_layer(x, p, f"enc.{l}.", cfg)
-        if want_cache:
+    if want_cache:
+        caches = []
+        for l in range(cfg.layers):
+            x, cache = _encoder_layer(x, p, f"enc.{l}.", cfg)
             caches.append(cache)
-        del cache  # without the cache, no layer's intermediates outlive it
-    return x, caches
+        return x, caches
+    # every encoder op works per row, so a group of rows gets the bits the
+    # whole batch would, with temporaries a group long; no layer's cache
+    # outlives the layer
+    for a in range(0, b, ROW_GROUP):
+        h = x[a : a + ROW_GROUP]
+        for l in range(cfg.layers):
+            h = _encoder_layer(h, p, f"enc.{l}.", cfg)[0]
+        x[a : a + ROW_GROUP] = h
+    return x, []
 
 
 def _encoder_layer(x, p, n, cfg: ModelConfig):
@@ -567,8 +577,10 @@ def save_checkpoint(
                 "file": fname,
                 "shape": list(state.params[name].shape),
             }
-        state.vocab_en.save(tmp / "vocab_en.txt")
-        state.vocab_fg.save(tmp / "vocab_fg.txt")
+        # inside the temporary directory, so written in place
+        for language in ("en", "fg"):
+            (tmp / f"vocab_{language}.txt").write_text(state.vocab(language).text(),
+                                                       encoding="utf-8")
         with open(tmp / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -6,7 +6,7 @@ as the source). A NULL english token absorbs unaligned foreign mass; it is
 dropped (and rows renormalized) when building a translation matrix.
 
 Tables are parallel index arrays (f, e, p) sorted by (f, e), NULL first in
-each row; the EM runs on flat gather / segment-sum / bincount passes.
+each row; the EM runs on flat gather / segment-sum / scatter-add passes.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -87,6 +88,9 @@ def _flat_ids(sentences) -> tuple[np.ndarray, np.ndarray]:
 
 # links per block: every per-link array of train_ibm1 is at most one block long
 BLOCK_LINKS = 1 << 20
+# links per E-step chunk: a block's posteriors and segment totals are taken
+# a chunk of whole segments at a time
+CHUNK_LINKS = 1 << 16
 # links whose index (4 bytes each) is kept between EM iterations; blocks past
 # this budget build it again in every iteration
 CACHED_LINKS = 1 << 25
@@ -171,15 +175,29 @@ class _Block:
         return np.searchsorted(keys, block_keys), inverse
 
     def expect(self, t: np.ndarray, keys: np.ndarray, width: int,
-               counts: np.ndarray) -> list[float]:
-        """E-step: adds the block's posteriors to counts and returns its
-        per-segment log-likelihood terms."""
+               counts: np.ndarray) -> Iterator[list[float]]:
+        """E-step: adds the block's posteriors to counts and yields its
+        per-segment log-likelihood terms, one list per chunk.
+
+        A chunk is the segments that start in one CHUNK_LINKS window of
+        links. `np.add.at` adds each chunk's posteriors in link order, as one
+        `np.bincount` over the block would, so the counts keep their bits;
+        the block's per-link memory is its link index alone.
+        """
         pairs, inverse = self.link_index(keys, width)
-        probs = t[pairs][inverse]
-        totals = np.add.reduceat(probs, self.seg_start)
-        probs /= np.repeat(totals, self.seg_size)
-        counts[pairs] += np.bincount(inverse, weights=probs, minlength=len(pairs))
-        return (np.log(totals) - self.log_len).tolist()
+        t_pairs = t[pairs]
+        block_counts = np.zeros(len(pairs))
+        seg_bounds = np.unique(np.searchsorted(
+            self.seg_start, np.arange(0, self.n_links + CHUNK_LINKS, CHUNK_LINKS)))
+        link_bounds = np.append(self.seg_start[seg_bounds[:-1]], self.n_links)
+        for (s0, a), (s1, b) in itertools.pairwise(zip(seg_bounds.tolist(),
+                                                       link_bounds.tolist())):
+            probs = t_pairs[inverse[a:b]]
+            totals = np.add.reduceat(probs, self.seg_start[s0:s1] - a)
+            probs /= np.repeat(totals, self.seg_size[s0:s1])
+            np.add.at(block_counts, inverse[a:b], probs)
+            yield (np.log(totals) - self.log_len[s0:s1]).tolist()
+        counts[pairs] += block_counts
 
 
 def _blocks(corpus: ParallelCorpus, block_links: int) -> list[_Block]:
@@ -248,9 +266,10 @@ def train_ibm1(
     size, not by the corpus; the distinct (f, e) pairs form one sorted index.
     A block's link index maps each link to the block's distinct pairs, and
     those to the global index. An EM iteration gathers t(e|f) over each
-    block's links, sums them per segment, and bincounts the posteriors onto
-    the block's pairs. Blocks within the first CACHED_LINKS links keep
-    their index between iterations; later blocks build it again each time.
+    block's links, sums them per segment, and adds the posteriors onto the
+    block's pairs, in chunks of about CHUNK_LINKS links. Blocks within the
+    first CACHED_LINKS links keep their index between iterations; later
+    blocks build it again each time.
     """
     if not corpus.pairs:
         raise ValueError("cannot train an aligner on an empty corpus")
@@ -271,9 +290,10 @@ def train_ibm1(
     log_likelihoods: list[float] = []
     for _ in range(iterations):
         counts = np.zeros(len(keys))
-        # fsum takes the blocks' terms one block at a time
-        terms = (block.expect(t, keys, width, counts) for block in blocks)
-        ll = math.fsum(itertools.chain.from_iterable(terms))
+        # fsum takes the blocks' terms one chunk at a time
+        chunks = itertools.chain.from_iterable(
+            block.expect(t, keys, width, counts) for block in blocks)
+        ll = math.fsum(itertools.chain.from_iterable(chunks))
         if log_likelihoods and ll < log_likelihoods[-1] - 1e-9:
             raise AssertionError(
                 f"EM log-likelihood decreased: {log_likelihoods[-1]} -> {ll}"

@@ -1,10 +1,14 @@
+import hashlib
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from langxfer import tiny_mlm
+from langxfer import corpus, tiny_mlm
 from langxfer.corpus import MASK_ID, NUM_SPECIALS, Vocabulary
 from langxfer.tiny_mlm import (
     MaskedBatch,
@@ -20,6 +24,7 @@ from langxfer.tiny_mlm import (
     plug_foreign,
     save_checkpoint,
 )
+from langxfer.trainer import EMBEDDING_PHASE_FREEZE, evaluate_mlm
 
 
 def vocab_of(n, prefix):
@@ -190,6 +195,73 @@ class TestEncode:
             encode(state, batch)
 
 
+class TestRowGroups:
+    """The no-cache encoder pass runs ROW_GROUP rows at a time; every
+    result matches the whole-batch pass bit for bit."""
+
+    @staticmethod
+    def results(state, batch, rows):
+        """encode, mlm_loss, evaluate_mlm and the two frozen english
+        backward passes (loss only, and the output bias alone)."""
+        loss, logits = mlm_loss(state, batch)
+        out = [encode(state, batch), loss, logits, evaluate_mlm(state, rows, "en", seed=3)]
+        for freeze in (EMBEDDING_PHASE_FREEZE, EMBEDDING_PHASE_FREEZE - {"out_bias_en"}):
+            loss, grads = backward(state, batch, freeze)
+            out += [loss, grads]
+        return out
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert type(got) is type(want)
+        if isinstance(got, np.ndarray):
+            assert same_bits(got, want)
+        elif isinstance(got, dict):
+            assert got.keys() == want.keys()
+            assert all(same_bits(got[k], want[k]) for k in got)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("norm", ["pre", "post"])
+    @pytest.mark.parametrize("group", [1, 3, 11])
+    def test_groups_match_the_whole_batch(self, monkeypatch, group, norm, dtype):
+        state = small_model(dim=12, layers=2, heads=3, ffn=20, v=30, max_len=9,
+                            norm=norm).astype(dtype)
+        batch = batch_for(30, (10, 9), seed=5)
+        # 64 rows and 6 more: evaluation's second chunk is not a whole group
+        rows = np.random.default_rng(6).integers(NUM_SPECIALS, 30, size=(70, 9))
+        # the cached pass runs the whole batch at once, as the grouped one did
+        whole, _ = tiny_mlm._forward(state, batch.token_ids, "en", want_cache=True)
+        monkeypatch.setattr(tiny_mlm, "ROW_GROUP", 100)
+        want = self.results(state, batch, rows)
+        assert same_bits(want[0], whole)
+        monkeypatch.setattr(tiny_mlm, "ROW_GROUP", group)
+        got = self.results(state, batch, rows)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            self.assert_same_bits(g, w)
+
+    def test_evaluation_chunk_peaks_as_a_group_does(self):
+        # a 64-row evaluation chunk holds its rows' input, output and masked
+        # logits whole, and the attention and FFN temporaries of one group
+        state = small_model(dim=48, layers=2, heads=4, ffn=192, v=65, max_len=32)
+        rows = np.random.default_rng(1).integers(NUM_SPECIALS, 65, size=(64, 32))
+
+        def traced_peak(n):
+            evaluate_mlm(state, rows[:n], "en", seed=0)  # first-call allocations
+            tracemalloc.start()
+            try:
+                evaluate_mlm(state, rows[:n], "en", seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        group_peak = traced_peak(tiny_mlm.ROW_GROUP)
+        assert tiny_mlm.ROW_GROUP == 16
+        activation_bytes = rows.size * 48 * 4  # one (64, 32, 48) float32 array
+        assert traced_peak(64) < group_peak + 2 * activation_bytes
+
+
 class TestMlmLoss:
     def test_uniform_logits_give_log_vocab(self):
         state = small_model(v=8)
@@ -350,6 +422,34 @@ class TestCheckpoint:
         assert loaded.vocab_en.tokens == state.vocab_en.tokens
         for name, p in state.params.items():
             assert np.array_equal(loaded.params[name], p), name
+
+    def test_one_replacement_per_save(self, tmp_path, monkeypatch):
+        # the vocabularies are written straight into the checkpoint's
+        # temporary directory, with the bytes Vocabulary.save writes
+        calls = []
+        real = corpus.replacing
+
+        def counting(path):
+            calls.append(Path(path))
+            return real(path)
+
+        monkeypatch.setattr(corpus, "replacing", counting)
+        monkeypatch.setattr(tiny_mlm, "replacing", counting)
+        state = small_model(seed=21)
+        ck = tmp_path / "ck"
+        save_checkpoint(state, ck, step=123, rng_state={"demo": 7})
+        assert calls == [ck]
+        for language in ("en", "fg"):
+            state.vocab(language).save(tmp_path / f"{language}.txt")
+            assert ((ck / f"vocab_{language}.txt").read_bytes()
+                    == (tmp_path / f"{language}.txt").read_bytes())
+        digest = hashlib.sha256()
+        for path in sorted(ck.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        # frozen from the same save with both vocabularies written through
+        # Vocabulary.save
+        assert digest.hexdigest() == (
+            "92cab4a931783556052c47439d74941c19b48bbfc14675dfc9be176cd531ea73")
 
     def test_plug_foreign_swaps_only_foreign(self, tmp_path):
         state = small_model(seed=22)

@@ -132,6 +132,17 @@ def argsort_unique_inverse(values):
     return ordered[first], inverse
 
 
+def bincount_expect(block, t, keys, width, counts):
+    """Oracle of word_alignment._Block.expect: the whole block in one
+    gather, one segment sum and one bincount, its terms as one chunk."""
+    pairs, inverse = block.link_index(keys, width)
+    probs = t[pairs][inverse]
+    totals = np.add.reduceat(probs, block.seg_start)
+    probs /= np.repeat(totals, block.seg_size)
+    counts[pairs] += np.bincount(inverse, weights=probs, minlength=len(pairs))
+    return [(np.log(totals) - block.log_len).tolist()]
+
+
 def model_from_table(table, iterations_run, final_log_likelihood):
     """An AlignmentModel holding a {f: {e: p}} table."""
     entries = sorted((f, e, p) for f, row in table.items() for e, p in row.items())
@@ -262,14 +273,74 @@ class TestTrainIbm1:
 
         whole, whole_peak = traced_peak()
         blocked, blocked_peak = traced_peak(block_links=4000, cached_links=0)
-        # one block holds several 8-byte arrays per link; small blocks hold
-        # less than one 4-byte value per link
-        assert whole_peak > 16 * n_links
+        # one block holds its 4-byte link index, built through a few 4-byte
+        # arrays per link, and E-step temporaries only a chunk long; small
+        # blocks hold less than one 4-byte value per link
+        assert 4 * n_links < whole_peak < 12 * n_links
         assert blocked_peak < 4 * n_links
         np.testing.assert_array_equal(blocked.f, whole.f)
         np.testing.assert_array_equal(blocked.e, whole.e)
         np.testing.assert_allclose(blocked.p, whole.p, rtol=1e-12, atol=0)
         assert blocked.log_likelihoods == pytest.approx(whole.log_likelihoods, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=SENTENCE_PAIRS,
+        iterations=st.integers(min_value=1, max_value=4),
+        chunk_links=st.sampled_from([1, 7, 2 * word_alignment.BLOCK_LINKS]),
+        block_links=st.sampled_from([9, word_alignment.BLOCK_LINKS]),
+    )
+    @pytest.mark.parametrize("index", ["counted", "sorted"])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_chunked_expect_matches_bincount_oracle(self, pairs, iterations, chunk_links,
+                                                    block_links, index, cached):
+        if index == "counted":
+            # 56 links in one pair, above the largest key 6 * 8 + 7: with
+            # whole blocks, ranks come from counting
+            pairs = [(list(range(7)), list(range(7))), *pairs]
+        sorting = (mock.patch.object(word_alignment, "_unique_inverse", argsort_unique_inverse)
+                   if index == "sorted" else contextlib.nullcontext())
+        corpus = ParallelCorpus(pairs)
+        blocking = blocks_of(block_links, word_alignment.CACHED_LINKS if cached else 0)
+        with blocking, sorting:
+            with mock.patch.object(word_alignment._Block, "expect", bincount_expect):
+                want = train_ibm1(corpus, iterations=iterations, prune=0.0)
+            with mock.patch.object(word_alignment, "CHUNK_LINKS", chunk_links):
+                got = train_ibm1(corpus, iterations=iterations, prune=0.0)
+        for name in ("f", "e", "p"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.log_likelihoods == want.log_likelihoods
+
+    def test_expect_memory_bounded_by_chunk_size(self):
+        # one EM iteration over a 366,000-link block: its temporaries are a
+        # chunk long, not a block long
+        rng = np.random.default_rng(8)
+        pairs = [([int(x) for x in rng.integers(0, 6, 60)],
+                  [int(x) for x in rng.integers(0, 6, 60)]) for _ in range(100)]
+        chunk_links = 4096
+        blocks = word_alignment._blocks(ParallelCorpus(pairs), word_alignment.BLOCK_LINKS)
+        assert len(blocks) == 1 and blocks[0].n_links == 366000
+        width = int(blocks[0].seg_e.max()) + 2
+        keys = word_alignment._pair_keys(blocks, width, word_alignment.CACHED_LINKS)
+        t = np.full(len(keys), 0.1)
+
+        def em_iteration():
+            counts = np.zeros(len(keys))
+            terms = itertools.chain.from_iterable(blocks[0].expect(t, keys, width, counts))
+            return math.fsum(terms), counts
+
+        with mock.patch.object(word_alignment, "CHUNK_LINKS", chunk_links):
+            em_iteration()  # first-call allocations
+            tracemalloc.start()
+            try:
+                em_iteration()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a chunk's float64 posteriors and repeated totals, plus a fixed
+        # allowance; one byte a link would be 366,000
+        assert peak < 32 * chunk_links + 64 * 1024
 
     def test_pruning_renormalizes(self):
         model = train_ibm1(self.corpus, iterations=3, prune=1e-2)
