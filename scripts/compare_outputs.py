@@ -12,7 +12,9 @@ word route with an embedding-only phase of none, some and all of the
 updates, and once with the settings that `PipelineConfig` renames on their
 way into its sub-configs, or that a sub-config converts, set to values no
 other route uses (post-norm, no clipping, other pretraining and masking
-rates), a warm rerun, and each CLI subcommand once, plus a second
+rates), a warm rerun, and each CLI subcommand once (BPE `subword-vectors`
+on vectors that hold a word its corpus lacks, checked before the job
+runs, so that the unigram floor weighs it), plus a second
 `cipher-fixture` at the benchmark's size and bigram weight with split
 noise and dictionary dropout, so that every draw path of the generator is
 compared, a second `ibm1` on a subsample of the bundle's pairs, a third
@@ -101,7 +103,14 @@ def make_inputs(tree: Path, inputs: Path) -> None:
     # the foreign space: the english one with its coordinates reversed, plus noise
     fg_vecs = {fg: [x + rng.gauss(0.0, 0.01) for x in reversed(en_vecs[en])]
                for en, fg in pairs}
-    for name, table in (("en.vec", en_vecs), ("fg.vec", fg_vecs)):
+    # two corpus words run together: a word the corpus lacks, which the BPE
+    # subword-vectors job weighs by the unigram floor
+    floor_word = pairs[0][0] + pairs[1][0]
+    corpus_words = set((inputs / "en_train.txt").read_text(encoding="utf-8").split())
+    if floor_word in corpus_words:
+        raise SystemExit(f"{inputs / 'en_train.txt'}: holds {floor_word!r}")
+    floor_vecs = {**en_vecs, floor_word: [rng.gauss(0.0, 1.0) for _ in range(VEC_DIM)]}
+    for name, table in (("en.vec", en_vecs), ("fg.vec", fg_vecs), ("en_floor.vec", floor_vecs)):
         lines = [f"{len(table)} {VEC_DIM}"]
         lines += [tok + " " + " ".join(f"{x:.6f}" for x in vec) for tok, vec in table.items()]
         (inputs / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -128,7 +137,7 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
     run.mkdir(parents=True)
     i = {name: str(inputs / name) for name in (
         "en_train.txt", "en_heldout.txt", "fg_train.txt", "fg_heldout.txt",
-        "dictionary.tsv", "en.vec", "fg.vec", "seed.tsv")}
+        "dictionary.tsv", "en.vec", "fg.vec", "en_floor.vec", "seed.tsv")}
     sides = {"en": "en_train.txt", "fg": "fg_train.txt"}
     # english<TAB>foreign: the first foreign word again, with the second
     # english word (the later pair wins), and a line in neither vocabulary
@@ -213,7 +222,7 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
         cli(tree, run, f"translation-matrix-{mode}", "translation-matrix",
             "--foreign-vectors", str(run / "aligned.vec"), "--english-vectors", i["en.vec"],
             "--mode", mode, "--output", str(run / f"vec_tm_{mode}.txt"))
-    cli(tree, run, "subword-vectors", "subword-vectors", "--vectors", i["en.vec"],
+    cli(tree, run, "subword-vectors", "subword-vectors", "--vectors", i["en_floor.vec"],
         "--corpus", i["en_train.txt"], "--vocab", str(run / "vocab_bpe_en.txt"),
         "--codes", str(run / "codes_en.txt"), "--output", str(run / "subword_en.vec"))
     # the word chain, onto the vectors route's vocabularies and pretrained

@@ -32,6 +32,8 @@ from .corpus import replace_text, require
 
 _CONSONANTS = list("bcdfghjklmnprstvz")
 _VOWELS = list("aeiou")
+# pseudo-words are 2 or 3 syllables, and the two sides draw distinct words
+MAX_VOCAB = sum((len(_CONSONANTS) * len(_VOWELS)) ** n for n in (2, 3)) // 2
 
 
 @dataclass
@@ -103,6 +105,7 @@ def generate_cipher_fixture(
 ) -> CipherFixture:
     """Deterministic corpus bundle for the cipher-transfer experiment."""
     require("vocab_size", vocab_size, ">= 10")
+    require("vocab_size", vocab_size, f"<= {MAX_VOCAB}")
     require("sentences", sentences, ">= 1")
     require("heldout", heldout, ">= 0")
     require("min_len", min_len, ">= 1")

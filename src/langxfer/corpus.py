@@ -30,16 +30,16 @@ NUM_SPECIALS = len(SPECIAL_TOKENS)
 WORD_END = "</w>"
 
 # the test at each end of a rule: ">= a", "> a", "in [a, b)", "in (a, b]", ...
-_ENDS = {">=": operator.ge, ">": operator.gt, "[": operator.ge, "(": operator.gt,
-         "]": operator.le, ")": operator.lt}
+_ENDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "[": operator.ge,
+         "(": operator.gt, "]": operator.le, ")": operator.lt}
 _KINDS = {int: "an int", float: "a float", bool: "a bool", str: "a str", type(None): "None"}
 _type_hints = functools.cache(typing.get_type_hints)  # a class's resolved annotations
 
 
 def require(name: str, value, rule: str) -> None:
     """Raise ValueError "{name} must be {rule}, got {value}" unless `value`
-    meets `rule`: ">= a", "> a", or an interval "in [a, b)", "in (a, b]" or
-    "in [a, b]". NaN meets no rule."""
+    meets `rule`: ">= a", "> a", "<= a", or an interval "in [a, b)",
+    "in (a, b]" or "in [a, b]". NaN meets no rule."""
     if rule.startswith("in "):
         low, high = rule[4:-1].split(", ")
         ends = ((rule[3], low), (rule[-1], high))
@@ -163,21 +163,6 @@ class BpeCodes:
                     raise ValueError(f"{path}: line {n}: expected 'symbol1 symbol2'")
                 merges.append((parts[0], parts[1]))
         return cls(merges)
-
-
-@dataclass
-class UnigramTable:
-    """Relative token frequencies; values sum to 1 over the vocabulary."""
-
-    probs: dict[str, float]
-
-    def __post_init__(self) -> None:
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"unigram probabilities sum to {total}, expected 1")
-
-    def get(self, token: str, default: float = 0.0) -> float:
-        return self.probs.get(token, default)
 
 
 @dataclass
@@ -328,18 +313,6 @@ def build_vocab(tokens: Iterable[str], max_size: int) -> Vocabulary:
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     keep = [t for t, _ in ordered[: max_size - NUM_SPECIALS]]
     return Vocabulary.from_tokens(keep)
-
-
-def unigram_probs(tokens: Iterable[str], vocab: Vocabulary) -> UnigramTable:
-    """Relative frequencies over `vocab`; out-of-vocabulary tokens count as UNK."""
-    counts: Counter = Counter()
-    total = 0
-    for t in tokens:
-        counts[t if t in vocab else SPECIAL_TOKENS[UNK_ID]] += 1
-        total += 1
-    if total == 0:
-        raise ValueError("cannot estimate unigram probabilities from an empty corpus")
-    return UnigramTable({t: c / total for t, c in counts.items()})
 
 
 @dataclass

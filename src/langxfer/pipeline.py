@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -36,7 +37,6 @@ from .corpus import (
     replace_text,
     replacing,
     ruled,
-    unigram_probs,
 )
 from .embeddings import (
     EmbeddingMatrix,
@@ -374,9 +374,7 @@ def vocab_vectors(vectors: EmbeddingMatrix, tok: Tokenizer,
         raise ValueError("BPE codes and a corpus go together: give both or neither")
     vocab = tok.vocab
     if corpus is not None:
-        words = build_vocab(iter_tokens(corpus), max_size=1 << 30)
-        return subword_vectors(vectors, unigram_probs(iter_tokens(corpus), words), vocab,
-                               tok.codes)
+        return subword_vectors(vectors, Counter(iter_tokens(corpus)), vocab, tok.codes)
     j = vectors.vocab.indices(vocab.tokens)
     found = j >= corpus_mod.NUM_SPECIALS  # a model special's row stays zero
     out = np.zeros((len(vocab), vectors.dim), dtype=np.float32)

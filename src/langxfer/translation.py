@@ -10,14 +10,14 @@ a row; they are handled separately at initialization time.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import (NUM_SPECIALS, BpeCodes, UnigramTable, Vocabulary, apply_bpe, open_text,
-                     replacing)
+from .corpus import NUM_SPECIALS, BpeCodes, Vocabulary, apply_bpe, open_text, replacing
 from .embeddings import EmbeddingMatrix
 
 UNIGRAM_FLOOR = 1e-9
@@ -314,24 +314,27 @@ class SubwordVectorTable:
 
 def subword_vectors(
     word_emb: EmbeddingMatrix,
-    unigrams: UnigramTable,
+    counts: Counter,
     subword_vocab: Vocabulary,
     codes: BpeCodes,
 ) -> SubwordVectorTable:
     """Each subword vector is the unigram-weighted average of its words' vectors.
 
     A word contributes to every distinct subword in its BPE segmentation,
-    weighted by its unigram probability (floored at 1e-9 for words missing
-    from the table). Subwords with no contributing word keep a zero vector
-    and support 0, to be replaced by the Gaussian fallback downstream.
+    weighted by its share of the corpus word `counts` (floored at 1e-9 for
+    words the corpus lacks). Subwords with no contributing word keep a zero
+    vector and support 0, to be replaced by the Gaussian fallback downstream.
     """
+    total = sum(counts.values())
+    if total == 0:
+        raise ValueError("cannot estimate unigram probabilities from an empty corpus")
     d = word_emb.dim
     acc = np.zeros((len(subword_vocab), d), dtype=np.float64)
     norm = np.zeros(len(subword_vocab), dtype=np.float64)
     support = np.zeros(len(subword_vocab), dtype=np.int64)
     for i in range(NUM_SPECIALS, len(word_emb.vocab)):
         word = word_emb.vocab.tokens[i]
-        weight = max(unigrams.get(word), UNIGRAM_FLOOR)
+        weight = max(counts[word] / total, UNIGRAM_FLOOR)
         pieces = set(apply_bpe(word, codes))
         for piece in pieces:
             j = subword_vocab.index.get(piece)

@@ -138,14 +138,8 @@ class _Block:
     def __init__(self, fg_ids, fg_len, en_ids, en_len) -> None:
         self.fg_ids = fg_ids
         self.seg_e = np.insert(en_ids, np.cumsum(en_len), NULL_ID)
-        seg_sent = np.repeat(np.arange(len(fg_len)), en_len + 1)
-        self.seg_size = fg_len[seg_sent]
+        self.seg_size = np.repeat(fg_len, en_len + 1)
         self.seg_start = np.cumsum(self.seg_size) - self.seg_size
-        # link k of a segment takes its sentence's k-th foreign token: each
-        # link steps one token on, but a segment's first link steps from the
-        # previous segment's last token to its sentence's first
-        fg_first = (np.cumsum(fg_len) - fg_len)[seg_sent]
-        self.seg_step = fg_first - np.append(0, fg_first + self.seg_size - 1)[:-1]
         self.log_len = np.log(self.seg_size.astype(np.float64))
         self.n_links = int(self.seg_size.sum())
         self.index: tuple[np.ndarray, np.ndarray] | None = None
@@ -161,9 +155,17 @@ class _Block:
         return key
 
     def _link_positions(self, dtype: type) -> np.ndarray:
-        """Position in fg_ids of each link's foreign token."""
+        """Position in fg_ids of each link's foreign token.
+
+        Link k of a segment takes its sentence's k-th foreign token: each link
+        steps one token on, but a segment's first link steps back to its
+        sentence's first token, or on to the next sentence's after a NULL.
+        """
+        first = np.subtract(1, self.seg_size, dtype=dtype)
+        first[0] = 0
+        first[1:][self.seg_e[:-1] == NULL_ID] = 1
         steps = np.ones(self.n_links, dtype=dtype)
-        steps[self.seg_start] = self.seg_step
+        steps[self.seg_start] = first
         return np.cumsum(steps, dtype=dtype, out=steps)
 
     def link_index(self, keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,9 +65,17 @@ class TestCipherFixture:
                                      split_prob=0.3)
         assert len(fx.en_train) == len(fx.fg_train)
 
-    def test_too_small_vocab_rejected(self):
-        with pytest.raises(ValueError, match="vocab_size"):
-            generate_cipher_fixture(vocab_size=5, sentences=10, seed=0)
+    @pytest.mark.parametrize("vocab_size,message", [
+        (5, "vocab_size must be >= 10, got 5"),
+        # both sides draw distinct 2- or 3-syllable words of 17 x 5 syllables;
+        # one word more per side would sample forever, so nothing is drawn
+        (310676, "vocab_size must be <= 310675, got 310676"),
+    ])
+    def test_vocab_size_out_of_range_rejected(self, vocab_size, message):
+        assert 2 * cipher.MAX_VOCAB == 85**2 + 85**3
+        with mock.patch.object(cipher, "_pseudo_words", side_effect=AssertionError), \
+                pytest.raises(ValueError, match=f"^{message}$"):
+            generate_cipher_fixture(vocab_size=vocab_size, sentences=10, seed=0)
 
     def test_write_fixture(self, tmp_path):
         fx = generate_cipher_fixture(vocab_size=15, sentences=12, seed=8, heldout=3)

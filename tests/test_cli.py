@@ -923,6 +923,7 @@ class TestSenselessValuesFailEarly:
         ("--sentences", "0", "sentences must be >= 1, got 0"),
         ("--heldout", "-3", "heldout must be >= 0, got -3"),
         ("--split-prob", "1.5", "split_prob must be in [0, 1], got 1.5"),
+        ("--vocab-size", "310676", "vocab_size must be <= 310675, got 310676"),
     ])
     def test_cipher_fixture_rejects_bad_size(self, capsys, tmp_path, flag, value, message):
         code, out = run_cli(capsys, "cipher-fixture", "--vocab-size", "20", flag, value,

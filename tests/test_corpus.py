@@ -17,7 +17,6 @@ from langxfer.corpus import (
     detokenize,
     learn_bpe,
     read_parallel,
-    unigram_probs,
 )
 
 WORD_ALPHABET = st.characters(
@@ -172,36 +171,6 @@ class TestBuildVocab:
     def test_max_size_must_exceed_specials(self):
         with pytest.raises(ValueError):
             build_vocab(["a"], max_size=5)
-
-
-class TestUnigramProbs:
-    def test_relative_frequencies(self):
-        vocab = Vocabulary.from_tokens(["a", "b"])
-        table = unigram_probs("a a b".split(), vocab)
-        assert table.get("a") == pytest.approx(2 / 3)
-        assert table.get("b") == pytest.approx(1 / 3)
-
-    def test_all_oov_becomes_unk(self):
-        vocab = Vocabulary.from_tokens(["known"])
-        table = unigram_probs(["x", "y"], vocab)
-        assert table.get("<unk>") == 1.0
-
-    def test_single_token(self):
-        vocab = Vocabulary.from_tokens(["solo"])
-        assert unigram_probs(["solo"], vocab).get("solo") == 1.0
-
-    def test_empty_corpus_raises(self):
-        with pytest.raises(ValueError):
-            unigram_probs([], Vocabulary.from_tokens(["a"]))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(WORDS, min_size=1, max_size=100))
-    def test_sums_to_one(self, tokens):
-        vocab = Vocabulary.from_tokens(
-            sorted(set(tokens[:5]) - set(SPECIAL_TOKENS))
-        )
-        table = unigram_probs(tokens, vocab)
-        assert abs(sum(table.probs.values()) - 1.0) <= 1e-9
 
 
 def _word_tokenizer(*tokens):

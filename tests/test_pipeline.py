@@ -1,15 +1,20 @@
 import errno
 import json
+import re
 import warnings
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langxfer import pipeline
 from langxfer.cipher import generate_cipher_fixture, write_fixture
-from langxfer.corpus import NUM_SPECIALS, Tokenizer, Vocabulary
+from langxfer.corpus import (NUM_SPECIALS, SPECIAL_TOKENS, UNK_ID, Tokenizer, Vocabulary,
+                             apply_bpe, build_vocab, iter_tokens, learn_bpe)
 from langxfer.embeddings import load_vectors
 from langxfer.pipeline import (
     PipelineConfig,
@@ -21,6 +26,7 @@ from langxfer.pipeline import (
     write_config,
 )
 from langxfer.trainer import TrainingConfig
+from langxfer.translation import UNIGRAM_FLOOR
 
 
 @pytest.fixture(scope="module")
@@ -541,3 +547,81 @@ class TestWordVectors:
         assert table.emb.data.tobytes() == want.tobytes()
         assert table.support.dtype == support.dtype
         assert np.array_equal(table.support, support)
+
+
+def two_pass_subword_vectors(vectors, tok, corpus):
+    """Oracle: `vocab_vectors`' BPE branch as it was before it took the corpus
+    counts directly. A first pass builds the corpus vocabulary; a second
+    takes relative frequencies over it, tokens outside it counted as <unk>,
+    checked to sum to 1; each vector word looks its weight up, floored."""
+    words = build_vocab(iter_tokens(corpus), max_size=1 << 30)
+    counts = Counter(t if t in words else SPECIAL_TOKENS[UNK_ID] for t in iter_tokens(corpus))
+    total = sum(counts.values())
+    if total == 0:
+        raise ValueError("cannot estimate unigram probabilities from an empty corpus")
+    probs = {t: c / total for t, c in counts.items()}
+    assert abs(sum(probs.values()) - 1.0) <= 1e-9
+    vocab = tok.vocab
+    acc = np.zeros((len(vocab), vectors.dim), dtype=np.float64)
+    norm = np.zeros(len(vocab), dtype=np.float64)
+    support = np.zeros(len(vocab), dtype=np.int64)
+    for i in range(NUM_SPECIALS, len(vectors.vocab)):
+        word = vectors.vocab.tokens[i]
+        weight = max(probs.get(word, 0.0), UNIGRAM_FLOOR)
+        for piece in set(apply_bpe(word, tok.codes)):
+            j = vocab.index.get(piece)
+            if j is not None and j >= NUM_SPECIALS:
+                acc[j] += weight * vectors.data[i].astype(np.float64)
+                norm[j] += weight
+                support[j] += 1
+    covered = support > 0
+    acc[covered] /= norm[covered, None]
+    return acc.astype(np.float32), support
+
+
+# corpus words: specials spelled out, and words the vectors lack ("cab",
+# "zz"); vector words: specials, and words the corpus lacks ("bca", "q")
+CORPUS_WORDS = st.sampled_from(["ab", "ba", "abc", "cab", "zz", "<unk>", "<s>", "<mask>"])
+VECTOR_WORDS = st.lists(st.sampled_from(["ab", "ba", "abc", "bca", "q", "<unk>", "</s>"]),
+                        unique=True)
+
+
+class TestSubwordVectorRoute:
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(st.lists(CORPUS_WORDS, max_size=6), min_size=1, max_size=8),
+           vec_words=VECTOR_WORDS, num_codes=st.integers(min_value=0, max_value=6),
+           values=st.lists(st.sampled_from(["-0.0", "0.5", "1.5", "-2.25e-3", "3"]),
+                           min_size=14, max_size=14))
+    def test_matches_two_pass_weighting(self, tmp_path_factory, lines, vec_words, num_codes,
+                                        values):
+        tmp = tmp_path_factory.mktemp("sub")
+        corpus = tmp / "corpus.txt"
+        corpus.write_text("".join(" ".join(line) + "\n" for line in lines))
+        (tmp / "w.vec").write_text(f"{len(vec_words)} 2\n" + "".join(
+            f"{w} {values[2 * k]} {values[2 * k + 1]}\n" for k, w in enumerate(vec_words)))
+        vectors = load_vectors(tmp / "w.vec")
+        codes = learn_bpe(["ab ba abc cab ab bca"], num_codes)
+        # the subword vocabulary of the corpus, and single letters it may lack
+        pieces = build_vocab(iter_tokens(corpus, codes), max_size=1 << 30).tokens
+        tok = Tokenizer(Vocabulary(pieces + sorted({"q", "q</w>", "c"} - set(pieces))), codes)
+        try:
+            want, support = two_pass_subword_vectors(vectors, tok, corpus)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                vocab_vectors(vectors, tok, corpus)
+            return
+        table = vocab_vectors(vectors, tok, corpus)
+        assert table.emb.data.tobytes() == want.tobytes()
+        assert table.support.dtype == support.dtype
+        assert np.array_equal(table.support, support)
+
+    def test_reads_the_corpus_once(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("ab ba\nabc ab\n")
+        (tmp_path / "w.vec").write_text("2 1\nab 1\nbca 2\n")
+        codes = learn_bpe(["ab ba", "abc ab"], 2)
+        tok = Tokenizer(build_vocab(iter_tokens(corpus, codes), max_size=100), codes)
+        with mock.patch.object(pipeline, "iter_tokens", wraps=pipeline.iter_tokens) as spy:
+            table = vocab_vectors(load_vectors(tmp_path / "w.vec"), tok, corpus)
+        assert spy.call_count == 1
+        assert table.support.sum() > 0

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from langxfer import translation
-from langxfer.corpus import NUM_SPECIALS, BpeCodes, UnigramTable, Vocabulary
+from langxfer.corpus import NUM_SPECIALS, BpeCodes, Vocabulary
 from langxfer.embeddings import EmbeddingMatrix
 from langxfer.translation import (
     SLICE_BYTES,
@@ -527,10 +528,10 @@ class TestPipelinedTranslationMatrix:
 class TestSubwordVectors:
     def test_single_contributor_identity(self):
         word_emb = emb_over(["abc"], [[2.0, -1.0]])
-        unigrams = UnigramTable({"abc": 1.0})
+        counts = Counter({"abc": 1})
         codes = BpeCodes([("a", "b"), ("ab", "c</w>")])
         vocab = Vocabulary.from_tokens(["abc</w>"])
-        table = subword_vectors(word_emb, unigrams, vocab, codes)
+        table = subword_vectors(word_emb, counts, vocab, codes)
         np.testing.assert_array_equal(
             table.emb.row("abc</w>"), np.array([2.0, -1.0], dtype=np.float32)
         )
@@ -539,10 +540,10 @@ class TestSubwordVectors:
     def test_weighted_average(self):
         # shared subword "x" in both words: e_s = (.2*[1,0] + .6*[0,1]) / .8
         word_emb = emb_over(["xa", "xb"], [[1.0, 0.0], [0.0, 1.0]])
-        unigrams = UnigramTable({"xa": 0.2, "xb": 0.6, "other": 0.2})
+        counts = Counter({"xa": 1, "xb": 3, "other": 1})
         codes = BpeCodes([])  # character segmentation
         vocab = Vocabulary.from_tokens(["x", "a</w>", "b</w>"])
-        table = subword_vectors(word_emb, unigrams, vocab, codes)
+        table = subword_vectors(word_emb, counts, vocab, codes)
         np.testing.assert_allclose(
             table.emb.row("x"), [0.25, 0.75], atol=1e-7
         )
@@ -552,27 +553,34 @@ class TestSubwordVectors:
         rng = np.random.default_rng(7)
         words = [f"w{i}" for i in range(30)]
         word_emb = emb_over(words, rng.normal(0, 1, (30, 4)))
-        unigrams = UnigramTable({w: 1 / 30 for w in words})
+        counts = Counter(words)
         codes = BpeCodes([])
         vocab = Vocabulary.from_tokens(["w"])
-        table = subword_vectors(word_emb, unigrams, vocab, codes)
+        table = subword_vectors(word_emb, counts, vocab, codes)
         assert table.support.max() <= 30
 
     def test_no_contributor_zero_vector(self):
         word_emb = emb_over(["aa"], [[1.0]])
-        unigrams = UnigramTable({"aa": 1.0})
+        counts = Counter({"aa": 1})
         vocab = Vocabulary.from_tokens(["zz"])
-        table = subword_vectors(word_emb, unigrams, vocab, BpeCodes([]))
+        table = subword_vectors(word_emb, counts, vocab, BpeCodes([]))
         assert table.support[NUM_SPECIALS] == 0
         assert np.all(table.emb.row("zz") == 0)
 
     def test_missing_unigram_gets_floor(self):
         word_emb = emb_over(["known", "ghost"], [[1.0], [5.0]])
-        unigrams = UnigramTable({"known": 1.0})
+        counts = Counter({"known": 1})
         vocab = Vocabulary.from_tokens(["k", "n", "o", "w", "g", "h", "s", "t</w>", "n</w>"])
-        table = subword_vectors(word_emb, unigrams, vocab, BpeCodes([]))
+        table = subword_vectors(word_emb, counts, vocab, BpeCodes([]))
         # "ghost" contributes via the floor: support counts it
         assert table.support[vocab.index["g"]] == 1
+
+    @pytest.mark.parametrize("counts", [Counter(), Counter({"aa": 0})])
+    def test_empty_corpus_raises(self, counts):
+        word_emb = emb_over(["aa"], [[1.0]])
+        with pytest.raises(ValueError, match="^cannot estimate unigram probabilities "
+                                             "from an empty corpus$"):
+            subword_vectors(word_emb, counts, Vocabulary.from_tokens(["a"]), BpeCodes([]))
 
 
 class TestEntropyReport:

@@ -132,6 +132,23 @@ def argsort_unique_inverse(values):
     return ordered[first], inverse
 
 
+def seg_step_link_keys(pairs, width):
+    """Oracle of word_alignment._Block.link_keys: link positions stepped by
+    each segment's first step from its sentence's first foreign token, the
+    `seg_step` array that `_Block` used to keep."""
+    fg_ids, fg_len = word_alignment._flat_ids([fg for fg, _ in pairs])
+    en_ids, en_len = word_alignment._flat_ids([en for _, en in pairs])
+    seg_e = np.insert(en_ids, np.cumsum(en_len), NULL_ID)
+    seg_sent = np.repeat(np.arange(len(fg_len)), en_len + 1)
+    seg_size = fg_len[seg_sent]
+    seg_start = np.cumsum(seg_size) - seg_size
+    fg_first = (np.cumsum(fg_len) - fg_len)[seg_sent]
+    seg_step = fg_first - np.append(0, fg_first + seg_size - 1)[:-1]
+    steps = np.ones(int(seg_size.sum()), dtype=np.int64)
+    steps[seg_start] = seg_step
+    return fg_ids[np.cumsum(steps)] * width + np.repeat(seg_e + 1, seg_size)
+
+
 def bincount_expect(block, t, keys, width, counts):
     """Oracle of word_alignment._Block.expect: the whole block in one
     gather, one segment sum and one bincount, its terms as one chunk."""
@@ -410,6 +427,19 @@ class TestLinkIndex:
         got, want = word_alignment._unique_inverse(values), argsort_unique_inverse(values)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b, strict=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=SENTENCE_PAIRS, block_links=st.integers(min_value=1, max_value=200))
+    def test_link_keys_match_seg_step_oracle(self, pairs, block_links):
+        blocks = word_alignment._blocks(ParallelCorpus(pairs), block_links)
+        a = 0
+        for block in blocks:
+            n = int(np.count_nonzero(block.seg_e == NULL_ID))  # one NULL a sentence
+            got, want = block.link_keys(9), seg_step_link_keys(pairs[a:a + n], 9)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, want)
+            a += n
+        assert a == len(pairs)
 
     def test_train_ibm1_equal_with_the_argsort_index(self):
         # small ids in most pairs, so that most blocks count; a few pairs
