@@ -12,7 +12,9 @@ word route with an embedding-only phase of none, some and all of the
 updates, and once with the settings that `PipelineConfig` renames on their
 way into its sub-configs, or that a sub-config converts, set to values no
 other route uses (post-norm, no clipping, other pretraining and masking
-rates), a warm rerun, and each CLI subcommand once (BPE `subword-vectors`
+rates), the parallel word route with two encoder layers and 16-row
+batches under pre-norm and under post-norm, a warm rerun, and each CLI
+subcommand once (BPE `subword-vectors`
 on vectors that hold a word its corpus lacks, checked before the job
 runs, so that the unigram floor weighs it), plus a second
 `cipher-fixture` at the benchmark's size and bigram weight with split
@@ -156,6 +158,11 @@ def run_jobs(tree: Path, inputs: Path, run: Path) -> None:
                                  "pretrain_peak_lr": 0.003, "pretrain_warmup": 4,
                                  "mask_prob": 0.25},
         "parallel-bpe": {"route": "parallel", "tokenization": "bpe"},
+        # two layers, so that the last layer, which the loss runs at the
+        # masked positions only, is not also the first
+        "parallel-word-2layer-pre": {"route": "parallel", "layers": 2, "batch_size": 16},
+        "parallel-word-2layer-post": {"route": "parallel", "layers": 2, "batch_size": 16,
+                                      "norm": "post"},
         "dictionary": {"route": "dictionary", "dictionary": i["dictionary.tsv"]},
         "dictionary-repeat": {"route": "dictionary",
                               "dictionary": str(run / "dictionary_repeat.tsv")},

@@ -295,14 +295,6 @@ def apply_bpe(word: str, codes: BpeCodes) -> list[str]:
     return symbols
 
 
-def detokenize(subwords: Iterable[str]) -> str:
-    """Inverse of apply_bpe for a single word's subword sequence."""
-    joined = "".join(subwords)
-    if not joined.endswith(WORD_END):
-        raise ValueError("subword sequence does not end with the end-of-word marker")
-    return joined[: -len(WORD_END)]
-
-
 def build_vocab(tokens: Iterable[str], max_size: int) -> Vocabulary:
     """Frequency-ordered vocabulary (ties lexicographic), truncated to max_size."""
     if max_size <= NUM_SPECIALS:

@@ -19,6 +19,18 @@ permutation of the vocabulary, and the normalizer, before its one rounding
 to the model's dtype, is within V * 2^-(k+1) of the true sum, with no bias
 to either side (about 5e-8 relative at V = 30k; the maximum term is 1, so
 the sum is >= 1).
+
+The loss reads the encoder only at the masked positions, so `mlm_loss` and
+`backward` run the last layer's softmax, `wo`, residual, second layer norm
+and FFN there alone, forward and backward; q·kᵀ and a·v stay whole, and
+every earlier layer runs at every position (`encode` returns them all).
+Two shape rules keep every bit that the whole layer gives. A GEMM gets the
+masked rows packed, in order, into zero-padded blocks of T rows: numpy runs
+a (B, T, d) operand as one BLAS GEMM per block of T rows, and a row of a
+GEMM's product depends on the GEMM's shape, not on the other rows. A
+weight gradient spreads both operands' rows back to their batch positions
+among zero rows, so its K stays B * T. Everything else in a layer works
+per row or per element.
 """
 
 from __future__ import annotations
@@ -271,40 +283,129 @@ def _max_last_axis(x):
     return np.maximum.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)))[..., None]
 
 
-def _attention(h, wq, wk, wv, wo, heads):
+def _softmax(scores):
+    """The softmax over the last axis, computed in place in `scores`."""
+    scores -= _max_last_axis(scores)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+class _Masked:
+    """A (B, T) batch's masked positions, where the last encoder layer runs:
+    their rows packed for a GEMM and spread back for a weight gradient, by
+    the two shape rules of the module docstring."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+        self.rows, self.cols = rows, cols
+        self.batch, self.t = shape
+        self.n = len(rows)
+        self._flat = rows * self.t + cols
+        self._zeros: dict[tuple[int, int], np.ndarray] = {}
+
+    def group(self, a: int, size: int) -> tuple["_Masked", np.ndarray]:
+        """The positions in batch rows a to a + size - 1, as positions of
+        those rows alone, and their indices in this selection."""
+        at = np.flatnonzero((self.rows >= a) & (self.rows < a + size))
+        return _Masked(self.rows[at] - a, self.cols[at], (min(size, self.batch - a), self.t)), at
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """(n, w) rows in zero-padded blocks of T rows, (blocks, T, w)."""
+        w = rows.shape[-1]
+        out = np.zeros((-(-self.n // self.t) * self.t, w), rows.dtype)
+        out[: self.n] = rows
+        return out.reshape(-1, self.t, w)
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """The n rows of a packed array, (n, w), a view."""
+        return packed.reshape(-1, packed.shape[-1])[: self.n]
+
+    def spread(self, packed: np.ndarray, slot: int = 0) -> np.ndarray:
+        """The rows of `packed` at their batch positions, zeros elsewhere,
+        (B, T, w): a view of a scratch kept per width and `slot`, which
+        the next spread of that width and slot overwrites."""
+        w = packed.shape[-1]
+        z = self._zeros.get((w, slot))
+        if z is None:
+            z = self._zeros[w, slot] = np.zeros((self.batch * self.t, w), packed.dtype)
+        z[self._flat] = self.unpack(packed)
+        return z.reshape(self.batch, self.t, w)
+
+    def free(self) -> None:
+        """Drop the spread scratches."""
+        self._zeros.clear()
+
+    def queries(self, block: np.ndarray) -> np.ndarray:
+        """The query rows at the positions of a (B, heads, T, ·) block,
+        (n, heads, ·)."""
+        return block[self.rows, :, self.cols]
+
+    def set_queries(self, block: np.ndarray, values: np.ndarray) -> None:
+        block[self.rows, :, self.cols] = values
+
+
+def _weight_grad(a, b, at=None):
+    """aᵀb over every row of two (..., w) operands. With `at`, both hold
+    packed rows at its positions, spread to their batch positions first, so
+    that K is B * T as for whole operands."""
+    if at is not None:
+        a = at.spread(a)
+        b = at.spread(b, slot=int(b.shape[-1] == a.shape[-1]))
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _attention(h, wq, wk, wv, wo, heads, at=None):
+    """Self-attention of `h`, (B, T, d), and its backward cache. With `at`,
+    only the query rows at its positions go through the softmax, `wo` and
+    the output, which is their rows, packed; q·kᵀ and a·v stay whole."""
     d = h.shape[-1]
     scale = 1.0 / math.sqrt(d // heads)  # a Python float: keeps float32 float32
     q = _split_heads(h @ wq, heads)
     k = _split_heads(h @ wk, heads)
     v = _split_heads(h @ wv, heads)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    scores -= _max_last_axis(scores)
-    e = np.exp(scores)
-    a = e / e.sum(axis=-1, keepdims=True)
-    ctx = _merge_heads(a @ v)
-    return ctx @ wo, (h, q, k, v, a, ctx, scale)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    if at is None:
+        scores *= scale
+        a = _softmax(scores)
+        ctx = _merge_heads(a @ v)
+        return ctx @ wo, (h, q, k, v, a, ctx, scale)
+    a = at.queries(scores)
+    a *= scale
+    _softmax(a)
+    # the score block, its values gathered, becomes the probability block:
+    # zero off the positions' rows
+    scores[...] = 0.0
+    at.set_queries(scores, a)
+    ctx = at.pack(at.queries(scores @ v).reshape(at.n, d))
+    return ctx @ wo, (h, q, k, v, (scores, a), ctx, scale)
 
 
-def _attention_backward(dout, cache, wq, wk, wv, wo, heads, weights=True):
-    """(dh, dwq, dwk, dwv, dwo); the weight gradients are None unless `weights`."""
+def _attention_backward(dout, cache, wq, wk, wv, wo, heads, weights=True, at=None):
+    """(dh, dwq, dwk, dwv, dwo); the weight gradients are None unless
+    `weights`. With `at`, `dout` and the cache are `_attention`'s with it;
+    dh is whole."""
     h, q, k, v, a, ctx, scale = cache
-    d = h.shape[-1]
-    dctx = _split_heads(dout @ wo.T, heads)
-    da = dctx @ v.transpose(0, 1, 3, 2)
-    dv = a.transpose(0, 1, 3, 2) @ dctx
-    dscores = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
+    dctx = dout @ wo.T
+    if at is None:
+        dctx = _split_heads(dctx, heads)
+        da = dctx @ v.transpose(0, 1, 3, 2)
+        dv = a.transpose(0, 1, 3, 2) @ dctx
+        dscores = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
+    else:
+        # the probability block becomes the score gradient's
+        dscores, a = a
+        dctx = _split_heads(at.spread(dctx), heads)
+        dv = dscores.transpose(0, 1, 3, 2) @ dctx
+        da = at.queries(dctx @ v.transpose(0, 1, 3, 2))
+        at.set_queries(dscores, (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale)
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
     dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
     dh = dq_m @ wq.T + dk_m @ wk.T + dv_m @ wv.T
     if not weights:
         return dh, None, None, None, None
-    h2 = h.reshape(-1, d)
-    dwq = h2.T @ dq_m.reshape(-1, d)
-    dwk = h2.T @ dk_m.reshape(-1, d)
-    dwv = h2.T @ dv_m.reshape(-1, d)
-    dwo = ctx.reshape(-1, d).T @ dout.reshape(-1, d)
-    return dh, dwq, dwk, dwv, dwo
+    return (dh, _weight_grad(h, dq_m), _weight_grad(h, dk_m), _weight_grad(h, dv_m),
+            _weight_grad(ctx, dout, at))
 
 
 def _ffn(h, w1, w2):
@@ -313,21 +414,23 @@ def _ffn(h, w1, w2):
     return r @ w2, (h, u, r)
 
 
-def _ffn_backward(dout, cache, w1, w2, weights=True):
-    """(dh, dw1, dw2); dw1 and dw2 are None unless `weights`."""
+def _ffn_backward(dout, cache, w1, w2, weights=True, at=None):
+    """(dh, dw1, dw2); dw1 and dw2 are None unless `weights`. With `at`,
+    `dout` and the cache hold packed rows at its positions."""
     h, u, r = cache
-    d_in, d_hidden = w1.shape
     dr = dout @ w2.T
     du = dr * (u > 0.0)
     dh = du @ w1.T
     if not weights:
         return dh, None, None
-    dw2 = r.reshape(-1, d_hidden).T @ dout.reshape(-1, w2.shape[1])
-    dw1 = h.reshape(-1, d_in).T @ du.reshape(-1, d_hidden)
-    return dh, dw1, dw2
+    return dh, _weight_grad(h, du, at), _weight_grad(r, dout, at)
 
 
-def _forward(state: ModelState, ids: np.ndarray, language: str, want_cache: bool):
+def _forward(state: ModelState, ids: np.ndarray, language: str, want_cache: bool,
+             at: _Masked | None = None):
+    """The encoder's output, (B, T, dim), and with `want_cache` each layer's
+    backward cache. With `at`, the last layer runs at its positions only,
+    and the output is their rows, (n, dim)."""
     cfg = state.cfg
     p = state.params
     b, t = ids.shape
@@ -342,54 +445,84 @@ def _forward(state: ModelState, ids: np.ndarray, language: str, want_cache: bool
     x = emb[ids] + p["pos_emb"][:t][None, :, :]
     if want_cache:
         caches = []
-        for l in range(cfg.layers):
-            x, cache = _encoder_layer(x, p, f"enc.{l}.", cfg)
-            caches.append(cache)
-        return x, caches
+        return _stack(x, p, cfg, at, caches), caches
     # every encoder op works per row, so a group of rows gets the bits the
     # whole batch would, with temporaries a group long; no layer's cache
     # outlives the layer
+    out = x if at is None else np.empty((at.n, cfg.dim), x.dtype)
     for a in range(0, b, ROW_GROUP):
-        h = x[a : a + ROW_GROUP]
-        for l in range(cfg.layers):
-            h = _encoder_layer(h, p, f"enc.{l}.", cfg)[0]
-        x[a : a + ROW_GROUP] = h
-    return x, []
+        if at is None:
+            x[a : a + ROW_GROUP] = _stack(x[a : a + ROW_GROUP], p, cfg)
+            continue
+        group, where = at.group(a, ROW_GROUP)
+        if group.n:
+            out[where] = _stack(x[a : a + ROW_GROUP], p, cfg, group)
+    return out, []
 
 
-def _encoder_layer(x, p, n, cfg: ModelConfig):
-    """One encoder layer on `x`; returns its output and its backward cache."""
+def _stack(x, p, cfg: ModelConfig, at: _Masked | None = None, caches: list | None = None):
+    """The encoder layers on `x`, appending each layer's backward cache to
+    `caches` if given. With `at`, the last layer runs at its positions
+    only, and the result is their rows, (n, dim)."""
+    for l in range(cfg.layers):
+        x, cache = _encoder_layer(x, p, f"enc.{l}.", cfg, at if l == cfg.layers - 1 else None)
+        if caches is not None:
+            caches.append(cache)
+        del cache  # unless kept, no layer's cache outlives the layer
+    if at is None:
+        return x
+    return at.unpack(x) if cfg.layers else x[at.rows, at.cols]
+
+
+def _encoder_layer(x, p, n, cfg: ModelConfig, at: _Masked | None = None):
+    """One encoder layer on `x`; returns its output and its backward cache.
+    With `at`, the output is the rows at its positions, packed."""
     x, ln1, attn = _sublayer(x, lambda h: _attention(h, p[n + "wq"], p[n + "wk"], p[n + "wv"],
-                                                     p[n + "wo"], cfg.heads),
-                             p[n + "ln1_g"], p[n + "ln1_b"], cfg)
+                                                     p[n + "wo"], cfg.heads, at),
+                             p[n + "ln1_g"], p[n + "ln1_b"], cfg, at)
     x, ln2, ffn = _sublayer(x, lambda h: _ffn(h, p[n + "w1"], p[n + "w2"]),
                             p[n + "ln2_g"], p[n + "ln2_b"], cfg)
     return x, (ln1, attn, ln2, ffn)
 
 
-def _sublayer(x, f, g, b, cfg: ModelConfig):
+def _sublayer(x, f, g, b, cfg: ModelConfig, at: _Masked | None = None):
     """A residual sublayer: x + f(LN(x)) under pre-norm, LN(x + f(x)) under
-    post-norm. Returns its output, the layer norm's cache and f's cache."""
+    post-norm. Returns its output, the layer norm's cache and f's cache.
+    With `at`, f's output and the sublayer's are the packed rows at its
+    positions."""
+    res = x if at is None else at.pack(x[at.rows, at.cols])
     if cfg.norm == "pre":
         h, ln = _layer_norm(x, g, b, cfg.ln_eps)
         out, cache = f(h)
-        return x + out, ln, cache
+        return res + out, ln, cache
     out, cache = f(x)
-    y, ln = _layer_norm(x + out, g, b, cfg.ln_eps)
+    y, ln = _layer_norm(res + out, g, b, cfg.ln_eps)
     return y, ln, cache
 
 
-def _sublayer_backward(dout, ln, f_backward, cfg: ModelConfig, weights: bool):
+def _sublayer_backward(dout, ln, f_backward, cfg: ModelConfig, weights: bool,
+                       at: _Masked | None = None):
     """The input gradient of `_sublayer` and its weight gradients: the layer
     norm's (dg, db), then f's. `f_backward` maps the gradient at f's output
-    to the one at its input followed by f's weight gradients."""
+    to the one at its input followed by f's weight gradients. With `at`,
+    `dout` holds the packed rows at its positions, and the input gradient
+    is whole."""
     if cfg.norm == "pre":
         dh, *dw = f_backward(dout)
         dx_ln, dg, db = _layer_norm_backward(dh, ln, weights)
-        return dout + dx_ln, (dg, db, *dw)
+        return _add_residual(dout, dx_ln, at), (dg, db, *dw)
     dsum, dg, db = _layer_norm_backward(dout, ln, weights)
     dh, *dw = f_backward(dsum)
-    return dsum + dh, (dg, db, *dw)
+    return _add_residual(dsum, dh, at), (dg, db, *dw)
+
+
+def _add_residual(d, dx, at: _Masked | None):
+    """d + dx; with `at`, d holds the packed rows at its positions, added
+    into the whole dx there."""
+    if at is None:
+        return d + dx
+    dx[at.rows, at.cols] += at.unpack(d)
+    return dx
 
 
 def encode(state: ModelState, batch: MaskedBatch) -> np.ndarray:
@@ -398,15 +531,15 @@ def encode(state: ModelState, batch: MaskedBatch) -> np.ndarray:
     return ctx
 
 
-def _masked_logits(state: ModelState, ctx: np.ndarray, batch: MaskedBatch):
-    emb = state.params["emb_en" if batch.language == "en" else "emb_fg"]
-    bias = state.params["out_bias_en" if batch.language == "en" else "out_bias_fg"]
-    cm = ctx[batch.mask_rows, batch.mask_cols]
+def _logits(state: ModelState, cm: np.ndarray, language: str) -> np.ndarray:
+    """The output logits of the masked rows `cm`, (n, dim)."""
+    emb = state.params["emb_en" if language == "en" else "emb_fg"]
+    bias = state.params["out_bias_en" if language == "en" else "out_bias_fg"]
     # one vocabulary-sized array: the bias is added in place (never slice
     # this GEMM: a row slice of `cm` can change the product's bits)
     logits = cm @ emb.T
     logits += bias
-    return logits, cm
+    return logits
 
 
 def _exact_row_sums(ex: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -467,7 +600,9 @@ def mlm_loss(state: ModelState, batch: MaskedBatch) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over masked positions; returns (loss, masked logits)."""
     if batch.n_masked == 0:
         raise ValueError("batch has no masked positions")
-    logits, _ = _masked_logits(state, encode(state, batch), batch)
+    at = _Masked(batch.mask_rows, batch.mask_cols, batch.token_ids.shape)
+    cm, _ = _forward(state, batch.token_ids, batch.language, want_cache=False, at=at)
+    logits = _logits(state, cm, batch.language)
     loss, _ = _loss_from_logits(logits, batch.labels)
     return float(loss), logits
 
@@ -508,8 +643,9 @@ def backward(
     train_enc = "encoder" not in freeze
     need_dx = train_emb or train_pos or train_enc  # anything below the logits
 
-    ctx, caches = _forward(state, ids, lang, want_cache=need_dx)
-    logits, cm = _masked_logits(state, ctx, batch)
+    at = _Masked(batch.mask_rows, batch.mask_cols, ids.shape)
+    cm, caches = _forward(state, ids, lang, want_cache=need_dx, at=at)
+    logits = _logits(state, cm, lang)
     if not (need_dx or train_bias):
         loss, _ = _loss_from_logits(logits, batch.labels)
         return float(loss), grads
@@ -524,24 +660,28 @@ def backward(
     if not need_dx:
         return float(loss), grads
 
-    dx = np.zeros_like(ctx)
-    dx[batch.mask_rows, batch.mask_cols] = dlogits @ p[emb_name]
-
+    # the gradient at the masked rows, packed; whole below the last layer
+    dx = at.pack(dlogits @ p[emb_name])
     for l in reversed(range(cfg.layers)):
         n = f"enc.{l}."
-        ln1, attn, ln2, ffn = caches[l]
+        ln1, attn, ln2, ffn = caches.pop()  # each cache is dropped after its layer
         w = train_enc  # weight and layer-norm gradients
+        s = at if l == cfg.layers - 1 else None
         dx, ffn_grads = _sublayer_backward(
-            dx, ln2, lambda d: _ffn_backward(d, ffn, p[n + "w1"], p[n + "w2"], w), cfg, w)
+            dx, ln2, lambda d: _ffn_backward(d, ffn, p[n + "w1"], p[n + "w2"], w, s), cfg, w)
         dx, attn_grads = _sublayer_backward(
             dx, ln1, lambda d: _attention_backward(d, attn, p[n + "wq"], p[n + "wk"],
-                                                   p[n + "wv"], p[n + "wo"], cfg.heads, w),
-            cfg, w)
+                                                   p[n + "wv"], p[n + "wo"], cfg.heads, w, s),
+            cfg, w, s)
+        if s is not None:
+            s.free()
         if train_enc:
             for name, g in zip(("ln2_g", "ln2_b", "w1", "w2", "ln1_g", "ln1_b", "wq", "wk",
                                 "wv", "wo"), ffn_grads + attn_grads):
                 grads[n + name] += g
 
+    if not cfg.layers:
+        dx = at.spread(dx)
     if train_emb:
         np.add.at(grads[emb_name], ids, dx)
     if train_pos:

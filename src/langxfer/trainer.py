@@ -343,6 +343,8 @@ def evaluate_mlm(
     fixed seed, so repeated calls return identical numbers.
     """
     require("seed", seed, ">= 0")
+    if len(rows) == 0:
+        raise ValueError(f"the {language} held-out set has no rows")
     vocab_size = len(state.vocab(language))
     total_nll = 0.0
     total_correct = 0

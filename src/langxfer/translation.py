@@ -132,13 +132,6 @@ class TranslationMatrix:
             raise ValueError(f"entries must be in row order, in rows 0 to {n_rows - 1}")
         return cls(np.searchsorted(rows, np.arange(n_rows + 1)), indices, weights)
 
-    @classmethod
-    def from_rows(cls, rows: list[list[tuple[int, float]]]) -> "TranslationMatrix":
-        """Build from one (source index, weight) list per row."""
-        row_of = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-        return cls.from_entries(len(rows), row_of, [j for row in rows for j, _ in row],
-                                [w for row in rows for _, w in row])
-
     @property
     def rows(self) -> list[list[tuple[int, float]]]:
         """Row i as a list of (source index, weight).

@@ -14,10 +14,11 @@ from langxfer.corpus import (
     Vocabulary,
     apply_bpe,
     build_vocab,
-    detokenize,
     learn_bpe,
     read_parallel,
 )
+
+from helpers import detokenize
 
 WORD_ALPHABET = st.characters(
     blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cf")

@@ -11,7 +11,9 @@ from langxfer.initializer import (
     init_foreign_embeddings,
     random_init,
 )
-from langxfer.translation import TranslationMatrix, dictionary_translation_matrix
+from langxfer.translation import dictionary_translation_matrix
+
+from helpers import translation_matrix_from_rows
 
 
 def source_embeddings(n=10, d=4, seed=0):
@@ -88,14 +90,15 @@ class TestInitForeignEmbeddings:
         )
         tgt_vocab = Vocabulary.from_tokens(["f0"])
         rows = empty_rows(NUM_SPECIALS) + [[(NUM_SPECIALS, 0.5), (NUM_SPECIALS + 1, 0.5)]]
-        emb, _ = init_foreign_embeddings(TranslationMatrix.from_rows(rows), src, tgt_vocab, seed=0)
+        emb, _ = init_foreign_embeddings(translation_matrix_from_rows(rows), src, tgt_vocab,
+                                         seed=0)
         np.testing.assert_allclose(emb.data[NUM_SPECIALS], [0.5, 0.5], atol=1e-7)
 
     def test_gaussian_fallback_variance(self):
         d = 768
         src = source_embeddings(n=4, d=d)
         tgt_vocab = Vocabulary.from_tokens(["uncovered"])
-        tm = TranslationMatrix.from_rows(empty_rows(NUM_SPECIALS + 1))
+        tm = translation_matrix_from_rows(empty_rows(NUM_SPECIALS + 1))
         emb, report = init_foreign_embeddings(tm, src, tgt_vocab, seed=1)
         row = emb.data[NUM_SPECIALS].astype(np.float64)
         var = row.var()
@@ -107,7 +110,7 @@ class TestInitForeignEmbeddings:
     def test_specials_copied_from_source(self):
         src = source_embeddings()
         tgt_vocab = Vocabulary.from_tokens(["f0"])
-        tm = TranslationMatrix.from_rows(empty_rows(NUM_SPECIALS + 1))
+        tm = translation_matrix_from_rows(empty_rows(NUM_SPECIALS + 1))
         emb, _ = init_foreign_embeddings(tm, src, tgt_vocab, seed=0)
         assert np.array_equal(emb.data[:NUM_SPECIALS], src.data[:NUM_SPECIALS])
 
@@ -125,7 +128,7 @@ class TestInitForeignEmbeddings:
             weights = rng.dirichlet(np.ones(k))
             rows.append([(int(c), float(w)) for c, w in zip(cols, weights)])
             dense[NUM_SPECIALS + i, cols] = weights
-        tm = TranslationMatrix.from_rows(rows)
+        tm = translation_matrix_from_rows(rows)
         emb, report = init_foreign_embeddings(tm, src, tgt_vocab, seed=0)
         oracle = dense @ src.data.astype(np.float64)
         got = emb.data[NUM_SPECIALS:].astype(np.float64)
@@ -142,14 +145,15 @@ class TestInitForeignEmbeddings:
             cols = np.sort(rng.choice(np.arange(NUM_SPECIALS, 25), size=k, replace=False))
             weights = rng.dirichlet(np.ones(k))
             rows.append([(int(c), float(w)) for c, w in zip(cols, weights)])
-        emb, _ = init_foreign_embeddings(TranslationMatrix.from_rows(rows), src, tgt_vocab, seed=0)
+        emb, _ = init_foreign_embeddings(translation_matrix_from_rows(rows), src, tgt_vocab,
+                                         seed=0)
         max_src = np.linalg.norm(src.data, axis=1).max()
         assert np.linalg.norm(emb.data[NUM_SPECIALS:], axis=1).max() <= max_src + 1e-6
 
     def test_deterministic(self):
         src = source_embeddings()
         tgt_vocab = Vocabulary.from_tokens(["f0", "f1", "f2"])
-        tm = TranslationMatrix.from_rows(empty_rows(NUM_SPECIALS + 3))
+        tm = translation_matrix_from_rows(empty_rows(NUM_SPECIALS + 3))
         a, _ = init_foreign_embeddings(tm, src, tgt_vocab, seed=9)
         b, _ = init_foreign_embeddings(tm, src, tgt_vocab, seed=9)
         assert np.array_equal(a.data, b.data)
@@ -166,7 +170,7 @@ class TestInitForeignEmbeddings:
         tgt_vocab = Vocabulary.from_tokens(["f0"])
         with pytest.raises(ValueError, match="rows"):
             init_foreign_embeddings(
-                TranslationMatrix.from_rows(empty_rows(2)), src, tgt_vocab, seed=0
+                translation_matrix_from_rows(empty_rows(2)), src, tgt_vocab, seed=0
             )
 
 
@@ -180,7 +184,7 @@ class TestInitForeignEmbeddings:
         src.data[NUM_SPECIALS + 3] = -0.0  # the loop's zero start turns -0.0 into 0.0
         rows[-1] = [(NUM_SPECIALS + 3, 1.0)]
         emb, report = init_foreign_embeddings(
-            TranslationMatrix.from_rows(rows), src, tgt_vocab, seed=seed
+            translation_matrix_from_rows(rows), src, tgt_vocab, seed=seed
         )
         oracle = loop_init_embeddings(rows, src, len(tgt_vocab), seed)
         assert emb.data.tobytes() == oracle.tobytes()
@@ -196,7 +200,7 @@ class TestInitForeignBias:
         bias = rng.normal(0, 1, n_src + NUM_SPECIALS).astype(dtype)
         tgt_vocab = Vocabulary.from_tokens([f"f{i}" for i in range(n_tgt)])
         rows = random_rows(rng, n_tgt, n_src)
-        out = init_foreign_bias(TranslationMatrix.from_rows(rows), bias, tgt_vocab)
+        out = init_foreign_bias(translation_matrix_from_rows(rows), bias, tgt_vocab)
         oracle = loop_init_bias(rows, bias, len(tgt_vocab))
         assert out.dtype == oracle.dtype
         assert out.tobytes() == oracle.tobytes()
@@ -215,7 +219,7 @@ class TestInitForeignBias:
         bias = np.ones(len(src.vocab), dtype=np.float32)
         tgt_vocab = Vocabulary.from_tokens(["f0"])
         out = init_foreign_bias(
-            TranslationMatrix.from_rows(empty_rows(NUM_SPECIALS + 1)), bias, tgt_vocab
+            translation_matrix_from_rows(empty_rows(NUM_SPECIALS + 1)), bias, tgt_vocab
         )
         assert out[NUM_SPECIALS] == 0.0
 

@@ -1,11 +1,13 @@
 """The freeze-aware training step against the full step it replaced.
 
 The oracle below is the earlier implementation, kept as a test reference:
-a full backward pass that computes every gradient and then zeroes the
-frozen groups, a per-language merge of two such dicts, and Adam written as
-its textbook expressions. It shares the model's forward and backward
-primitives, so any difference comes from what the lean step skips, where it
-accumulates, and how it updates in place.
+a forward pass that runs every encoder layer at every position, with the
+softmax out of place, a full backward pass that computes every gradient and
+then zeroes the frozen groups, a per-language merge of two such dicts, and
+Adam written as its textbook expressions. It shares the model's layer norm,
+FFN and backward primitives, so any difference comes from what the lean
+step skips (the last layer away from the masked positions among it), where
+it accumulates, and how it updates in place.
 
 The oracle's softmax normalizer adds the rounded exponentials with
 `math.fsum`, exactly and independently of the model's float64 sum. The
@@ -14,25 +16,34 @@ oracle for the normalizer.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langxfer import trainer
-from langxfer.corpus import NUM_SPECIALS, Vocabulary
+from langxfer import tiny_mlm, trainer
+from langxfer.corpus import MASK_ID, NUM_SPECIALS, Vocabulary
 from langxfer.embeddings import EmbeddingMatrix
 from langxfer.tiny_mlm import (
     ModelConfig,
     _attention_backward,
     _exact_row_sums,
+    _ffn,
     _ffn_backward,
     _forward,
+    _layer_norm,
     _layer_norm_backward,
+    _logits,
     _loss_from_logits,
-    _masked_logits,
+    _merge_heads,
+    _split_heads,
     backward,
+    encode,
     init_model,
     make_masked_batch,
     mlm_loss,
@@ -79,6 +90,53 @@ def oracle_loss_from_logits(logits, labels):
     return nll.mean(), probs
 
 
+def oracle_attention(h, wq, wk, wv, wo, heads):
+    """Self-attention at every position, its softmax out of place."""
+    d = h.shape[-1]
+    scale = 1.0 / math.sqrt(d // heads)
+    q = _split_heads(h @ wq, heads)
+    k = _split_heads(h @ wk, heads)
+    v = _split_heads(h @ wv, heads)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    a = e / e.sum(axis=-1, keepdims=True)
+    ctx = _merge_heads(a @ v)
+    return ctx @ wo, (h, q, k, v, a, ctx, scale)
+
+
+def oracle_forward(state, ids, language):
+    """The encoder with every layer at every position: its output and each
+    layer's backward cache."""
+    cfg = state.cfg
+    p = state.params
+    emb = p["emb_en" if language == "en" else "emb_fg"]
+    x = emb[ids] + p["pos_emb"][: ids.shape[1]][None, :, :]
+    caches = []
+    for l in range(cfg.layers):
+        n = f"enc.{l}."
+        parts = []
+        for f, ln in ((lambda h: oracle_attention(h, p[n + "wq"], p[n + "wk"], p[n + "wv"],
+                                                  p[n + "wo"], cfg.heads), "ln1"),
+                      (lambda h: _ffn(h, p[n + "w1"], p[n + "w2"]), "ln2")):
+            g, b = p[n + ln + "_g"], p[n + ln + "_b"]
+            if cfg.norm == "pre":
+                h, ln_cache = _layer_norm(x, g, b, cfg.ln_eps)
+                out, f_cache = f(h)
+                x = x + out
+            else:
+                out, f_cache = f(x)
+                x, ln_cache = _layer_norm(x + out, g, b, cfg.ln_eps)
+            parts += [ln_cache, f_cache]
+        caches.append(tuple(parts))
+    return x, caches
+
+
+def oracle_logits(state, ctx, batch):
+    """The logits of the masked positions of the whole encoder output."""
+    return _logits(state, ctx[batch.mask_rows, batch.mask_cols], batch.language)
+
+
 def oracle_backward(state, batch, freeze=frozenset()):
     """Every gradient, then zeros for the frozen groups."""
     cfg = state.cfg
@@ -87,8 +145,9 @@ def oracle_backward(state, batch, freeze=frozenset()):
     emb_name = "emb_en" if batch.language == "en" else "emb_fg"
     bias_name = "out_bias_en" if batch.language == "en" else "out_bias_fg"
 
-    ctx, caches = _forward(state, ids, batch.language, want_cache=True)
-    logits, cm = _masked_logits(state, ctx, batch)
+    ctx, caches = oracle_forward(state, ids, batch.language)
+    cm = ctx[batch.mask_rows, batch.mask_cols]
+    logits = _logits(state, cm, batch.language)
     loss, probs = oracle_loss_from_logits(logits, batch.labels)
 
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
@@ -180,8 +239,9 @@ def vocab_of(n, prefix):
     return Vocabulary.from_tokens([f"{prefix}{i}" for i in range(n - NUM_SPECIALS)])
 
 
-def model(norm="pre", v_en=40, v_fg=33, seed=0):
-    cfg = ModelConfig(dim=16, layers=2, heads=4, ffn_dim=32, max_len=12, norm=norm)
+def model(norm="pre", v_en=40, v_fg=33, seed=0, **shape):
+    shape = {"dim": 16, "layers": 2, "heads": 4, "ffn_dim": 32, "max_len": 12, **shape}
+    cfg = ModelConfig(**shape, norm=norm)
     state = init_model(cfg, vocab_of(v_en, "e"), vocab_of(v_fg, "f"), seed)
     # move the layer norms and biases off their ones/zeros starting values
     rng = np.random.default_rng(seed + 100)
@@ -191,10 +251,10 @@ def model(norm="pre", v_en=40, v_fg=33, seed=0):
     return state
 
 
-def batch_for(state, language, seed, shape=(3, 10)):
+def batch_for(state, language, seed, shape=(3, 10), mask_prob=0.3, eighty_ten_ten=True):
     v = len(state.vocab(language))
     rows = np.random.default_rng(seed).integers(NUM_SPECIALS, v, size=shape)
-    return make_masked_batch(rows, 0.3, seed, v, language)
+    return make_masked_batch(rows, mask_prob, seed, v, language, eighty_ten_ten)
 
 
 def trainable(state, freeze):
@@ -258,6 +318,104 @@ class TestBackwardAgainstOracle:
         assert loss == mlm_loss(state, batch)[0]
         assert list(grads) == ["emb_fg", "out_bias_fg"]
         assert all(not g.any() for g in grads.values())
+
+
+# ---------------------------------------------------------------------------
+# the last layer at the masked positions only, against the whole layer
+
+# every freeze set above, and the english output bias alone, which backward
+# serves without the backward cache
+LOSS_PATH_FREEZE_SETS = FREEZE_SETS + [EMBEDDING_PHASE_FREEZE - {"out_bias_en"}]
+ONE_POSITION = 1e-9  # a mask rate that selects nothing: one position is forced
+
+
+def assert_loss_path_matches_oracle(state, batch):
+    """mlm_loss's logits and loss, and backward's loss and every gradient
+    under each freeze set, equal the oracle's; encode still returns every
+    position, as the oracle's encoder does."""
+    ctx, _ = oracle_forward(state, batch.token_ids, batch.language)
+    assert np.array_equal(encode(state, batch), ctx)
+    want_logits = oracle_logits(state, ctx, batch)
+    loss, logits = mlm_loss(state, batch)
+    assert logits.dtype == state.dtype and np.array_equal(logits, want_logits)
+    assert loss == float(oracle_loss_from_logits(want_logits, batch.labels)[0])
+    for freeze in LOSS_PATH_FREEZE_SETS:
+        got_loss, grads = backward(state, batch, freeze)
+        want_loss, want = oracle_backward(state, batch, freeze)
+        assert got_loss == float(want_loss) == loss
+        assert list(grads) == trainable(state, freeze)
+        for k, g in grads.items():
+            assert g.dtype == state.dtype and np.array_equal(g, want[k]), (sorted(freeze), k)
+
+
+def check_benchmark_shapes(norm):
+    """The benchmark's model and batch (dim 48, FFN 192, 16 rows of 32
+    tokens), one batch of 40 rows (three no-cache row groups), and an FFN
+    as wide as the model, whose weight gradients spread two operands of one
+    width."""
+    state = model(norm, v_en=65, v_fg=65, dim=48, ffn_dim=192, max_len=32)
+    for rows, seed in ((16, 1), (40, 2)):
+        assert_loss_path_matches_oracle(state, batch_for(state, "en", seed, (rows, 32), 0.15))
+    state = model(norm, ffn_dim=16)
+    assert_loss_path_matches_oracle(state, batch_for(state, "fg", 3, (16, 10)))
+
+
+class TestLossPathAgainstOracle:
+    """mlm_loss and backward run the last encoder layer at the masked
+    positions only; every result equals the whole layer's."""
+
+    @pytest.mark.parametrize("norm", ["pre", "post"])
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_batch_sizes_1_to_16(self, norm, layers):
+        state = model(norm, layers=layers)
+        for rows in range(1, 17):
+            batch = batch_for(state, ("en", "fg")[rows % 2], rows, (rows, 10))
+            assert_loss_path_matches_oracle(state, batch)
+        # one masked position: the one packed block holds one real row
+        for rows in (1, 16):
+            batch = batch_for(state, "en", 20 + rows, (rows, 10), ONE_POSITION)
+            assert batch.n_masked == 1
+            assert_loss_path_matches_oracle(state, batch)
+
+    @pytest.mark.parametrize("norm", ["pre", "post"])
+    def test_sequences_of_one_token(self, norm):
+        state = model(norm)
+        for rows in (1, 5, 16):
+            assert_loss_path_matches_oracle(state, batch_for(state, "fg", rows, (rows, 1), 0.5))
+
+    @pytest.mark.parametrize("norm", ["pre", "post"])
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_float64_twin(self, norm, layers):
+        state = model(norm, layers=layers).astype(np.float64)
+        for rows in (1, 7, 16):
+            assert_loss_path_matches_oracle(state, batch_for(state, "en", rows, (rows, 10)))
+        assert_loss_path_matches_oracle(state, batch_for(state, "fg", 4, (16, 10), ONE_POSITION))
+
+    @pytest.mark.parametrize("norm", ["pre", "post"])
+    def test_all_mask_corruption(self, norm):
+        state = model(norm)
+        for rows in (3, 16):
+            batch = batch_for(state, "en", rows, (rows, 10), eighty_ten_ten=False)
+            assert np.all(batch.token_ids[batch.mask_rows, batch.mask_cols] == MASK_ID)
+            assert_loss_path_matches_oracle(state, batch)
+
+    @pytest.mark.parametrize("norm", ["pre", "post"])
+    def test_benchmark_shapes(self, norm):
+        check_benchmark_shapes(norm)
+
+    def test_two_blas_threads(self):
+        # the test session pins OpenBLAS to one thread (conftest.py); a
+        # fresh process runs the benchmark-shape cases under two
+        tests = Path(__file__).resolve().parent
+        src = Path(tiny_mlm.__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+        code = ("import os, test_lean_step as t; "
+                "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'; "
+                "t.check_benchmark_shapes('pre'); t.check_benchmark_shapes('post')")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tests,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestAdamAgainstOracle:

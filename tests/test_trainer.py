@@ -240,6 +240,11 @@ class TestEvaluate:
         sigma = math.sqrt(0.001 * 0.999 / n)
         assert abs(acc - 1 / 1000) <= 3 * sigma + 1e-3
 
+    def test_no_rows_rejected(self):
+        state = tiny_setup()
+        with pytest.raises(ValueError, match="the fg held-out set has no rows"):
+            evaluate_mlm(state, np.zeros((0, 8), dtype=np.int64), "fg", seed=0)
+
 
 class TestTrainingLoops:
     def test_overfit_small_corpus(self):

@@ -25,6 +25,8 @@ from langxfer.translation import (
     write_translation_matrix,
 )
 
+from helpers import translation_matrix_from_rows
+
 
 def project_simplex_dykstra(z, iterations=2000):
     """Independent simplex-projection oracle: Dykstra's alternating projections
@@ -90,7 +92,7 @@ def line_loop_read_translation_matrix(path, tgt_vocab, src_vocab):
                 src_token = entries[idx.index(None)][0]
                 raise ValueError(f"{path}: line {n}: unknown source token {src_token!r}")
             rows[i] = sorted(zip(idx, [float(weight) for _, _, weight in entries]))
-    return TranslationMatrix.from_rows(rows)
+    return translation_matrix_from_rows(rows)
 
 
 def nonzero_translation_matrix_from_vectors(tgt_aligned, src, mode="sparsemax", chunk=512):
@@ -182,7 +184,7 @@ def written_matrices(draw):
                                 max_size=max(len(chosen) - 1, 0)))
         weights += [1.0 - math.fsum(weights)] if chosen else []
         rows.append(list(zip(sorted(chosen), weights)))
-    return TranslationMatrix.from_rows(rows), tgt_vocab, src_vocab
+    return translation_matrix_from_rows(rows), tgt_vocab, src_vocab
 
 
 FINITE_VECTORS = arrays(
@@ -320,7 +322,7 @@ class TestTranslationMatrixValidation:
     def test_bad_row_named(self, row, message):
         rows = [[] for _ in range(NUM_SPECIALS + 1)] + [row, []]
         with pytest.raises(ValueError, match=f"row {NUM_SPECIALS + 1}: .*{message}"):
-            TranslationMatrix.from_rows(rows)
+            translation_matrix_from_rows(rows)
 
     @pytest.mark.parametrize("row", [
         [(NUM_SPECIALS, float("nan"))],
@@ -331,11 +333,11 @@ class TestTranslationMatrixValidation:
         # good case rather than test for the bad one
         rows = [[] for _ in range(NUM_SPECIALS + 1)] + [row, []]
         with pytest.raises(ValueError, match=f"row {NUM_SPECIALS + 1}: weights sum to nan"):
-            TranslationMatrix.from_rows(rows)
+            translation_matrix_from_rows(rows)
 
     def test_rows_view_round_trips(self):
         rows = [[], [(NUM_SPECIALS, 0.25), (NUM_SPECIALS + 3, 0.75)], [], [(2, 1.0)]]
-        tm = TranslationMatrix.from_rows(rows)
+        tm = translation_matrix_from_rows(rows)
         assert tm.rows == rows
         assert tm.coverage == [False, True, False, True]
         assert len(tm) == 4
@@ -599,12 +601,12 @@ class TestEntropyReport:
         rows = [[] for _ in range(NUM_SPECIALS)] + [
             [(NUM_SPECIALS + j, 1.0 / n) for j in range(n)]
         ]
-        tm = TranslationMatrix.from_rows(rows)
+        tm = translation_matrix_from_rows(rows)
         report = row_entropy_report(tm)
         assert report.mean_entropy == pytest.approx(math.log(n), abs=1e-12)
 
     def test_no_covered_row(self):
-        report = row_entropy_report(TranslationMatrix.from_rows([[] for _ in range(7)]))
+        report = row_entropy_report(translation_matrix_from_rows([[] for _ in range(7)]))
         assert report == translation.EntropyReport(7, 0, 0.0, 0.0, 0.0, 0.0, {})
 
     def test_nonzeros_bounded(self):
@@ -626,7 +628,7 @@ def loop_dictionary_translation_matrix(pairs, tgt_vocab, src_vocab):
         if not (NUM_SPECIALS <= j < len(src_vocab)):
             raise ValueError(f"source index {j} out of range")
         rows[i] = [(j, 1.0)]
-    return TranslationMatrix.from_rows(rows)
+    return translation_matrix_from_rows(rows)
 
 
 @st.composite
@@ -785,7 +787,7 @@ class TestSerialization:
         weights = [0.125, 0.25, 0.5, 0.125]
         rows[NUM_SPECIALS] = [(NUM_SPECIALS + j, w) for j, w in enumerate(weights)]
         rows[NUM_SPECIALS + 1] = [(NUM_SPECIALS + 4, 1.0)]
-        tm = TranslationMatrix.from_rows(rows)
+        tm = translation_matrix_from_rows(rows)
         write_translation_matrix(tm, tgt_vocab, src_vocab, tmp_path / "tm.txt")
         assert "a:b:0.125 :::0.25 :x:0.5 y::0.125" in (tmp_path / "tm.txt").read_text()
         loaded = read_translation_matrix(tmp_path / "tm.txt", tgt_vocab, src_vocab)
@@ -834,7 +836,7 @@ class TestSerialization:
         vocab = Vocabulary.from_tokens(["a", "b"])
         rows = [[] for _ in range(len(vocab))]
         rows[row] = entries
-        tm = TranslationMatrix.from_rows(rows)
+        tm = translation_matrix_from_rows(rows)
         message = (f"row {row} references source index {entries[-1][0]} beyond "
                    f"the source vocabulary")
         with mock.patch.object(translation, "replacing") as replacing, \
